@@ -37,6 +37,7 @@ from .spectral import (
     ConvOperator,
     LemmaExpandTester,
     digit_difference_quotients,
+    eta_gap,
     fit_decay_exponent,
     letter_pair_quotients,
     main_sweep,
@@ -340,7 +341,7 @@ def cmd_opnorm(cfg: RunConfig, args) -> tuple[bool, dict]:
     )
     print(
         f"q={q} {cfg.subspace} dim={rep.subspace_dim}: norm={rep.norm:.9g} "
-        f"l1={rep.l1:.9g} gap={rep.rel_gap:.6f} iters={rep.iters}"
+        f"l1={rep.l1:.9g} gap={rep.rel_gap:.6f} iters={rep.iters} block={rep.block}"
     )
     checks = [_check("opnorm", rep.converged, **dataclasses.asdict(rep))]
     return rep.converged, _report(cfg, checks)
@@ -378,13 +379,10 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     # per-block gaps
     worst_c1 = {}
     for q in cfg.q_list:
-        c1s = [
-            eta_rep.c1
-            for eta_rep in (
-                _eta_gap_cached(e, cfg) for e in enumerate_etas(spec, q, a, cfg.L, base=base)
-            )
-        ]
-        worst_c1[q] = min(c1s)
+        worst_c1[q] = min(
+            eta_gap(e, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed).c1
+            for e in enumerate_etas(spec, q, a, cfg.L, base=base)
+        )
     checks.append(
         _check("per-block gap positive", all(v > 0 for v in worst_c1.values()),
                min_c1=worst_c1)
@@ -414,12 +412,6 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
 
     ok = all(c["status"] == "pass" for c in checks)
     return ok, _report(cfg, checks, constants, t0)
-
-
-def _eta_gap_cached(eta, cfg):
-    from .spectral import eta_gap
-
-    return eta_gap(eta, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
 
 
 def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
@@ -460,7 +452,8 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
                moduli=[r.q for r in non_sf]),
     ]
     ok = alpha_ok and gaps_ok
-    return ok, _report(cfg, checks, {"alpha": alpha, "csv": out}, t0)
+    max_block = {str(r.q): r.max_block for r in rows if not r.skipped_reason}
+    return ok, _report(cfg, checks, {"alpha": alpha, "csv": out, "max_block": max_block}, t0)
 
 
 def _not_squarefree(q: int) -> bool:

@@ -85,10 +85,6 @@ class GroupMeasure:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, table: GroupTable) -> "GroupMeasure":
-        return cls(table, np.zeros(table.order, dtype=np.complex128))
-
-    @classmethod
     def dirac(cls, table: GroupTable, index: int, coeff=1.0) -> "GroupMeasure":
         c = np.zeros(table.order, dtype=np.complex128)
         c[index] = coeff

@@ -2,9 +2,12 @@
 
 This module owns the group-level machinery everything else builds on:
 full enumeration of SL2(Z/q) with O(1) index lookup, reduction maps
-between divisor levels, fiber averaging along those reductions, and the
+between divisor levels, fiber averaging along those reductions, the
 orthogonal projector onto the new subspace at level q (functions
-orthogonal to every pullback from a proper divisor level).
+orthogonal to every pullback from a proper divisor level), and the right
+cosets of the unipotent subgroup U = {[[1, b], [0, 1]]}, whose characters
+split functions into blocks of dimension |G|/q that the projector maps
+into themselves.
 
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
 range (q <= 32 by default, overridable via MODGAP_MAX_Q). Tables are
@@ -14,6 +17,7 @@ immutable after construction and safe to share between readers.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -153,6 +157,7 @@ class GroupTable:
         self.inverse.setflags(write=False)
         self._identity = int(self.index_of((1 % self.q, 0, 0, 1 % self.q)))
         self._fibers: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._cosets: UnipotentCosets | None = None
 
     # -- lookup ---------------------------------------------------------
 
@@ -251,6 +256,12 @@ class GroupTable:
         self._fibers[q2] = result
         return result
 
+    def cosets(self) -> "UnipotentCosets":
+        """Right cosets of the upper unipotent subgroup, built once per table."""
+        if self._cosets is None:
+            self._cosets = UnipotentCosets(self)
+        return self._cosets
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -261,6 +272,87 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable(q={self.q}, order={self.order})"
+
+
+class UnipotentCosets:
+    """Right cosets gU of U = {u_b = [[1, b], [0, 1]]} in SL2(Z/q).
+
+    The coset gU is fixed by the first column of g, a primitive vector mod
+    q, so there are n = |G|/q of them. The section s_i is the first element
+    of coset i in table order, and every element factors uniquely as
+    s_i u_beta. Right translation by U commutes with left convolution, so
+    functions on G split into q character blocks
+    V_t = {phi : phi(g u_b) = e(t b / q) phi(g)}. A function in V_t is
+    fixed by its coset coordinates f(i) = phi(s_i), and ||phi||^2 = q ||f||^2.
+    """
+
+    def __init__(self, table: GroupTable):
+        q = table.q
+        A = table.elems
+        _, section, cid = np.unique(
+            A[:, 0] * q + A[:, 2], return_index=True, return_inverse=True
+        )
+        s = A[section[cid]]
+        # elems[k] = s u_beta: beta is the top-right entry of s^-1 elems[k]
+        beta = (s[:, 3] * A[:, 1] - s[:, 1] * A[:, 3]) % q
+        self.table = table
+        self.q = q
+        self.n = int(section.size)
+        self.section = section
+        self.cid = cid.reshape(-1)
+        self.beta = beta
+        # grid[i, beta] = index of s_i u_beta
+        self.grid = np.empty((self.n, q), dtype=np.int64)
+        self.grid[self.cid, beta] = np.arange(table.order)
+        for arr in (self.section, self.cid, self.beta, self.grid):
+            arr.setflags(write=False)
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+
+    def torus_orbits(self) -> tuple[int, ...]:
+        """Smallest t of each orbit of t -> u^2 t over units u mod q.
+
+        Right translation by diag(u, u^-1) maps V_t onto V_{u^-2 t}. It
+        commutes with left convolution and with every level average (the
+        congruence kernels are normal), so the blocks of one orbit have the
+        same restricted norm.
+        """
+        q = self.q
+        squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
+        reps, seen = [], set()
+        for t in range(q):
+            if t not in seen:
+                reps.append(t)
+                seen.update(s * t % q for s in squares)
+        return tuple(reps)
+
+    def level(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Cosets grouped by their column mod d, a divisor of q.
+
+        Returns (fid, order, gamma, n_classes): fid[i] is the class of coset
+        i's column mod d, order lists the cosets by class (every class has
+        n / n_classes members), and s_i = r u_gamma[i] mod d with r the
+        section element that opens coset i's class.
+        """
+        cached = self._levels.get(d)
+        if cached is not None:
+            return cached
+        sec = self.table.elems[self.section]
+        _, first, fid = np.unique(
+            (sec[:, 0] % d) * d + sec[:, 2] % d, return_index=True, return_inverse=True
+        )
+        fid = fid.reshape(-1)
+        r = sec[first[fid]]
+        gamma = (r[:, 3] * sec[:, 1] - r[:, 1] * sec[:, 3]) % d
+        result = (fid, np.argsort(fid, kind="stable"), gamma, int(first.size))
+        self._levels[d] = result
+        return result
+
+    def lift(self, f: np.ndarray, t: int) -> np.ndarray:
+        """The function on G in V_t whose coset coordinates are f."""
+        return np.exp(2j * np.pi * t * self.beta / self.q) * np.asarray(f)[self.cid]
+
+    def __repr__(self):
+        return f"UnipotentCosets(q={self.q}, n={self.n})"
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +458,28 @@ class NewSpaceProjector:
         out = np.array(mat, copy=True)
         for fid, counts, nf in self._fiber_data:
             out -= _fiber_average(out, fid, counts, nf)
+        return out
+
+    def apply_block(self, f: np.ndarray, t: int) -> np.ndarray:
+        """The projector on the character block V_t, in the coset
+        coordinates of `UnipotentCosets`, along axis 0 of f.
+
+        The average at level d = q/p maps V_t into itself and vanishes there
+        unless p | t. Then its range is the pullback of the level-d block,
+        c -> e(t gamma_c / q) f'(c mod d), whose basis vectors have disjoint
+        supports: the average multiplies by e(-t gamma/q), averages over the
+        cosets whose columns agree mod d, and multiplies back. O(n) per
+        divisor and column, against a dense |G| x n lift.
+        """
+        cosets = self.table.cosets()
+        out = np.array(f, dtype=complex)
+        for q2 in self.levels:
+            if t % (self.q // q2):
+                continue
+            fid, order, gamma, nf = cosets.level(q2)
+            ph = np.exp(2j * np.pi * t * gamma / self.q).reshape((-1,) + (1,) * (out.ndim - 1))
+            grouped = (np.conj(ph) * out)[order].reshape((nf, -1) + out.shape[1:])
+            out -= ph * grouped.mean(axis=1)[fid]
         return out
 
     def __repr__(self):

@@ -228,13 +228,6 @@ def build_system(config: dict) -> SystemSpec:
 # words and admissibility
 
 
-def is_admissible(spec: SystemSpec, letter_ids) -> bool:
-    ids = tuple(letter_ids)
-    if any(not 0 <= k < spec.n_letters for k in ids):
-        return False
-    return all(spec.allowed(ids[i], ids[i + 1]) for i in range(len(ids) - 1))
-
-
 def word(spec: SystemSpec, letter_ids) -> Word:
     ids = tuple(int(k) for k in letter_ids)
     for k in ids:

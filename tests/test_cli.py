@@ -97,6 +97,21 @@ def test_opnorm_command(tmp_path, capsys):
     assert "norm=" in out and "dim=119" in out
 
 
+def test_opnorm_and_sweep_report_the_maximal_block(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [5, 7], "a": 0.5322, "b": 1.0, "R_prime": 3}))
+    rpt = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "opnorm", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    (check,) = json.loads(rpt.read_text())["checks"]
+    assert f"block={check['block']}" in out and check["block"] in range(5)
+    run_cli(capsys, "sweep-q", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+            "--report", str(rpt))
+    max_block = json.loads(rpt.read_text())["constants"]["max_block"]
+    assert set(max_block) == {"5", "7"}
+    assert all(max_block[q] in range(int(q)) for q in max_block)
+
+
 def test_decouple_verify_report(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [3, 4], "a": 0.5322, "L": 2, "R_prime": 2}))

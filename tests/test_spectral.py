@@ -15,11 +15,13 @@ from modgap.spectral import (
     digit_difference_quotients,
     eta_gap,
     fit_decay_exponent,
+    isotypic_blocks,
     letter_pair_quotients,
     main_sweep,
     mu1_decay,
     nu_autocorrelation,
     operator_norm,
+    sweep_r_length,
     trace_identity_check,
     write_sweep_csv,
     zariski_check,
@@ -99,6 +101,104 @@ def test_convergence_error_carries_best_estimate(spec12, a12):
         operator_norm(ConvOperator(m, "mean_zero"), tol=1e-30, max_iter=3)
     assert exc.value.report is not None
     assert exc.value.report.norm > 0
+
+
+# -- isotypic block representation ----------------------------------------------
+
+
+def _sweep_mu(spec, a, q):
+    """The headline sweep's measure at q; almost fully supported."""
+    r_len = sweep_r_length(q, 2, 2.2)
+    return build_mu(MeasureParams(spec=spec, q=q, s=complex(a, 1.0), r_len=r_len))
+
+
+def _block_norms(op, ts):
+    """Exact norm of each restricted block B_t = M_t P_t, by SVD."""
+    blocks = isotypic_blocks(op.measure, ts)
+    return [
+        float(np.linalg.svd(op.project_block(m.conj().T, t), compute_uv=False)[0])
+        for t, m in zip(ts, blocks)
+    ]
+
+
+@pytest.mark.parametrize("q", [6, 8, 9, 12])
+def test_blocks_are_the_restrictions_to_each_character(q, rng):
+    # at every t, not only the maximal one: M_t and P_t in coset coordinates
+    # are the dense convolution matrix and the dense E_q projector on V_t
+    t = get_group(q)
+    cosets = t.cosets()
+    proj = NewSpaceProjector(t)
+    mu = GroupMeasure(t, rng.standard_normal(t.order) + 1j * rng.standard_normal(t.order))
+    conv = dense_conv_matrix(mu)
+    blocks = isotypic_blocks(mu, range(q))
+    for char in range(q):
+        lifts = np.stack([cosets.lift(e, char) for e in np.eye(cosets.n)], axis=1)
+        assert np.abs(blocks[char] - (conv @ lifts)[cosets.section]).max() < 1e-12
+        dense_p = proj.apply_columns(lifts)[cosets.section]
+        fiber_p = proj.apply_block(np.eye(cosets.n), char)
+        assert np.abs(fiber_p - dense_p).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 9, 10, 12])
+def test_block_engine_matches_dense_oracle(spec12, a12, q):
+    mu = _sweep_mu(spec12, a12, q)
+    assert mu.n_support * q >= mu.table.order
+    for sub in ("full", "mean_zero", "new_space"):
+        rep = operator_norm(ConvOperator(mu, sub), tol=1e-13)
+        assert rep.block is not None and rep.converged
+        oracle = dense_operator_norm(mu, sub)
+        assert rep.norm == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [8, 9, 13])
+def test_torus_orbit_representatives_attain_the_maximum(spec12, a12, q):
+    op = ConvOperator(_sweep_mu(spec12, a12, q), "new_space")
+    cosets = op.table.cosets()
+    every = _block_norms(op, range(q))
+    reps = cosets.torus_orbits()
+    assert len(reps) == {8: 8, 9: 5, 13: 3}[q]
+    assert max(every[t] for t in reps) == pytest.approx(max(every), rel=1e-12)
+    # blocks of one orbit t -> u^2 t have equal norms
+    units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+    for t in range(q):
+        for u in units:
+            assert every[u * u * t % q] == pytest.approx(every[t], rel=1e-10, abs=1e-14)
+
+
+def test_block_certificate_past_the_dense_guard(spec12, a12):
+    q = 19
+    mu = _sweep_mu(spec12, a12, q)
+    table = mu.table
+    assert table.order > 2500
+    proj = NewSpaceProjector(table)
+    op = ConvOperator(mu, "new_space", proj)
+    rep = operator_norm(op)
+    t = rep.block
+    (m,) = isotypic_blocks(mu, [t])
+    b = op.project_block(m.conj().T, t).conj().T
+    f = np.linalg.svd(b)[2][0].conj()  # top right singular vector
+    phi = table.cosets().lift(f, t)
+    assert np.linalg.norm(proj.apply(phi) - phi) <= 1e-10 * np.linalg.norm(phi)
+    gain = np.linalg.norm(mu.action(phi)) / np.linalg.norm(phi)
+    assert gain == pytest.approx(rep.norm, rel=1e-8)
+    # Parseval along the unipotent characters
+    every = isotypic_blocks(mu, range(q))
+    frob = float(np.sum(np.abs(every) ** 2))
+    assert frob == pytest.approx(table.order * mu.l2**2, rel=1e-12)
+
+
+def test_support_rule_picks_the_representation(rng):
+    q = 8
+    t = get_group(q)
+    n = t.order // q
+    for size, blocked in ((n, True), (n - 1, False)):
+        c = np.zeros(t.order, dtype=complex)
+        idx = rng.choice(t.order, size, replace=False)
+        c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        mu = GroupMeasure(t, c)
+        rep = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13)
+        assert (rep.block is not None) == blocked
+        assert rep.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
 
 
 # -- weighted expansion -------------------------------------------------------
@@ -281,6 +381,35 @@ def test_sweep_skips_degenerate_system(tmp_path):
     # numeric fields are empty on skipped rows
     fields = lines[1].split(",")
     assert fields[0] == "5" and fields[4] == "" and fields[5] == ""
+
+
+def test_sweep_jobs_clamped_to_moduli_and_cores(spec12, a12, monkeypatch):
+    import concurrent.futures as cf
+    import os
+
+    seen = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rows, _ = main_sweep(spec12, [2, 3], a12, jobs=8)
+    assert [r.q for r in rows] == [2, 3] and seen == [2]
+    rows, _ = main_sweep(spec12, [2, 3, 4, 5], a12, jobs=8)
+    assert len(rows) == 4 and seen == [2, 3]
+    main_sweep(spec12, [2, 3], a12, jobs=1)
+    assert seen == [2, 3]  # one worker runs in-process
 
 
 def test_sweep_q2_smoke(spec12, a12):
