@@ -34,6 +34,7 @@ from .errors import ConfigError, ModgapError
 from .measures import MeasureParams, build_mu, build_mu1, build_nu
 from .modgroup import get_group, group_order, new_space_dimension, new_space_projector
 from .spectral import (
+    DENSE_GUARD,
     ConvOperator,
     LemmaExpandTester,
     digit_difference_quotients,
@@ -301,7 +302,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
         p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
         mu1 = build_mu1(p)
         bound, brep = decoupled_upper_bound(
-            spec, q, a, cfg.L, cfg.R_prime, fitted, base=base
+            spec, q, a, cfg.L, cfg.R_prime, fitted, base=base, guard=cfg.guards.get("contexts")
         )
         dom = verify_domination(mu1, bound)
         worst_violation = max(worst_violation, dom.max_violation)
@@ -356,14 +357,15 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     checks = []
     constants = {}
 
-    small_q = [q for q in cfg.q_list if group_order(q) <= cfg.guards.get("dense_oracle", 2500)]
+    dense = cfg.guards.get("dense_oracle", DENSE_GUARD)
+    small_q = [q for q in cfg.q_list if group_order(q) <= dense]
 
     # weighted expansion over randomized coefficient draws
     draws_failed = 0
     c0s = {}
     for q in small_q:
         t = get_group(q)
-        tester = LemmaExpandTester(t, letter_pair_quotients(spec, t))
+        tester = LemmaExpandTester(t, letter_pair_quotients(spec, t), guard=dense)
         c0s[q] = tester.c0
         for _ in range(max(1, cfg.n_draws // max(1, len(small_q)))):
             kap = 1.0 + 0.2 * rng.random(len(tester.elements))
@@ -381,7 +383,8 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     for q in cfg.q_list:
         worst_c1[q] = min(
             eta_gap(e, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed).c1
-            for e in enumerate_etas(spec, q, a, cfg.L, base=base)
+            for e in enumerate_etas(spec, q, a, cfg.L, base=base,
+                                    guard=cfg.guards.get("contexts"))
         )
     checks.append(
         _check("per-block gap positive", all(v > 0 for v in worst_c1.values()),
@@ -391,7 +394,7 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     # trace identity on small groups
     for q in small_q:
         p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
-        tr = trace_identity_check(build_mu1(p), nu=build_nu(p))
+        tr = trace_identity_check(build_mu1(p), nu=build_nu(p), guard=dense)
         checks.append(
             _check(f"trace identity q={q}", tr.trace_rel_err <= 1e-8,
                    rel_err=tr.trace_rel_err, multiplicity=tr.multiplicity,
@@ -431,6 +434,7 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
         seed=cfg.seed,
         guard_words=cfg.guards.get("max_words"),
         jobs=args.jobs,
+        max_q=cfg.guards.get("max_q"),
     )
     out = args.out or "sweep.csv"
     write_sweep_csv(rows, out)

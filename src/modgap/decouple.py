@@ -148,7 +148,7 @@ def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard=None):
     per_slot = count_admissible(spec, outer_len)
     total = per_slot**r_prime
     if total > guard:
-        raise GuardExceeded(f"{total} contexts exceed guard {guard}")
+        raise GuardExceeded(f"{total} contexts exceed guards.contexts={guard}")
     rows = [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, outer_len)]
     return list(itertools.product(rows, repeat=r_prime))
 

@@ -7,7 +7,8 @@ orthogonal projector onto the new subspace at level q (functions
 orthogonal to every pullback from a proper divisor level), and the right
 cosets of the unipotent subgroup U = {[[1, b], [0, 1]]}, whose characters
 split functions into blocks of dimension |G|/q that the projector maps
-into themselves.
+into themselves. Left multiplication permutes those cosets, up to a
+unipotent factor (`UnipotentCosets.left_action`).
 
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
 range (q <= 32 by default, overridable via MODGAP_MAX_Q). Tables are
@@ -325,6 +326,25 @@ class UnipotentCosets:
                 seen.update(s * t % q for s in squares)
         return tuple(reps)
 
+    def left_action(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Left multiplication of cosets by the elements h[k].
+
+        Returns (perm, beta), each of shape (len(h), n), with
+        h[k] s_c = s_perm[k, c] u_beta[k, c]; each row of perm is a
+        permutation of the cosets. Built from the n section rows alone, so
+        the cost is len(h) * n, not |G|.
+        """
+        table, q = self.table, self.q
+        g = table.elems[np.asarray(h, dtype=np.int64)][:, None, :]
+        s = table.elems[self.section][None, :, :]
+        idx = table.key_to_index[table._pack(
+            (g[..., 0] * s[..., 0] + g[..., 1] * s[..., 2]) % q,
+            (g[..., 0] * s[..., 1] + g[..., 1] * s[..., 3]) % q,
+            (g[..., 2] * s[..., 0] + g[..., 3] * s[..., 2]) % q,
+            (g[..., 2] * s[..., 1] + g[..., 3] * s[..., 3]) % q,
+        )]
+        return self.cid[idx], self.beta[idx]
+
     def level(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Cosets grouped by their column mod d, a divisor of q.
 
@@ -355,16 +375,21 @@ class UnipotentCosets:
         return f"UnipotentCosets(q={self.q}, n={self.n})"
 
 
-@lru_cache(maxsize=None)
 def enumerate_group(q: int, max_q: int | None = None) -> GroupTable:
-    """Enumerate SL2(Z/q) completely.
+    """Enumerate SL2(Z/q) completely, once per q whatever the guard.
 
     Scans all q^4 entry tuples and keeps those with det = 1 mod q, in
-    lexicographic order, so downstream indexing is reproducible.
+    lexicographic order, so downstream indexing is reproducible. Raises
+    GuardExceeded for q outside [2, max_q] (default DEFAULT_MAX_Q).
     """
     guard = DEFAULT_MAX_Q if max_q is None else max_q
     if q < 2 or q > guard:
         raise GuardExceeded(f"modulus {q} outside guarded range [2, {guard}]")
+    return _enumerate(q)
+
+
+@lru_cache(maxsize=None)
+def _enumerate(q: int) -> GroupTable:
     grids = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)
     a, b, c, d = grids
     mask = (a * d - b * c) % q == 1

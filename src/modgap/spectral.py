@@ -5,18 +5,26 @@ The operator of a measure mu acts on functions by left convolution,
 subspace: all functions, mean-zero functions, or the new subspace at
 level q. Its adjoint is convolution by the reversed measure, so the norm
 is the square root of the top eigenvalue of K = reverse(mu) * mu, found
-by one power-iteration loop over one of two representations of K.
+by one power-iteration loop. K itself is never formed.
 
 Left convolution commutes with right translation by the unipotent
 U = {[[1, b], [0, 1]]}, so functions split into q character blocks of
 dimension |G|/q (Mackey; Diaconis, Group Representations in Probability
-and Statistics, ch. 3), and so does every subspace above. A measure with
-|supp mu| >= |G|/q gets the block representation: one dense block per
-orbit of the diagonal torus on the characters, built from mu in |G|^2/q
-steps (`isotypic_blocks`). A sparser measure keeps the gather of K over
-all of G (cost |supp K| * |G| per apply), which is cheaper when mu has a
-handful of points. Dense |G| x |G| matrices are built only for small
-groups, as oracles and for eigenvalue multiplicity counts.
+and Statistics, ch. 3), and so does every subspace above; one block per
+orbit of the diagonal torus on the characters suffices. The blocks M_t
+of mu come in two representations, chosen from the measure:
+
+* dense blocks, for |supp mu| >= |G|/q: one (|G|/q)^2 matrix per orbit,
+  built from mu in |G|^2/q steps (`isotypic_blocks`) and iterated one by
+  one;
+* stacked sparse blocks, for sparser measures: each support point g
+  permutes the cosets up to a unipotent phase, so M_t is a gather through
+  |supp mu| permutations, built from the support in |supp mu| * |G|/q
+  steps (`_sparse_blocks`). All orbits are iterated together as one
+  problem over their direct sum, an (|G|/q, orbits) array.
+
+Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
+only for small groups, as oracles and for eigenvalue multiplicity counts.
 
 The module also hosts the verification routines built on that engine:
 the weighted-expansion lemma, the per-block flat-expansion gap, the
@@ -49,6 +57,7 @@ from .modgroup import (
 from .symdyn import SystemSpec, word
 
 DENSE_GUARD = 2500
+_CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -104,12 +113,21 @@ class ConvOperator:
 
     def project_block(self, f: np.ndarray, t: int) -> np.ndarray:
         """`project` on the character block V_t, in coset coordinates
-        (`UnipotentCosets`), along axis 0 of f. Constants live in V_0."""
+        (`UnipotentCosets`), along axis 0 of f; f itself where it is the
+        identity (`moves_block`)."""
+        if not self.moves_block(t):
+            return f
         if self.subspace == "new_space":
             return self.projector.apply_block(f, t)
-        if self.subspace == "mean_zero" and t == 0:
-            return f - f.mean(axis=0)
-        return f
+        return f - f.mean(axis=0)
+
+    def moves_block(self, t: int) -> bool:
+        """Whether the projection acts on V_t at all: constants live in V_0,
+        and the level averages of the new subspace reach only the t that
+        share a prime with q (`NewSpaceProjector.apply_block`)."""
+        if self.subspace == "new_space":
+            return math.gcd(t, self.table.q) > 1
+        return self.subspace == "mean_zero" and t == 0
 
 
 @dataclass
@@ -125,40 +143,6 @@ class GapReport:
     seconds: float
     converged: bool
     block: int | None = None
-
-
-class _CachedConv:
-    """Gather-based applier with precomputed translation rows, chunked so
-    temporaries stay small. Falls back to on-the-fly rows when the
-    permutation block would be too large."""
-
-    MAX_CACHED = 64_000_000  # int32 entries
-
-    def __init__(self, measure: GroupMeasure, chunk: int = 256):
-        t = measure.table
-        self.table = t
-        self.chunk = chunk
-        supp = measure.support
-        self.weights = measure.coeffs[supp]
-        self.cached = supp.size * t.order <= self.MAX_CACHED
-        if self.cached:
-            self.perms = np.empty((supp.size, t.order), dtype=np.int32)
-            for r, g in enumerate(supp):
-                self.perms[r] = t.left_translation(int(t.inverse[g]))
-        else:
-            self.supp = supp
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.table.order, dtype=np.complex128)
-        if self.cached:
-            for lo in range(0, self.weights.size, self.chunk):
-                hi = min(lo + self.chunk, self.weights.size)
-                out += (self.weights[lo:hi, None] * v[self.perms[lo:hi]]).sum(axis=0)
-            return out
-        t = self.table
-        for g, w in zip(self.supp, self.weights):
-            out += w * v[t.left_translation(int(t.inverse[g]))]
-        return out
 
 
 def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
@@ -179,6 +163,41 @@ def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
         rows = table.right_translation(int(table.inverse[s]))[cosets.grid]
         blocks[:, :, j] = (measure.coeffs[rows] @ dft).T
     return blocks
+
+
+def _sparse_blocks(table: GroupTable, elements, weights, ts):
+    """F -> (M_t F[:, k])_k for the measure sum_k weights[k] delta(elements[k]),
+    on an (n, len(ts)) stack of coset coordinates, one column per character.
+
+    With g^-1 s_c = s_pi(c) u_b(c) (`UnipotentCosets.left_action`),
+    (M_t f)(c) = sum_g mu(g) e(t b(c) / q) f(pi(c)): a gather through one
+    coset permutation per support point. Storage is the (pi, b) integers of
+    the support and a q x len(ts) phase table, built in |supp| * |G|/q steps;
+    the support is walked in chunks of at most _CHUNK entries.
+    """
+    cosets = table.cosets()
+    perm, beta = cosets.left_action(table.inverse[elements])
+    phases = np.exp(2j * np.pi * np.outer(np.arange(table.q), ts) / table.q)
+    cols = np.arange(len(ts))
+    size = cosets.n * cols.size
+    step = max(1, _CHUNK // size)
+
+    def chunk(lo):  # mu(g) e(t b(c) / q) and the flat index of (pi(c), t), per point
+        sl = slice(lo, lo + step)
+        return ((weights[sl, None, None] * phases[beta[sl]]).reshape(-1, size),
+                (perm[sl, :, None] * cols.size + cols).reshape(-1, size))
+
+    kept = chunk(0) if weights.size <= step else None  # a single chunk is built once
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        flat = f.reshape(-1)
+        out = np.zeros(size, dtype=np.complex128)
+        for lo in range(0, weights.size, step):
+            w, idx = kept or chunk(lo)
+            out += np.add.reduce(w * flat.take(idx), axis=0)
+        return out.reshape(f.shape)
+
+    return apply
 
 
 def _restricted_blocks(op: ConvOperator):
@@ -206,22 +225,25 @@ def operator_norm(
     """Largest singular value of the restricted convolution action.
 
     Power-iterates K = reverse(mu) * mu (self-adjoint and positive on the
-    invariant subspace), projecting every step; stops on relative
-    stagnation of the Rayleigh quotient. K has two representations, chosen
-    from the measure. With |supp mu| >= |G|/q it is the isotypic blocks
-    B_t^H B_t of the right-unipotent characters t, one per torus orbit
-    (`isotypic_blocks`), each iterated on its own; the norm is the largest
-    block norm, `iters` sums the blocks' iterations, `residual` is that of
-    the maximal block and `block` names its t. A sparser measure keeps one
-    gather of K over all of G, and `block` is None. Raises ConvergenceError
-    carrying the best estimate if any iteration hits the cap.
+    invariant subspace) as B_t^H B_t with B_t = M_t P_t, one block per
+    torus orbit of the right-unipotent characters t, projecting every
+    step; stops on relative stagnation of the Rayleigh quotient and reports
+    that of the last iterate. With |supp mu| >= |G|/q the blocks are dense
+    (`isotypic_blocks`) and each is iterated on its own: `iters` sums the
+    blocks' iterations, and `block` is the smallest t whose block lies
+    within 100 * tol of the maximum (exact ties across orbits occur), with
+    its `residual`. A sparser measure gets the stacked sparse blocks, one
+    problem over the direct sum of the orbits with one Rayleigh quotient
+    and one stopping test, and `block` is None. The norm is the maximum in
+    both cases. Raises ConvergenceError carrying the best estimate if any
+    iteration hits the cap.
     """
     t0 = time.perf_counter()
     if op.dim < 1:
         raise ValueError("subspace dimension is zero")
     table = op.table
     results = []  # (lam, residual, block)
-    problems = []  # (block, dimension, apply K, project)
+    problems = []  # (block, vector shape, apply K, project)
     if op.measure.n_support * table.q >= table.order:
         for t, b in _restricted_blocks(op):
             if b is None:
@@ -229,15 +251,30 @@ def operator_norm(
             else:  # B^H B v, as conj(conj(B v) B) to spare a copy of B^H
                 problems.append((t, b.shape[1], lambda v, b=b: np.conj(np.conj(b @ v) @ b),
                                  functools.partial(op.project_block, t=t)))
-    else:
-        apply_kappa = _CachedConv(op.measure.reverse().convolve(op.measure))
-        problems.append((None, table.order, lambda v: op.project(apply_kappa(v)), op.project))
+    else:  # one problem over the direct sum of the blocks: B^H B F = P M^H M F
+        cosets = table.cosets()
+        ts = cosets.torus_orbits()
+        supp = op.measure.support
+        weights = op.measure.coeffs[supp]
+        apply_m = _sparse_blocks(table, supp, weights, ts)
+        # M_t^H is M_t of reverse(mu): conjugate weights at the inverses
+        apply_mh = _sparse_blocks(table, table.inverse[supp], weights.conj(), ts)
+
+        moved = [(k, t) for k, t in enumerate(ts) if op.moves_block(t)]
+
+        def project(f):
+            for k, t in moved:
+                f[:, k] = op.project_block(f[:, k], t)
+            return f
+
+        problems.append((None, (cosets.n, len(ts)),
+                         lambda f: project(apply_mh(apply_m(f))), project))
 
     rng = np.random.default_rng(seed)
     converged = True
     total_iters = 0
-    for block, n, apply, project in problems:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for block, shape, apply, project in problems:
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v = project(v)
         nv = np.linalg.norm(v)
         if nv == 0.0:
@@ -262,9 +299,17 @@ def operator_norm(
             lam_prev = lam
         total_iters += iters
         converged = converged and done
-        results.append((lam, float(np.linalg.norm(apply(v) - lam * v)), block))
-    lam, residual, block = max(results, key=lambda r: r[0])
-    norm_est = math.sqrt(lam)
+        # the residual apply also gives the Rayleigh quotient of the last
+        # iterate, which is no smaller (K is positive) and is what it certifies
+        w = apply(v)
+        lam = max(float(np.real(np.vdot(v, w))), 0.0)
+        results.append((lam, float(np.linalg.norm(w - lam * v)), block))
+    top = max(r[0] for r in results)
+    # blocks of different torus orbits can tie exactly (t = 1, 7 at q = 8):
+    # name the smallest t within the solver's resolution of the maximum
+    _, residual, block = min((r for r in results if r[0] >= (1.0 - 100.0 * tol) * top),
+                             key=lambda r: r[2] or 0)
+    norm_est = math.sqrt(top)
     l1 = op.measure.l1
     report = GapReport(
         q=table.q,
@@ -292,16 +337,18 @@ def operator_norm(
 
 
 def dense_conv_matrix(measure: GroupMeasure, guard: int = DENSE_GUARD) -> np.ndarray:
-    """Dense matrix of phi -> mu * phi; M[x, y] = mu(x y^-1)."""
+    """Dense matrix of phi -> mu * phi; M[x, y] = mu(x y^-1), so each
+    support point g fills the cells (g y, y)."""
     t = measure.table
     n = t.order
     if n > guard:
         raise GuardExceeded(f"group order {n} exceeds dense guard {guard}")
     real = bool(np.all(measure.coeffs.imag == 0.0))
     coeffs = measure.coeffs.real if real else measure.coeffs
-    M = np.empty((n, n), dtype=coeffs.dtype)
-    for y in range(n):
-        M[:, y] = coeffs[t.right_translation(int(t.inverse[y]))]
+    M = np.zeros((n, n), dtype=coeffs.dtype)
+    cols = np.arange(n)
+    for g in measure.support:
+        M[t.left_translation(int(g)), cols] = coeffs[g]
     return M
 
 
@@ -349,6 +396,7 @@ class LemmaExpandTester:
     def __init__(self, table: GroupTable, elements, guard: int = DENSE_GUARD):
         self.table = table
         self.elements = [int(h) for h in elements]
+        self.guard = guard
         n = table.order
         if n > guard:
             raise GuardExceeded(f"group order {n} exceeds dense guard {guard}")
@@ -360,13 +408,10 @@ class LemmaExpandTester:
         self.c0 = 1.0 - lam / len(self.elements)
 
     def _weighted_matrix(self, kappas) -> np.ndarray:
-        t = self.table
-        n = t.order
-        M = np.zeros((n, n))
-        cols = np.arange(n)
-        for h, k in zip(self.elements, kappas):
-            M[t.left_translation(h), cols] += k
-        return M
+        """Convolution matrix of the weighted measure sum_h kappa_h delta_h."""
+        coeffs = np.zeros(self.table.order)
+        np.add.at(coeffs, self.elements, kappas)
+        return dense_conv_matrix(GroupMeasure(self.table, coeffs), self.guard)
 
     def check(self, kappas) -> LemmaExpandReport:
         kappas = np.asarray(kappas, dtype=float)
@@ -690,10 +735,10 @@ def sweep_r_length(q: int, L: int, c_log: float, r_prime_min: int = 2) -> int:
     r_prime = max(r_prime_min, math.ceil(raw / L))
     return L * r_prime
 
-def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words):
+def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words, max_q):
     t0 = time.perf_counter()
     try:
-        table = get_group(q)
+        table = get_group(q, max_q)
     except GuardExceeded as e:
         return SweepRow(q=q, skipped_reason=str(e))
     ok, sub = zariski_check(table, letter_pair_quotients(spec, table))
@@ -753,18 +798,19 @@ def main_sweep(
     seed: int = 7,
     guard_words: int | None = None,
     jobs: int = 1,
+    max_q: int | None = None,
 ):
     """Operator norm of the oscillatory measure on the new subspace, per
     modulus, with the word length growing like log q.
 
-    Rows for moduli that fail the generation check (or any guard) carry a
-    reason and empty numeric fields. Returns (rows, fitted decay
+    Rows for moduli that fail the generation check (or any guard, such as
+    q > max_q) carry a reason and empty numeric fields. Returns (rows, fitted decay
     exponent alpha or None)."""
     from .symdyn import DEFAULT_MAX_WORDS
 
     guard_words = DEFAULT_MAX_WORDS if guard_words is None else guard_words
     args = [
-        (spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words)
+        (spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words, max_q)
         for q in q_list
     ]
     workers = min(jobs, len(args), os.cpu_count() or 1)

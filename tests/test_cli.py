@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -171,3 +172,36 @@ def test_verify_lemmas_small(tmp_path, capsys):
     assert "weighted expansion draws" in names
     assert "per-block gap positive" in names
     assert any(n.startswith("trace identity") for n in names)
+
+
+def test_max_q_guard_reaches_the_sweep(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [5, 9], "a": 0.5322, "b": 1.0, "guards": {"max_q": 8}}))
+    out = tmp_path / "sweep.csv"
+    _, stdout, _ = run_cli(capsys, "sweep-q", "--config", str(cfg), "--out", str(out))
+    assert "q=9: skipped (modulus 9 outside guarded range [2, 8])" in stdout
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [r[0] for r in rows] == ["5", "9"]
+    assert rows[0][-1] == "" and "[2, 8]" in rows[1][-1]
+
+
+def test_contexts_guard_reaches_the_decoupled_bound(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [3], "a": 0.5322, "L": 2, "R_prime": 2,
+                               "guards": {"contexts": 1}}))
+    code, _, err = run_cli(capsys, "decouple-verify", "--config", str(cfg))
+    assert code == 1
+    assert "guards.contexts=1" in err
+
+
+def test_dense_oracle_guard_reaches_the_dense_checks(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [3, 5], "a": 0.5322, "n_draws": 10, "L": 2,
+                               "R_prime": 2, "guards": {"dense_oracle": 100}}))
+    rpt = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
+    assert "trace identity q=3" in checks and "trace identity q=5" not in checks
+    assert set(checks["weighted expansion draws"]["c0"]) == {"3"}
+    assert set(checks["per-block gap positive"]["min_c1"]) == {"3", "5"}

@@ -201,6 +201,123 @@ def test_support_rule_picks_the_representation(rng):
         assert rep.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
 
 
+# -- stacked sparse blocks -------------------------------------------------------
+
+
+def _random_measure(table, size, rng):
+    c = np.zeros(table.order, dtype=complex)
+    idx = rng.choice(table.order, size, replace=False)
+    c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return GroupMeasure(table, c)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 9, 10, 12])
+def test_sparse_blocks_match_dense_oracle(spec12, a12, q, rng):
+    t = get_group(q)
+    n = t.order // q
+    measures = [_random_measure(t, size, rng) for size in sorted({1, min(4, n - 1), n - 1})]
+    # a 4-point per-block measure, where it is sparse (not at q=2, |G|/q = 3)
+    etas = list(enumerate_etas(spec12, q, a12, 2, base=0.0))[:1]
+    measures += [e.measure for e in etas if e.measure.n_support < n]
+    for mu in measures:
+        assert mu.n_support < n
+        for sub in ("full", "mean_zero", "new_space"):
+            rep = operator_norm(ConvOperator(mu, sub), tol=1e-13, max_iter=50_000)
+            assert rep.block is None and rep.converged
+            oracle = dense_operator_norm(mu, sub)
+            assert rep.norm == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def test_sparse_blocks_in_chunks(spec12, a12, rng, monkeypatch):
+    # one support point per chunk: the phases are rebuilt on every apply
+    import modgap.spectral as spectral
+
+    t = get_group(9)
+    mu = _random_measure(t, t.order // 9 - 1, rng)
+    whole = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13, max_iter=50_000)
+    monkeypatch.setattr(spectral, "_CHUNK", 1)
+    chunked = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13, max_iter=50_000)
+    assert chunked.norm == pytest.approx(whole.norm, rel=1e-12)
+    assert chunked.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [6, 8, 9, 12])
+def test_coset_action_densifies_to_the_blocks(q, rng):
+    # g^-1 s_c = s_pi(c) u_b(c) gives M_t[c, pi(c)] += mu(g) e(t b(c) / q)
+    t = get_group(q)
+    cosets = t.cosets()
+    mu = _random_measure(t, 7, rng)
+    supp = mu.support
+    perm, beta = cosets.left_action(t.inverse[supp])
+    assert all(np.array_equal(np.sort(p), np.arange(cosets.n)) for p in perm)
+    rows = np.broadcast_to(np.arange(cosets.n), perm.shape)
+    blocks = isotypic_blocks(mu, range(q))
+    for char in range(q):
+        dense = np.zeros((cosets.n, cosets.n), dtype=complex)
+        np.add.at(dense, (rows, perm),
+                  mu.coeffs[supp][:, None] * np.exp(2j * np.pi * char * beta / q))
+        assert np.abs(dense - blocks[char]).max() < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 1])
+@pytest.mark.parametrize("q", [8, 9, 12])
+def test_stacked_sparse_blocks_apply_each_block(q, chunk, rng, monkeypatch):
+    # column k of the stack is M_t F[:, k] with t = ts[k]; the conjugate
+    # weights at the inverses give M_t^H
+    import modgap.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_CHUNK", chunk)
+    t = get_group(q)
+    cosets = t.cosets()
+    mu = _random_measure(t, 7, rng)
+    ts = cosets.torus_orbits()
+    blocks = isotypic_blocks(mu, ts)
+    f = rng.standard_normal((cosets.n, len(ts))) + 1j * rng.standard_normal((cosets.n, len(ts)))
+    w = mu.coeffs[mu.support]
+    fwd = spectral._sparse_blocks(t, mu.support, w, ts)(f)
+    adj = spectral._sparse_blocks(t, t.inverse[mu.support], w.conj(), ts)(f)
+    for k, m in enumerate(blocks):
+        assert np.abs(fwd[:, k] - m @ f[:, k]).max() < 1e-12
+        assert np.abs(adj[:, k] - m.conj().T @ f[:, k]).max() < 1e-12
+
+
+def test_sparse_gap_past_the_dense_guard(spec12, a12):
+    # the q=16 minimiser of the per-block gap table, against the pinned
+    # dense eigen-solve in perfbench/refs.json
+    import json
+    from pathlib import Path
+
+    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json").read_text())
+    eta = build_eta(make_context(spec12, 16, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
+    assert eta.measure.table.order > 2500
+    rep = eta_gap(eta)
+    assert rep.c1 == pytest.approx(refs["eta-gaps"]["L=2,q=16"]["min_c1"], abs=1e-6)
+
+
+def test_sparse_zero_and_dirac(t5):
+    zero = operator_norm(ConvOperator(GroupMeasure(t5, np.zeros(t5.order)), "full"))
+    assert zero.norm == 0.0 and zero.block is None
+    dirac = GroupMeasure.dirac(t5, 17, coeff=2.0 - 1.5j)
+    rep = operator_norm(ConvOperator(dirac, "full"))
+    assert rep.norm == pytest.approx(dirac.l1, rel=1e-12)
+
+
+def test_tied_blocks_report_the_same_block_whatever_the_seed(spec12, a12):
+    # at q=8 the blocks t = 1 and t = 7 tie exactly
+    mu = _sweep_mu(spec12, a12, 8)
+    oracle = dense_operator_norm(mu, "new_space")
+    reps = [operator_norm(ConvOperator(mu, "new_space"), seed=s) for s in (1, 3, 7, 11)]
+    assert {r.block for r in reps} == {1}
+    assert all(r.norm == pytest.approx(oracle, rel=1e-8) for r in reps)
+
+
+def test_dense_conv_matrix_is_the_cayley_matrix(t5, rng):
+    mu = _random_measure(t5, 9, rng)
+    M = dense_conv_matrix(mu)
+    for x, y in rng.integers(t5.order, size=(200, 2)):
+        assert M[x, y] == mu.coeffs[t5.multiply(int(x), int(t5.inverse[y]))]
+
+
 # -- weighted expansion -------------------------------------------------------
 
 
