@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from .errors import Guards
 from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu, cocycle
 from .modgroup import (
     GroupTable,
@@ -33,6 +34,7 @@ __all__ = [
     "GroupMeasure",
     "MeasureParams",
     "GroupTable",
+    "Guards",
     "ModMatrix",
     "NewSpaceProjector",
     "ConvOperator",

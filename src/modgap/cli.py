@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import platform
 import sys
 import time
@@ -30,11 +29,10 @@ from .decouple import (
     make_context,
     verify_domination,
 )
-from .errors import ConfigError, ModgapError
+from .errors import ConfigError, Guards, ModgapError
 from .measures import MeasureParams, build_mu, build_mu1, build_nu
 from .modgroup import get_group, group_order, new_space_dimension, new_space_projector
 from .spectral import (
-    DENSE_GUARD,
     ConvOperator,
     LemmaExpandTester,
     digit_difference_quotients,
@@ -76,8 +74,6 @@ _CONFIG_FIELDS = {
     "guards": dict,
 }
 
-_GUARD_FIELDS = {"max_q": int, "max_words": int, "dense_oracle": int, "contexts": int}
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -102,7 +98,7 @@ class RunConfig:
     measure: str = "mu"
     subspace: str = "new_space"
     n_draws: int = 250
-    guards: dict = dataclasses.field(default_factory=dict)
+    guards: Guards = Guards()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -126,18 +122,17 @@ def validate_config(raw: dict) -> RunConfig:
             raise ConfigError(
                 f"field {key!r} has wrong type {type(val).__name__}", field=key
             )
-    merged = {**default_config(), **raw}
-    cfg = RunConfig(**merged)
+    guards = raw.get("guards", {})
+    guard_names = {f.name for f in dataclasses.fields(Guards)}
+    for g, val in guards.items():
+        if g not in guard_names:
+            raise ConfigError(f"unknown guard guards.{g}", field="guards")
+        if isinstance(val, bool) or not isinstance(val, int) or val <= 0:
+            raise ConfigError(f"guards.{g} must be a positive integer", field="guards")
+    cfg = RunConfig(**{**default_config(), **raw, "guards": Guards(**guards)})
 
     if cfg.system.get("mode", "zaremba") not in ("zaremba", "schottky"):
         raise ConfigError(f"system.mode must be zaremba or schottky", field="system")
-    for g, want in _GUARD_FIELDS.items():
-        if g in cfg.guards:
-            if not isinstance(cfg.guards[g], want) or cfg.guards[g] <= 0:
-                raise ConfigError(f"guards.{g} must be a positive integer", field="guards")
-    unknown_guards = set(cfg.guards) - set(_GUARD_FIELDS)
-    if unknown_guards:
-        raise ConfigError(f"unknown guards {sorted(unknown_guards)}", field="guards")
     if cfg.a != "auto":
         if not isinstance(cfg.a, (int, float)) or not 0.0 < float(cfg.a) < 1.0:
             raise ConfigError("a must be 'auto' or a number in (0, 1)", field="a")
@@ -184,7 +179,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 def resolve_a(cfg: RunConfig, spec) -> float:
     if cfg.a == "auto":
-        return estimate_delta(spec, cfg.delta_n, cfg.delta_tol)
+        return estimate_delta(spec, cfg.delta_n, cfg.delta_tol, guard=cfg.guards.max_words)
     return float(cfg.a)
 
 
@@ -198,7 +193,7 @@ def measure_params(cfg: RunConfig, spec, q: int, r_len: int, a: float) -> Measur
         prefix=tuple(cfg.prefix),
         x=None if cfg.x is None else float(cfg.x),
         base=base,
-        guard_words=cfg.guards.get("max_words", 5_000_000),
+        guards=cfg.guards,
     )
 
 
@@ -246,7 +241,7 @@ def _check(name: str, passed: bool | None, **details) -> dict:
 def cmd_group_info(cfg: RunConfig, args) -> tuple[bool, dict]:
     checks = []
     for q in cfg.q_list:
-        t = get_group(q, cfg.guards.get("max_q"))
+        t = get_group(q, cfg.guards.max_q)
         dim = new_space_dimension(q)
         print(f"q={q} order={t.order} dim_Eq={dim}")
         checks.append(
@@ -261,8 +256,8 @@ def cmd_delta_estimate(cfg: RunConfig, args) -> tuple[bool, dict]:
     spec = build_system(cfg.system)
     n_hi = cfg.delta_n
     n_lo = max(2, n_hi // 2)
-    d_hi = estimate_delta(spec, n_hi, cfg.delta_tol)
-    d_lo = estimate_delta(spec, n_lo, cfg.delta_tol)
+    d_hi = estimate_delta(spec, n_hi, cfg.delta_tol, guard=cfg.guards.max_words)
+    d_lo = estimate_delta(spec, n_lo, cfg.delta_tol, guard=cfg.guards.max_words)
     agree = abs(d_hi - d_lo) <= 0.005
     print(f"delta_hat={d_hi:.6f} (n={n_hi}, tol={cfg.delta_tol})")
     print(f"delta_hat={d_lo:.6f} (n={n_lo}); agreement {abs(d_hi - d_lo):.6f}")
@@ -302,7 +297,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
         p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
         mu1 = build_mu1(p)
         bound, brep = decoupled_upper_bound(
-            spec, q, a, cfg.L, cfg.R_prime, fitted, base=base, guard=cfg.guards.get("contexts")
+            spec, q, a, cfg.L, cfg.R_prime, fitted, base=base, guards=cfg.guards
         )
         dom = verify_domination(mu1, bound)
         worst_violation = max(worst_violation, dom.max_violation)
@@ -357,14 +352,14 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     checks = []
     constants = {}
 
-    dense = cfg.guards.get("dense_oracle", DENSE_GUARD)
+    dense = cfg.guards.dense_oracle
     small_q = [q for q in cfg.q_list if group_order(q) <= dense]
 
     # weighted expansion over randomized coefficient draws
     draws_failed = 0
     c0s = {}
     for q in small_q:
-        t = get_group(q)
+        t = get_group(q, cfg.guards.max_q)
         tester = LemmaExpandTester(t, letter_pair_quotients(spec, t), guard=dense)
         c0s[q] = tester.c0
         for _ in range(max(1, cfg.n_draws // max(1, len(small_q)))):
@@ -383,8 +378,7 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     for q in cfg.q_list:
         worst_c1[q] = min(
             eta_gap(e, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed).c1
-            for e in enumerate_etas(spec, q, a, cfg.L, base=base,
-                                    guard=cfg.guards.get("contexts"))
+            for e in enumerate_etas(spec, q, a, cfg.L, base=base, guards=cfg.guards)
         )
     checks.append(
         _check("per-block gap positive", all(v > 0 for v in worst_c1.values()),
@@ -432,9 +426,8 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         seed=cfg.seed,
-        guard_words=cfg.guards.get("max_words"),
+        guards=cfg.guards,
         jobs=args.jobs,
-        max_q=cfg.guards.get("max_q"),
     )
     out = args.out or "sweep.csv"
     write_sweep_csv(rows, out)
@@ -469,7 +462,7 @@ def _not_squarefree(q: int) -> bool:
 def cmd_schottky_check(cfg: RunConfig, args) -> tuple[bool, dict]:
     spec = schottky_system() if cfg.system.get("mode") != "schottky" else build_system(cfg.system)
     q = cfg.q_list[0] if cfg.q_list else 5
-    t = get_group(q)
+    t = get_group(q, cfg.guards.max_q)
     checks = []
 
     # degenerate context: upper outer ends in g, lower outer starts with its inverse
@@ -549,10 +542,6 @@ def main(argv=None) -> int:
         field = f" field {e.field!r}:" if e.field else ""
         print(f"config error:{field} {e}", file=sys.stderr)
         return 2
-
-    guard_env = os.environ.get("MODGAP_MAX_Q")
-    if guard_env:
-        cfg.guards.setdefault("max_q", int(guard_env))
 
     try:
         ok, report = _SUBCOMMANDS[args.command](cfg, args)

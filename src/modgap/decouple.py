@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, GuardExceeded
+from .errors import AdmissibilityError, GuardExceeded, Guards
 from .measures import GroupMeasure, MeasureParams, build_mu1, cocycle
 from .modgroup import GroupTable, get_group
 from .symdyn import (
@@ -36,7 +36,6 @@ from .symdyn import (
 )
 
 DEFAULT_SAFETY = 1.25
-DEFAULT_CONTEXT_GUARD = 200_000
 
 
 def split_word(w: Word, L: int) -> tuple[Word, ...]:
@@ -137,11 +136,13 @@ def make_context(spec, q, L, r_prime, outer, a, base=None) -> BlockContext:
     return BlockContext(spec, q, L, r_prime, tuple(tuple(w) for w in outer), a, o, j0)
 
 
-def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard=None):
-    """All admissible outer-word tuples, lexicographic, as id tuples."""
+def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
+    """All admissible outer-word tuples, lexicographic, as id tuples.
+
+    GuardExceeded above `guard` tuples; the only check of that limit.
+    """
     from .symdyn import _admissible_id_matrix, count_admissible
 
-    guard = DEFAULT_CONTEXT_GUARD if guard is None else guard
     outer_len = L - spec.block_width
     if outer_len < 0:
         raise ValueError(f"L={L} shorter than the inner slot width")
@@ -383,7 +384,7 @@ def decoupled_upper_bound(
     r_prime: int,
     fitted: FittedDecoupling,
     base=None,
-    guard=None,
+    guards: Guards = Guards(),
 ):
     """Assemble the decoupled majorant of the positive transfer measure.
 
@@ -391,13 +392,14 @@ def decoupled_upper_bound(
     the per-block measures, scaled by the frozen per-block replacement
     cost to the power of the number of replaced blocks. With r_prime = 1
     no replacement happens and the result is the measure itself.
+    `guards` bounds the modulus and the number of contexts.
     """
-    table = get_group(q)
+    table = get_group(q, guards.max_q)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
     acc = np.zeros(table.order, dtype=np.complex128)
     n_ctx = 0
     worst_K = 1.0
-    for outer in enumerate_contexts(spec, L, r_prime, guard):
+    for outer in enumerate_contexts(spec, L, r_prime, guards.contexts):
         ctx = make_context(spec, q, L, r_prime, outer, a, base)
         etas = [build_eta(ctx, j, table) for j in range(1, r_prime + 1)]
         prod = etas[0].measure
@@ -455,12 +457,14 @@ def verify_domination(mu1: GroupMeasure, bound: GroupMeasure, rtol=1e-9, atol=1e
     )
 
 
-def enumerate_etas(spec, q, a, L, r_prime=2, base=None, dedupe=True, guard=None):
+def enumerate_etas(spec, q, a, L, r_prime=2, base=None, dedupe=True,
+                   guards: Guards = Guards()):
     """Yield the per-block measures of every context, optionally deduplicated
-    by (support, rounded coefficients) fingerprint."""
-    table = get_group(q)
+    by (support, rounded coefficients) fingerprint. `guards` bounds the
+    modulus and the number of contexts."""
+    table = get_group(q, guards.max_q)
     seen = set()
-    for outer in enumerate_contexts(spec, L, r_prime, guard):
+    for outer in enumerate_contexts(spec, L, r_prime, guards.contexts):
         ctx = make_context(spec, q, L, r_prime, outer, a, base)
         for j in range(1, r_prime + 1):
             eta = build_eta(ctx, j, table)

@@ -17,18 +17,17 @@ convolution iterates over the smaller support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AdmissibilityError, GuardExceeded, ModulusMismatch
+from .errors import Guards, ModulusMismatch
 from .modgroup import GroupTable, ModMatrix, get_group
 from .symdyn import (
-    DEFAULT_MAX_WORDS,
     SystemSpec,
     Word,
-    count_admissible,
+    _expand_orbit,
     evaluate_branch,
     letter_image,
     letter_log_deriv,
@@ -208,7 +207,8 @@ class MeasureParams:
     the number of summed suffix letters, `s = a + ib` the weight
     exponent. `x` is the evaluation point of the oscillatory measure and
     `base` the reference point of the positive majorants; both default
-    to the system's base point.
+    to the system's base point. `guards` supplies max_q for the table and
+    max_words for the suffix expansion.
     """
 
     spec: SystemSpec
@@ -218,7 +218,7 @@ class MeasureParams:
     prefix: tuple[int, ...] = ()
     x: float | None = None
     base: float | None = None
-    guard_words: int = field(default=DEFAULT_MAX_WORDS)
+    guards: Guards = Guards()
 
     @property
     def a(self) -> float:
@@ -236,7 +236,7 @@ class MeasureParams:
         return word(self.spec, self.prefix)
 
     def table(self) -> GroupTable:
-        return get_group(self.q)
+        return get_group(self.q, self.guards.max_q)
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +244,16 @@ class MeasureParams:
 
 
 @lru_cache(maxsize=64)
-def _letter_right_translations(spec: SystemSpec, q: int):
-    """For each letter, the index map i -> index(elems[i] @ M_k mod q)."""
-    t = get_group(q)
+def _cocycle_track(spec: SystemSpec, table: GroupTable):
+    """The cocycle track of `symdyn._expand_orbit`: start at the identity,
+    and prepending letter k maps index i to index(elems[i] @ M_k mod q),
+    which matches the first-applied-leftmost product convention."""
+    q = table.q
     out = []
     for letter in spec.letters:
         m = tuple(v % q for v in letter.matrix)
-        out.append(t.right_translation(t.index_of(m)))
-    return tuple(out)
-
-
-def _stream_suffix(spec: SystemSpec, q: int, r_len: int, x0: float, j0, guard: int):
-    """Expand all admissible r_len-letter suffix words from base x0.
-
-    Returns (log_derivs, cocycle_indices, outermost_ids); enumeration is
-    letter-major per level, appending the new outermost letter, so the
-    resulting accumulation order is deterministic. The cocycle index is
-    updated by right translation with the new letter's mod-q image,
-    matching the first-applied-leftmost product convention.
-    """
-    cnt = count_admissible(spec, r_len)
-    if cnt > guard:
-        raise GuardExceeded(f"{cnt} words of length {r_len} exceed guard {guard}")
-    t = get_group(q)
-    rts = _letter_right_translations(spec, q)
-    xs = np.array([x0], dtype=np.float64)
-    lds = np.zeros(1, dtype=np.float64)
-    cidx = np.array([t.identity_index], dtype=np.int64)
-    outer = np.full(1, -1, dtype=np.int16)
-    for step in range(r_len):
-        xs_p, ld_p, ci_p, ou_p = [], [], [], []
-        for k in range(spec.n_letters):
-            if step == 0:
-                if j0 is not None and not spec.allowed(k, j0):
-                    continue
-                sel = slice(None)
-            else:
-                inv = spec.inverse_of(k)
-                sel = slice(None) if inv is None else outer != inv
-            x_sel = xs[sel]
-            if x_sel.size == 0:
-                continue
-            ld_p.append(lds[sel] + letter_log_deriv(spec, k, x_sel))
-            xs_p.append(letter_image(spec, k, x_sel))
-            ci_p.append(rts[k][cidx[sel]])
-            ou_p.append(np.full(x_sel.size, k, dtype=np.int16))
-        xs = np.concatenate(xs_p)
-        lds = np.concatenate(ld_p)
-        cidx = np.concatenate(ci_p)
-        outer = np.concatenate(ou_p)
-    return xs, lds, cidx, outer
+        out.append(table.right_translation(table.index_of(m)))
+    return table.identity_index, tuple(out)
 
 
 def _prefix_mask(spec: SystemSpec, prefix, outer: np.ndarray):
@@ -307,17 +267,10 @@ def _prefix_mask(spec: SystemSpec, prefix, outer: np.ndarray):
 
 
 def _accumulate(table: GroupTable, cidx: np.ndarray, weights: np.ndarray) -> GroupMeasure:
-    coeffs = np.zeros(table.order, dtype=np.complex128)
+    """Sum the weights per group index, in enumeration order."""
+    coeffs = np.bincount(cidx, weights=weights.real, minlength=table.order).astype(np.complex128)
     if np.iscomplexobj(weights):
-        re = np.zeros(table.order)
-        im = np.zeros(table.order)
-        np.add.at(re, cidx, weights.real)
-        np.add.at(im, cidx, weights.imag)
-        coeffs = re + 1j * im
-    else:
-        re = np.zeros(table.order)
-        np.add.at(re, cidx, weights)
-        coeffs = re.astype(np.complex128)
+        coeffs.imag = np.bincount(cidx, weights=weights.imag, minlength=table.order)
     return GroupMeasure(table, coeffs)
 
 
@@ -330,7 +283,8 @@ def build_mu1(p: MeasureParams) -> GroupMeasure:
     """
     t = p.table()
     o, j0 = resolve_point(p.spec, p.base)
-    _, lds, cidx, outer = _stream_suffix(p.spec, p.q, p.r_len, o, j0, p.guard_words)
+    _, lds, outer, cidx = _expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
+                                        _cocycle_track(p.spec, t))
     keep = _prefix_mask(p.spec, p.prefix, outer)
     return _accumulate(t, cidx[keep], np.exp(p.a * lds[keep]))
 
@@ -359,7 +313,8 @@ def build_mu(p: MeasureParams) -> GroupMeasure:
     p.prefix_word()  # validate
     t = p.table()
     x0, j0 = resolve_point(p.spec, p.x)
-    xs, lds, cidx, outer = _stream_suffix(p.spec, p.q, p.r_len, x0, j0, p.guard_words)
+    xs, lds, outer, cidx = _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
+                                         _cocycle_track(p.spec, t))
     keep = _prefix_mask(p.spec, p.prefix, outer)
     xs, lds, cidx = xs[keep], lds[keep], cidx[keep]
     for k in reversed(p.prefix):

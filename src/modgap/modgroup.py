@@ -11,7 +11,7 @@ into themselves. Left multiplication permutes those cosets, up to a
 unipotent factor (`UnipotentCosets.left_action`).
 
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
-range (q <= 32 by default, overridable via MODGAP_MAX_Q). Tables are
+range (q <= `Guards.max_q`, set by the config's `guards.max_q`). Tables are
 immutable after construction and safe to share between readers.
 """
 
@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GuardExceeded, InvalidElement
-
-DEFAULT_MAX_Q = int(os.environ.get("MODGAP_MAX_Q", "32"))
+from .errors import GuardExceeded, Guards, InvalidElement
 
 
 def factorize(q: int) -> tuple[tuple[int, int], ...]:
@@ -375,16 +372,15 @@ class UnipotentCosets:
         return f"UnipotentCosets(q={self.q}, n={self.n})"
 
 
-def enumerate_group(q: int, max_q: int | None = None) -> GroupTable:
+def enumerate_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
     """Enumerate SL2(Z/q) completely, once per q whatever the guard.
 
     Scans all q^4 entry tuples and keeps those with det = 1 mod q, in
     lexicographic order, so downstream indexing is reproducible. Raises
-    GuardExceeded for q outside [2, max_q] (default DEFAULT_MAX_Q).
+    GuardExceeded for q outside [2, max_q]; the only check of that limit.
     """
-    guard = DEFAULT_MAX_Q if max_q is None else max_q
-    if q < 2 or q > guard:
-        raise GuardExceeded(f"modulus {q} outside guarded range [2, {guard}]")
+    if q < 2 or q > max_q:
+        raise GuardExceeded(f"modulus {q} outside guarded range [2, {max_q}]")
     return _enumerate(q)
 
 
@@ -417,7 +413,7 @@ def _enumerate(q: int) -> GroupTable:
     return table
 
 
-def get_group(q: int, max_q: int | None = None) -> GroupTable:
+def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
     """Cached accessor; alias of enumerate_group for call sites."""
     return enumerate_group(q, max_q)
 
@@ -473,17 +469,14 @@ class NewSpaceProjector:
         self._fiber_data = [table.fibers(q2) for q2 in self.levels]
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
+        """Project a function, or each column of a (|G|, k) block."""
         out = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
         out = out.copy()
         for fid, counts, nf in self._fiber_data:
             out -= _fiber_average(out, fid, counts, nf)
         return out
 
-    def apply_columns(self, mat: np.ndarray) -> np.ndarray:
-        out = np.array(mat, copy=True)
-        for fid, counts, nf in self._fiber_data:
-            out -= _fiber_average(out, fid, counts, nf)
-        return out
+    apply_columns = apply
 
     def apply_block(self, f: np.ndarray, t: int) -> np.ndarray:
         """The projector on the character block V_t, in the coset
@@ -511,5 +504,5 @@ class NewSpaceProjector:
         return f"NewSpaceProjector(q={self.q}, dim={self.dimension})"
 
 
-def new_space_projector(q: int, max_q: int | None = None) -> NewSpaceProjector:
+def new_space_projector(q: int, max_q: int = Guards.max_q) -> NewSpaceProjector:
     return NewSpaceProjector(get_group(q, max_q))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decouple import BlockContext, EtaMeasure
-from .errors import ConvergenceError, GuardExceeded
+from .errors import ConvergenceError, GuardExceeded, Guards
 from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu, cocycle
 from .modgroup import (
     GroupTable,
@@ -56,7 +56,7 @@ from .modgroup import (
 )
 from .symdyn import SystemSpec, word
 
-DENSE_GUARD = 2500
+DENSE_GUARD = Guards.dense_oracle
 _CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
 SUBSPACES = ("full", "mean_zero", "new_space")
 
@@ -338,11 +338,12 @@ def operator_norm(
 
 def dense_conv_matrix(measure: GroupMeasure, guard: int = DENSE_GUARD) -> np.ndarray:
     """Dense matrix of phi -> mu * phi; M[x, y] = mu(x y^-1), so each
-    support point g fills the cells (g y, y)."""
+    support point g fills the cells (g y, y). GuardExceeded above `guard`
+    group elements; the only check of the dense-oracle limit."""
     t = measure.table
     n = t.order
     if n > guard:
-        raise GuardExceeded(f"group order {n} exceeds dense guard {guard}")
+        raise GuardExceeded(f"group order {n} exceeds guards.dense_oracle={guard}")
     real = bool(np.all(measure.coeffs.imag == 0.0))
     coeffs = measure.coeffs.real if real else measure.coeffs
     M = np.zeros((n, n), dtype=coeffs.dtype)
@@ -397,12 +398,9 @@ class LemmaExpandTester:
         self.table = table
         self.elements = [int(h) for h in elements]
         self.guard = guard
-        n = table.order
-        if n > guard:
-            raise GuardExceeded(f"group order {n} exceeds dense guard {guard}")
+        # first, so that the dense guard is checked before any dense allocation
+        MA = self._weighted_matrix(np.ones(len(self.elements)))
         self._P0 = dense_subspace_projector(table, "mean_zero")
-        ones = np.ones(len(self.elements))
-        MA = self._weighted_matrix(ones)
         S = self._P0 @ MA @ self._P0
         lam = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
         self.c0 = 1.0 - lam / len(self.elements)
@@ -735,10 +733,10 @@ def sweep_r_length(q: int, L: int, c_log: float, r_prime_min: int = 2) -> int:
     r_prime = max(r_prime_min, math.ceil(raw / L))
     return L * r_prime
 
-def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words, max_q):
+def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guards):
     t0 = time.perf_counter()
     try:
-        table = get_group(q, max_q)
+        table = get_group(q, guards.max_q)
     except GuardExceeded as e:
         return SweepRow(q=q, skipped_reason=str(e))
     ok, sub = zariski_check(table, letter_pair_quotients(spec, table))
@@ -750,8 +748,7 @@ def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_
             skipped_reason=f"letter-pair quotients generate proper subgroup of order {sub}",
         )
     r_used = sweep_r_length(q, L, c_log, r_prime_min)
-    params = MeasureParams(spec=spec, q=q, s=complex(a, b), r_len=r_used,
-                           guard_words=guard_words)
+    params = MeasureParams(spec=spec, q=q, s=complex(a, b), r_len=r_used, guards=guards)
     try:
         mu = build_mu(params)
     except GuardExceeded as e:
@@ -796,22 +793,17 @@ def main_sweep(
     tol: float = 1e-8,
     max_iter: int = 5000,
     seed: int = 7,
-    guard_words: int | None = None,
+    guards: Guards = Guards(),
     jobs: int = 1,
-    max_q: int | None = None,
 ):
     """Operator norm of the oscillatory measure on the new subspace, per
     modulus, with the word length growing like log q.
 
     Rows for moduli that fail the generation check (or any guard, such as
-    q > max_q) carry a reason and empty numeric fields. Returns (rows, fitted decay
-    exponent alpha or None)."""
-    from .symdyn import DEFAULT_MAX_WORDS
-
-    guard_words = DEFAULT_MAX_WORDS if guard_words is None else guard_words
+    q > guards.max_q) carry a reason and empty numeric fields. Returns (rows,
+    fitted decay exponent alpha or None)."""
     args = [
-        (spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guard_words, max_q)
-        for q in q_list
+        (spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guards) for q in q_list
     ]
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,10 +34,10 @@ from .errors import (
     DomainError,
     EstimationError,
     GuardExceeded,
+    Guards,
     NonContractingError,
 )
 
-DEFAULT_MAX_WORDS = int(os.environ.get("MODGAP_MAX_WORDS", "5000000"))
 DELTA_BRACKET = (0.01, 0.99)
 
 # disjoint-isometric-circle hyperbolic pair in SL2(Z); intervals
@@ -267,6 +266,16 @@ def count_admissible(spec: SystemSpec, n: int) -> int:
     return int(vec.sum())
 
 
+def check_word_count(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> None:
+    """GuardExceeded if more than `guard` words of length n are admissible.
+
+    The only check of the word limit: every expansion calls it first.
+    """
+    cnt = count_admissible(spec, n)
+    if cnt > guard:
+        raise GuardExceeded(f"{cnt} words of length {n} exceed guards.max_words={guard}")
+
+
 def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
     nl = spec.n_letters
     if n == 0:
@@ -283,12 +292,9 @@ def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
     return arr
 
 
-def admissible_words(spec: SystemSpec, n: int, guard: int | None = None) -> list[Word]:
+def admissible_words(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> list[Word]:
     """All admissible words of length n, in lexicographic stored order."""
-    guard = DEFAULT_MAX_WORDS if guard is None else guard
-    cnt = count_admissible(spec, n)
-    if cnt > guard:
-        raise GuardExceeded(f"{cnt} words of length {n} exceed guard {guard}")
+    check_word_count(spec, n, guard)
     ids = _admissible_id_matrix(spec, n)
     return [Word(spec, tuple(int(v) for v in row)) for row in ids]
 
@@ -446,7 +452,8 @@ def estimate_contraction(spec: SystemSpec) -> ContractionEstimate:
     )
 
 
-def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: int):
+def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: int,
+                  track=None):
     """Vectorized breadth expansion over all admissible n-letter words.
 
     Level m holds, for every admissible suffix of length m (the m most
@@ -456,15 +463,18 @@ def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: in
     outermost letter (and against the base interval at the first step).
     Enumeration order is fixed (letter-major), so reductions downstream
     are bit-stable.
+
+    `track` = (start, maps) follows one integer per word as well, such as a
+    group element's index: it starts at `start`, and prepending letter k
+    sends i to maps[k][i]. Returns (xs, lds, outer, track indices or None).
     """
-    cnt = count_admissible(spec, n)
-    if cnt > guard:
-        raise GuardExceeded(f"{cnt} words of length {n} exceed guard {guard}")
+    check_word_count(spec, n, guard)
     xs = np.array([x0], dtype=np.float64)
     lds = np.zeros(1, dtype=np.float64)
     outer = np.full(1, -1, dtype=np.int16)
+    idx = None if track is None else np.array([track[0]], dtype=np.int64)
     for step in range(n):
-        xs_parts, ld_parts, outer_parts = [], [], []
+        xs_parts, ld_parts, outer_parts, idx_parts = [], [], [], []
         for k in range(spec.n_letters):
             if step == 0:
                 if j0 is not None and not spec.allowed(k, j0):
@@ -481,34 +491,39 @@ def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: in
                 continue
             ld_parts.append(lds[sel] + letter_log_deriv(spec, k, x_sel))
             xs_parts.append(letter_image(spec, k, x_sel))
+            if idx is not None:
+                idx_parts.append(track[1][k][idx[sel]])
             outer_parts.append(np.full(x_sel.size, k, dtype=np.int16))
         xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
         lds = np.concatenate(ld_parts) if ld_parts else np.empty(0)
         outer = np.concatenate(outer_parts) if outer_parts else np.empty(0, np.int16)
-    return xs, lds, outer
+        if idx is not None:
+            idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
+    return xs, lds, outer, idx
 
 
 @lru_cache(maxsize=32)
 def _orbit_logs_cached(spec: SystemSpec, n: int, x0: float, j0, guard: int):
-    _, lds, _ = _expand_orbit(spec, n, x0, j0, guard)
+    _, lds, _, _ = _expand_orbit(spec, n, x0, j0, guard)
     lds.setflags(write=False)
     return lds
 
 
-def orbit_log_derivs(spec: SystemSpec, n: int, x=None, guard: int | None = None):
+def orbit_log_derivs(spec: SystemSpec, n: int, x=None, guard: int = Guards.max_words):
     """log|w'(o)| for every admissible n-letter word, in enumeration order."""
-    guard = DEFAULT_MAX_WORDS if guard is None else guard
     x0, j0 = resolve_point(spec, x)
     return _orbit_logs_cached(spec, n, x0, j0, guard)
 
 
-def partition_sum(spec: SystemSpec, n: int, a: float, x=None, guard=None) -> float:
+def partition_sum(spec: SystemSpec, n: int, a: float, x=None,
+                  guard: int = Guards.max_words) -> float:
     """Z_n(a) = sum over admissible n-letter words of |w'(o)|^a."""
     logs = orbit_log_derivs(spec, n, x, guard)
     return float(np.exp(a * logs).sum())
 
 
-def estimate_delta(spec: SystemSpec, n: int, tol: float = 1e-4, x=None, guard=None) -> float:
+def estimate_delta(spec: SystemSpec, n: int, tol: float = 1e-4, x=None,
+                   guard: int = Guards.max_words) -> float:
     """Critical exponent estimate: the root of Z_n(a)^(1/n) - 1.
 
     Z_n is strictly decreasing in a whenever every word contracts

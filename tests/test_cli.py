@@ -4,7 +4,7 @@ import json
 import pytest
 
 from modgap.cli import default_config, load_config, main, validate_config
-from modgap.errors import ConfigError
+from modgap.errors import ConfigError, Guards
 
 
 def run_cli(capsys, *argv):
@@ -205,3 +205,58 @@ def test_dense_oracle_guard_reaches_the_dense_checks(tmp_path, capsys):
     assert "trace identity q=3" in checks and "trace identity q=5" not in checks
     assert set(checks["weighted expansion draws"]["c0"]) == {"3"}
     assert set(checks["per-block gap positive"]["min_c1"]) == {"3", "5"}
+
+
+def test_max_q_guard_lifts_the_measure_build(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [33], "a": 0.5322, "b": 1.0, "guards": {"max_q": 40}}))
+    out = tmp_path / "m.csv"
+    code, _, err = run_cli(capsys, "build-measure", "--config", str(cfg), "--out", str(out))
+    assert code == 0, err
+    assert out.read_text().startswith("index,a,b,c,d,re_coef,im_coef")
+
+
+@pytest.mark.parametrize("command", ["opnorm", "build-measure"])
+def test_max_q_guard_bounds_single_modulus_commands(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [9], "a": 0.5322, "b": 1.0, "guards": {"max_q": 8}}))
+    code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "m.csv"))
+    assert code == 1
+    assert "modulus 9 outside guarded range [2, 8]" in err
+
+
+def test_max_words_guard_reaches_delta_estimate(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"guards": {"max_words": 10}}))
+    code, _, err = run_cli(capsys, "delta-estimate", "--config", str(cfg))
+    assert code == 1
+    assert "guards.max_words=10" in err
+
+
+def test_max_words_guard_reaches_the_measure_build(tmp_path, capsys):
+    # L * R' = 4 letters over 4 letters: 256 words
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [5], "a": 0.5322, "L": 2, "R_prime": 2,
+                               "guards": {"max_words": 255}}))
+    out = tmp_path / "m.csv"
+    code, _, err = run_cli(capsys, "build-measure", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert "256 words of length 4 exceed guards.max_words=255" in err
+    assert not out.exists()
+
+
+def test_environment_does_not_override_the_guards(monkeypatch, capsys):
+    monkeypatch.setenv("MODGAP_MAX_Q", "64")
+    code, _, err = run_cli(capsys, "group-info", "--q", "40")
+    assert code == 1
+    assert "modulus 40 outside guarded range [2, 32]" in err
+
+
+def test_guard_errors_name_the_field():
+    with pytest.raises(ConfigError, match=r"guards\.max_words must be a positive integer"):
+        validate_config({"guards": {"max_words": 0}})
+    with pytest.raises(ConfigError, match=r"guards\.max_q must be a positive integer"):
+        validate_config({"guards": {"max_q": True}})
+    with pytest.raises(ConfigError, match=r"guards\.bogus"):
+        validate_config({"guards": {"bogus": 3}})
+    assert validate_config({"guards": {"contexts": 5}}).guards == Guards(contexts=5)

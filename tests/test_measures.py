@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modgap.errors import AdmissibilityError, GuardExceeded, ModulusMismatch
+from modgap.errors import AdmissibilityError, GuardExceeded, Guards, ModulusMismatch
 from modgap.measures import (
     GroupMeasure,
     MeasureParams,
@@ -182,7 +182,7 @@ def test_mu_domination_by_nu(spec12):
 
 
 def test_guard_exceeded(spec12):
-    p = MeasureParams(spec=spec12, q=3, s=0.5, r_len=12, guard_words=1000)
+    p = MeasureParams(spec=spec12, q=3, s=0.5, r_len=12, guards=Guards(max_words=1000))
     with pytest.raises(GuardExceeded):
         build_mu1(p)
 
