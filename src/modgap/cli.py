@@ -117,8 +117,8 @@ def validate_config(raw: dict) -> RunConfig:
     for key, val in raw.items():
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown field {key!r}", field=key)
-        want = _CONFIG_FIELDS[key]
-        if not isinstance(val, want):
+        # no field takes a boolean: JSON true would otherwise pass as int 1
+        if isinstance(val, bool) or not isinstance(val, _CONFIG_FIELDS[key]):
             raise ConfigError(
                 f"field {key!r} has wrong type {type(val).__name__}", field=key
             )

@@ -9,6 +9,14 @@ contraction. The measure then factors, per choice of the outer words, as
 a convolution of small per-block measures whose coefficients are nearly
 flat.
 
+Block j's measure eta_j depends only on the window (o_j, o_{j-1}) of
+outer words, and for j >= 2 it is one measure eta(o_j, o_{j-1}) whatever
+j is. So the sum of eta_1 * ... * eta_R' over all S^R' outer-word
+tuples is exactly the transfer chain S_1[o] = eta_1(o),
+S_j[o'] = sum_o S_{j-1}[o] * eta(o', o), summed over o at j = R': the
+paper's transfer-operator recursion, applied to its own decoupled
+majorant (see `decoupled_upper_bound`).
+
 The implied constant of the replacement error is not prescribed
 anywhere; it is fitted by exhaustive measurement at small L, frozen with
 a 1.25 safety multiplier, and every later domination check runs against
@@ -62,6 +70,8 @@ class BlockContext:
     `outer[j-1]` holds block j's outer letters (length L minus the inner
     slot width). `base_interval` pins the base point's interval in
     subshift mode so block 1's inner slot stays admissible against it.
+    `decoupled_upper_bound` builds its measures on contexts of one block
+    (block 1) or two (a window of outer words).
     """
 
     spec: SystemSpec
@@ -136,22 +146,26 @@ def make_context(spec, q, L, r_prime, outer, a, base=None) -> BlockContext:
     return BlockContext(spec, q, L, r_prime, tuple(tuple(w) for w in outer), a, o, j0)
 
 
-def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
-    """All admissible outer-word tuples, lexicographic, as id tuples.
+def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
+    """The S admissible outer words of one block, lexicographic, as id tuples.
 
-    GuardExceeded above `guard` tuples; the only check of that limit.
+    GuardExceeded when the S^r_prime contexts they make exceed `guard`;
+    the only check of that limit.
     """
     from .symdyn import _admissible_id_matrix, count_admissible
 
     outer_len = L - spec.block_width
     if outer_len < 0:
         raise ValueError(f"L={L} shorter than the inner slot width")
-    per_slot = count_admissible(spec, outer_len)
-    total = per_slot**r_prime
+    total = count_admissible(spec, outer_len) ** r_prime
     if total > guard:
         raise GuardExceeded(f"{total} contexts exceed guards.contexts={guard}")
-    rows = [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, outer_len)]
-    return list(itertools.product(rows, repeat=r_prime))
+    return [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, outer_len)]
+
+
+def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
+    """All admissible outer-word tuples, lexicographic, as id tuples."""
+    return list(itertools.product(outer_words(spec, L, r_prime, guard), repeat=r_prime))
 
 
 def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
@@ -388,35 +402,57 @@ def decoupled_upper_bound(
 ):
     """Assemble the decoupled majorant of the positive transfer measure.
 
-    Sums, over admissible outer-word tuples, the convolution products of
-    the per-block measures, scaled by the frozen per-block replacement
-    cost to the power of the number of replaced blocks. With r_prime = 1
-    no replacement happens and the result is the measure itself.
-    `guards` bounds the modulus and the number of contexts.
+    The majorant is scale * sum over the S^r_prime admissible outer-word
+    tuples (o_1, ..., o_R') of eta_1 * ... * eta_R', with scale the
+    frozen per-block replacement cost to the power of the number of
+    replaced blocks. Block j's measure depends only on the window
+    (o_j, o_{j-1}): `inner_slots` and `beta` read no other outer word,
+    and for j >= 2 not j itself, so one eta(o', o) serves every j >= 2.
+    By distributivity of convolution the sum is therefore exactly the
+    transfer chain
+
+        S_1[o] = eta_1(o),
+        S_j[o'] = sum_o S_{j-1}[o] * eta(o', o),
+        bound = scale * sum_o S_R'[o],
+
+    which builds S + S^2 measures and makes (R'-1) * S^2 convolutions
+    instead of R' measures and R'-1 convolutions per context. With
+    r_prime = 1 no replacement happens and the result is the measure
+    itself. `guards` bounds the modulus and the number of contexts.
     """
     table = get_group(q, guards.max_q)
+    words = outer_words(spec, L, r_prime, guards.contexts)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
-    acc = np.zeros(table.order, dtype=np.complex128)
-    n_ctx = 0
-    worst_K = 1.0
-    for outer in enumerate_contexts(spec, L, r_prime, guards.contexts):
-        ctx = make_context(spec, q, L, r_prime, outer, a, base)
-        etas = [build_eta(ctx, j, table) for j in range(1, r_prime + 1)]
-        prod = etas[0].measure
-        for e in etas[1:]:
-            prod = prod.convolve(e.measure)
-        acc += prod.coeffs
-        worst_K = max(worst_K, max(e.coefficient_spread for e in etas))
-        n_ctx += 1
+
+    def window(outer):
+        # block len(outer)'s measure on one window, kept as (support, weights)
+        j = len(outer)
+        eta = build_eta(make_context(spec, q, L, j, outer, a, base), j, table)
+        supp = eta.measure.support
+        return supp, eta.measure.coeffs[supp], eta.coefficient_spread
+
+    firsts = [window((o,)) for o in words]
+    pairs = [[window((o, o2)) for o in words] for o2 in words] if r_prime > 1 else []
+    spread = max(w[2] for w in itertools.chain(firsts, *pairs))
+    chain = [GroupMeasure.from_support(table, supp, wt) for supp, wt, _ in firsts]
+    for _ in range(r_prime - 1):
+        chain = [
+            GroupMeasure(table, sum(
+                s.convolve(GroupMeasure.from_support(table, supp, wt)).coeffs
+                for s, (supp, wt, _) in zip(chain, row)
+            ))
+            for row in pairs
+        ]
+    acc = sum(m.coeffs for m in chain)
     bound = GroupMeasure(table, acc * scale)
     report = BoundReport(
         L=L,
         r_prime=r_prime,
         q=q,
-        n_contexts=n_ctx,
+        n_contexts=len(words) ** r_prime,
         scale=scale,
         fitted_c=fitted.c_scale,
-        coefficient_spread=worst_K,
+        coefficient_spread=spread,
     )
     return bound, report
 

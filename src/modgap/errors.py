@@ -17,7 +17,7 @@ class Guards:
 
     max_q bounds the modulus (`modgroup.enumerate_group`), max_words the
     admissible words of one expansion (`symdyn.check_word_count`), contexts
-    the outer-word tuples of decoupling (`decouple.enumerate_contexts`) and
+    the outer-word tuples of decoupling (`decouple.outer_words`) and
     dense_oracle the group order of a dense Cayley matrix
     (`spectral.dense_conv_matrix`). These are the only defaults; the config's
     `guards` object overrides them.

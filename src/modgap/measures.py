@@ -90,6 +90,12 @@ class GroupMeasure:
         return cls(table, c)
 
     @classmethod
+    def from_support(cls, table: GroupTable, support, weights) -> "GroupMeasure":
+        c = np.zeros(table.order, dtype=np.complex128)
+        c[support] = weights
+        return cls(table, c)
+
+    @classmethod
     def uniform(cls, table: GroupTable) -> "GroupMeasure":
         return cls(
             table, np.full(table.order, 1.0 / table.order, dtype=np.complex128)

@@ -368,10 +368,16 @@ def dense_subspace_projector(
 def dense_operator_norm(
     measure: GroupMeasure, subspace: str, projector=None, guard: int = DENSE_GUARD
 ) -> float:
-    """Oracle: top singular value of the restricted action, by full SVD."""
+    """Oracle: top singular value of the restricted action A = M P.
+
+    It is the square root of the largest eigenvalue of the Hermitian Gram
+    matrix A^H A, clipped at 0 against rounding; no block structure is used.
+    """
     M = dense_conv_matrix(measure, guard)
     P = dense_subspace_projector(measure.table, subspace, projector)
-    return float(np.linalg.svd(M @ P, compute_uv=False)[0])
+    A = M @ P
+    lam = float(np.linalg.eigvalsh(A.conj().T @ A)[-1])
+    return math.sqrt(max(lam, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,12 @@ def test_environment_does_not_override_the_guards(monkeypatch, capsys):
     assert "modulus 40 outside guarded range [2, 32]" in err
 
 
+def test_boolean_is_not_an_integer_field():
+    for field in ("R_prime", "seed"):
+        with pytest.raises(ConfigError, match=rf"field '{field}' has wrong type bool"):
+            validate_config({field: True})
+
+
 def test_guard_errors_name_the_field():
     with pytest.raises(ConfigError, match=r"guards\.max_words must be a positive integer"):
         validate_config({"guards": {"max_words": 0}})

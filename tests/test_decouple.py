@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modgap.decouple import (
+    FittedDecoupling,
     beta,
     build_eta,
     decoupled_upper_bound,
@@ -18,6 +19,7 @@ from modgap.decouple import (
     verify_domination,
 )
 from modgap.measures import MeasureParams, build_mu1
+from modgap.modgroup import get_group
 from modgap.symdyn import word
 
 
@@ -157,6 +159,43 @@ def test_bound_equals_mu1_for_single_block(spec12_mod, a12_mod, fitted):
     bound, rep = decoupled_upper_bound(spec12_mod, 5, a12_mod, 3, 1, fitted, base=0.0)
     assert rep.scale == 1.0
     assert bound.allclose(build_mu1(p), atol=1e-10)
+
+
+def per_context_bound(spec, q, a, L, r_prime, fitted, base=None):
+    """Reference: the decoupled majorant summed context by context, R' etas
+    and R'-1 convolutions for each outer-word tuple. Returns (coefficients,
+    contexts, scale, coefficient spread)."""
+    table = get_group(q)
+    acc = np.zeros(table.order, dtype=np.complex128)
+    spread = 1.0
+    contexts = enumerate_contexts(spec, L, r_prime)
+    for outer in contexts:
+        ctx = make_context(spec, q, L, r_prime, outer, a, base)
+        etas = [build_eta(ctx, j, table) for j in range(1, r_prime + 1)]
+        prod = etas[0].measure
+        for e in etas[1:]:
+            prod = prod.convolve(e.measure)
+        acc += prod.coeffs
+        spread = max(spread, *(e.coefficient_spread for e in etas))
+    scale = fitted.per_block_cost(L) ** (r_prime - 1)
+    return acc * scale, len(contexts), scale, spread
+
+
+@pytest.mark.parametrize("system", ["zaremba", "schottky"])
+@pytest.mark.parametrize("q,L,r_prime", [(3, 2, 1), (3, 2, 2), (5, 2, 3), (4, 3, 2), (5, 2, 4)])
+def test_chain_matches_per_context_sum(spec12_mod, a12_mod, fitted, schottky, system,
+                                       q, L, r_prime):
+    if system == "zaremba":
+        spec, a, base, fit = spec12_mod, a12_mod, 0.0, fitted
+    else:
+        # subshift blocks need an outer letter beside the 2-letter inner slot;
+        # base=None pins block 1's slot against the base interval
+        spec, a, base, L = schottky, 0.3, None, L + 1
+        fit = FittedDecoupling(spec, a, 0.0, 2.0, (), 0.0, 0.5, 1.25)
+    bound, rep = decoupled_upper_bound(spec, q, a, L, r_prime, fit, base=base)
+    ref, n_contexts, scale, spread = per_context_bound(spec, q, a, L, r_prime, fit, base)
+    assert np.abs(bound.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert (rep.n_contexts, rep.scale, rep.coefficient_spread) == (n_contexts, scale, spread)
 
 
 @pytest.mark.parametrize("L,r_prime,q", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 3, 5)])
