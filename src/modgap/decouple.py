@@ -268,6 +268,9 @@ def measure_replacement_errors(spec: SystemSpec, a: float, base, L: int):
     return worst, spreads
 
 
+# a window image on a pole of a letter gives an infinite log-derivative,
+# rejected below with the block named rather than warned about
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     """Exhaustive comparison of true block weights against their windows.
 
@@ -275,7 +278,8 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     the largest within-window log spread of true weights including beta).
     The last quantity is the flatness constant: all deep continuations
     that one replacement window stands in for carry weights within that
-    log range of each other.
+    log range of each other. Raises ValueError, naming L and the upper
+    block, where a log-derivative is not finite.
     """
     from .symdyn import _admissible_id_matrix
 
@@ -316,7 +320,13 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
         ld_beta_all, _ = _block_log_deriv(spec, upper, pts_beta)
         oidx = outer_idx[ok]
         errs = np.abs(a * (ld_true - ld_beta_all[oidx]))
-        worst = max(worst, float(errs.max()))
+        top = float(errs.max())  # nan or inf if any error is
+        if not math.isfinite(top):
+            raise ValueError(
+                f"non-finite log-derivative at L={L}, upper block {upper}: a window "
+                "image lies on a pole of a letter"
+            )
+        worst = max(worst, top)
         for kk, e in zip(oidx, errs):
             ow = outer_words[kk]
             spread[ow] = max(spread.get(ow, 0.0), float(e))

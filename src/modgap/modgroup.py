@@ -6,9 +6,10 @@ between divisor levels, fiber averaging along those reductions, the
 orthogonal projector onto the new subspace at level q (functions
 orthogonal to every pullback from a proper divisor level), and the right
 cosets of the unipotent subgroup U = {[[1, b], [0, 1]]}, whose characters
-split functions into blocks of dimension |G|/q that the projector maps
-into themselves. Left multiplication permutes those cosets, up to a
-unipotent factor (`UnipotentCosets.left_action`).
+t split functions into blocks V_t of dimension |G|/q; V_t lies in the new
+subspace when t is a unit mod q (proof in `spectral.operator_norm`). Left
+multiplication permutes those cosets, up to a unipotent factor
+(`UnipotentCosets.left_action`).
 
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
 range (q <= `Guards.max_q`, set by the config's `guards.max_q`). Tables are
@@ -304,7 +305,6 @@ class UnipotentCosets:
         self.grid[self.cid, beta] = np.arange(table.order)
         for arr in (self.section, self.cid, self.beta, self.grid):
             arr.setflags(write=False)
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
 
     def torus_orbits(self) -> tuple[int, ...]:
         """Smallest t of each orbit of t -> u^2 t over units u mod q.
@@ -312,7 +312,7 @@ class UnipotentCosets:
         Right translation by diag(u, u^-1) maps V_t onto V_{u^-2 t}. It
         commutes with left convolution and with every level average (the
         congruence kernels are normal), so the blocks of one orbit have the
-        same restricted norm.
+        same restricted norm. An orbit keeps gcd(t, q) fixed.
         """
         q = self.q
         squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
@@ -341,28 +341,6 @@ class UnipotentCosets:
             (g[..., 2] * s[..., 1] + g[..., 3] * s[..., 3]) % q,
         )]
         return self.cid[idx], self.beta[idx]
-
-    def level(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Cosets grouped by their column mod d, a divisor of q.
-
-        Returns (fid, order, gamma, n_classes): fid[i] is the class of coset
-        i's column mod d, order lists the cosets by class (every class has
-        n / n_classes members), and s_i = r u_gamma[i] mod d with r the
-        section element that opens coset i's class.
-        """
-        cached = self._levels.get(d)
-        if cached is not None:
-            return cached
-        sec = self.table.elems[self.section]
-        _, first, fid = np.unique(
-            (sec[:, 0] % d) * d + sec[:, 2] % d, return_index=True, return_inverse=True
-        )
-        fid = fid.reshape(-1)
-        r = sec[first[fid]]
-        gamma = (r[:, 3] * sec[:, 1] - r[:, 1] * sec[:, 3]) % d
-        result = (fid, np.argsort(fid, kind="stable"), gamma, int(first.size))
-        self._levels[d] = result
-        return result
 
     def lift(self, f: np.ndarray, t: int) -> np.ndarray:
         """The function on G in V_t whose coset coordinates are f."""
@@ -418,21 +396,16 @@ def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
     return enumerate_group(q, max_q)
 
 
-def _fiber_average(phi: np.ndarray, fid, counts, n_fibers) -> np.ndarray:
-    """Conditional average of phi over reduction fibers (1d or column block)."""
-    phi = np.asarray(phi)
-    if phi.ndim == 1:
-        if np.iscomplexobj(phi):
-            sums = np.bincount(fid, weights=phi.real, minlength=n_fibers).astype(
-                complex
-            )
-            sums += 1j * np.bincount(fid, weights=phi.imag, minlength=n_fibers)
-        else:
-            sums = np.bincount(fid, weights=phi, minlength=n_fibers)
-        return (sums / counts)[fid]
-    sums = np.zeros((n_fibers, phi.shape[1]), dtype=phi.dtype)
-    np.add.at(sums, fid, phi)
-    return (sums / counts[:, None])[fid]
+def _fiber_average(phi: np.ndarray, fid, n_fibers) -> np.ndarray:
+    """Conditional average of phi over reduction fibers, along axis 0.
+
+    The fibers of a reduction homomorphism all have |ker| elements, so a
+    stable sort by fid lays them out as a (|ker|, n_fibers) index array, and
+    the mean over its first axis is the fiber average, for a function and
+    for a column block alike.
+    """
+    layout = np.ascontiguousarray(np.argsort(fid, kind="stable").reshape(n_fibers, -1).T)
+    return np.asarray(phi)[layout].mean(axis=0)[fid]
 
 
 def level_average(table: GroupTable, phi: np.ndarray, q2: int) -> np.ndarray:
@@ -446,8 +419,8 @@ def level_average(table: GroupTable, phi: np.ndarray, q2: int) -> np.ndarray:
     phi = np.asarray(phi)
     if phi.shape[0] != table.order:
         raise ValueError("phi has wrong length for this group")
-    fid, counts, nf = table.fibers(q2)
-    return _fiber_average(phi, fid, counts, nf)
+    fid, _, nf = table.fibers(q2)
+    return _fiber_average(phi, fid, nf)
 
 
 class NewSpaceProjector:
@@ -472,33 +445,11 @@ class NewSpaceProjector:
         """Project a function, or each column of a (|G|, k) block."""
         out = np.asarray(phi, dtype=complex if np.iscomplexobj(phi) else float)
         out = out.copy()
-        for fid, counts, nf in self._fiber_data:
-            out -= _fiber_average(out, fid, counts, nf)
+        for fid, _, nf in self._fiber_data:
+            out -= _fiber_average(out, fid, nf)
         return out
 
     apply_columns = apply
-
-    def apply_block(self, f: np.ndarray, t: int) -> np.ndarray:
-        """The projector on the character block V_t, in the coset
-        coordinates of `UnipotentCosets`, along axis 0 of f.
-
-        The average at level d = q/p maps V_t into itself and vanishes there
-        unless p | t. Then its range is the pullback of the level-d block,
-        c -> e(t gamma_c / q) f'(c mod d), whose basis vectors have disjoint
-        supports: the average multiplies by e(-t gamma/q), averages over the
-        cosets whose columns agree mod d, and multiplies back. O(n) per
-        divisor and column, against a dense |G| x n lift.
-        """
-        cosets = self.table.cosets()
-        out = np.array(f, dtype=complex)
-        for q2 in self.levels:
-            if t % (self.q // q2):
-                continue
-            fid, order, gamma, nf = cosets.level(q2)
-            ph = np.exp(2j * np.pi * t * gamma / self.q).reshape((-1,) + (1,) * (out.ndim - 1))
-            grouped = (np.conj(ph) * out)[order].reshape((nf, -1) + out.shape[1:])
-            out -= ph * grouped.mean(axis=1)[fid]
-        return out
 
     def __repr__(self):
         return f"NewSpaceProjector(q={self.q}, dim={self.dimension})"

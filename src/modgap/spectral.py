@@ -8,11 +8,14 @@ is the square root of the top eigenvalue of K = reverse(mu) * mu, found
 by one power-iteration loop. K itself is never formed.
 
 Left convolution commutes with right translation by the unipotent
-U = {[[1, b], [0, 1]]}, so functions split into q character blocks of
+U = {[[1, b], [0, 1]]}, so functions split into q character blocks V_t of
 dimension |G|/q (Mackey; Diaconis, Group Representations in Probability
-and Statistics, ch. 3), and so does every subspace above; one block per
-orbit of the diagonal torus on the characters suffices. The blocks M_t
-of mu come in two representations, chosen from the measure:
+and Statistics, ch. 3), and one block per orbit of the diagonal torus on
+the characters suffices. No subspace needs a projection: the norm on the
+new subspace is the largest norm of a block M_t with t a unit mod q, on
+the mean-zero functions the largest with t != 0, and on all functions the
+largest of all (proof in `operator_norm`). The blocks come in two
+representations, chosen from the measure:
 
 * dense blocks, for |supp mu| >= |G|/q: one (|G|/q)^2 matrix per orbit,
   built from mu in |G|^2/q steps (`isotypic_blocks`) and iterated one by
@@ -36,7 +39,6 @@ the operator-norm to mass ratio against q^(-1/4).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -82,18 +84,12 @@ SWEEP_COLUMNS = [
 class ConvOperator:
     """Left-convolution action of a measure restricted to a subspace."""
 
-    def __init__(self, measure: GroupMeasure, subspace: str, projector=None):
+    def __init__(self, measure: GroupMeasure, subspace: str):
         if subspace not in SUBSPACES:
             raise ValueError(f"subspace must be one of {SUBSPACES}")
         self.measure = measure
         self.table = measure.table
         self.subspace = subspace
-        if subspace == "new_space":
-            self.projector = (
-                projector if projector is not None else NewSpaceProjector(self.table)
-            )
-        else:
-            self.projector = None
 
     @property
     def dim(self) -> int:
@@ -102,32 +98,18 @@ class ConvOperator:
             return n
         if self.subspace == "mean_zero":
             return n - 1
-        return self.projector.dimension
+        return new_space_dimension(self.table.q)
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.subspace == "full":
-            return v
+    def orbits(self) -> tuple[int, ...]:
+        """The torus-orbit representatives t whose blocks V_t carry the
+        norm on the subspace (see `operator_norm`): the units t on
+        `new_space`, t != 0 on `mean_zero`, every orbit on `full`."""
+        ts = self.table.cosets().torus_orbits()
+        if self.subspace == "new_space":
+            return tuple(t for t in ts if math.gcd(t, self.table.q) == 1)
         if self.subspace == "mean_zero":
-            return v - v.mean()
-        return self.projector.apply(v)
-
-    def project_block(self, f: np.ndarray, t: int) -> np.ndarray:
-        """`project` on the character block V_t, in coset coordinates
-        (`UnipotentCosets`), along axis 0 of f; f itself where it is the
-        identity (`moves_block`)."""
-        if not self.moves_block(t):
-            return f
-        if self.subspace == "new_space":
-            return self.projector.apply_block(f, t)
-        return f - f.mean(axis=0)
-
-    def moves_block(self, t: int) -> bool:
-        """Whether the projection acts on V_t at all: constants live in V_0,
-        and the level averages of the new subspace reach only the t that
-        share a prime with q (`NewSpaceProjector.apply_block`)."""
-        if self.subspace == "new_space":
-            return math.gcd(t, self.table.q) > 1
-        return self.subspace == "mean_zero" and t == 0
+            return tuple(t for t in ts if t)
+        return ts
 
 
 @dataclass
@@ -200,22 +182,6 @@ def _sparse_blocks(table: GroupTable, elements, weights, ts):
     return apply
 
 
-def _restricted_blocks(op: ConvOperator):
-    """(t, B_t) per torus-orbit representative t, with B_t = M_t P_t, so
-    that B_t^H B_t is reverse(mu) * mu restricted to V_t and the subspace.
-    B_t is None when the block is zero to working precision: its trace
-    ||B_t||_F^2 is at most dim * eps * ||mu||_1^2 (numpy's matrix_rank
-    tolerance, with ||mu||_1^2 bounding the block's norm)."""
-    cosets = op.table.cosets()
-    ts = cosets.torus_orbits()
-    floor = cosets.n * np.finfo(float).eps * op.measure.l1**2
-    out = []
-    for t, b in zip(ts, isotypic_blocks(op.measure, ts)):
-        b[...] = op.project_block(b.conj().T, t).conj().T
-        out.append((t, b if np.vdot(b, b).real > floor else None))
-    return out
-
-
 def operator_norm(
     op: ConvOperator,
     tol: float = 1e-8,
@@ -224,64 +190,80 @@ def operator_norm(
 ) -> GapReport:
     """Largest singular value of the restricted convolution action.
 
-    Power-iterates K = reverse(mu) * mu (self-adjoint and positive on the
-    invariant subspace) as B_t^H B_t with B_t = M_t P_t, one block per
-    torus orbit of the right-unipotent characters t, projecting every
-    step; stops on relative stagnation of the Rayleigh quotient and reports
-    that of the last iterate. With |supp mu| >= |G|/q the blocks are dense
-    (`isotypic_blocks`) and each is iterated on its own: `iters` sums the
-    blocks' iterations, and `block` is the smallest t whose block lies
-    within 100 * tol of the maximum (exact ties across orbits occur), with
-    its `residual`. A sparser measure gets the stacked sparse blocks, one
-    problem over the direct sum of the orbits with one Rayleigh quotient
-    and one stopping test, and `block` is None. The norm is the maximum in
-    both cases. Raises ConvergenceError carrying the best estimate if any
-    iteration hits the cap.
+    Power-iterates K = reverse(mu) * mu as M_t^H M_t on the bare blocks M_t
+    of the torus orbits that `ConvOperator.orbits` keeps for the subspace.
+    No projection is needed, because the norm on each subspace is the
+    largest ||M_t|| over those orbits:
+
+    * `full`: every orbit; the V_t span all functions.
+    * `new_space`: the units t, gcd(t, q) = 1.
+      - V_t lies in E_q when t is a unit. A pullback from level q/p is fixed
+        by right translation by u_{q/p}, which acts on V_t as e(t/p) != 1.
+      - Every irreducible representation pi in E_q contains a unit
+        character. Suppose every t in pi|_U has p | t. Then pi(u_{q/p}) = 1,
+        so pi is trivial on the normal closure of u_{q/p} inside the kernel
+        of reduction to q/p. That closure is the whole kernel: the kernel is
+        sl2(F_p) at exponent >= 2 and SL2(F_p) at exponent 1, and the
+        conjugates of E12 span it, also at p = 2, where E12, E21 and
+        I + E12 + E21 are conjugate although sl2(F_2) is reducible. So pi
+        factors through level q/p. The Chinese remainder theorem combines
+        the primes.
+      - V_t is Ind_U^G psi_t, so by Frobenius reciprocity V_t contains every
+        pi whose restriction to U contains psi_t, and mu acts on each copy
+        of pi as pi(mu).
+    * `mean_zero`: t != 0. V_t holds no constants for t != 0, and a
+      nontrivial pi trivial on U would be trivial on the normal closure of
+      U, which is SL2(Z/q), since SL2(Z/q) is generated by unipotents.
+
+    One irreducible representation holds characters of several orbits, so
+    blocks of different orbits can tie exactly (t = 1, 7 at q = 8).
+
+    Each problem stops when the geometric-tail estimate of the Rayleigh
+    quotient's remaining rise, step / (1 - r), is at most tol * theta, with
+    step = |theta_k - theta_{k-1}| and r the ratio of the last two steps,
+    capped at 0.999; it reports the Rayleigh quotient of the last iterate.
+    With |supp mu| >= |G|/q the blocks are dense (`isotypic_blocks`) and
+    each is iterated on its own: `iters` sums the blocks' iterations, and
+    `block` is the smallest t whose block lies within 100 * tol of the
+    maximum, with its `residual`. A block whose trace ||M_t||_F^2 is at most
+    dim * eps * ||mu||_1^2 (numpy's matrix_rank tolerance, with ||mu||_1^2
+    bounding the block's norm) is reported as exactly 0. A sparser measure
+    gets the stacked sparse blocks, one problem over the direct sum of the
+    orbits with one Rayleigh quotient and one stopping test, and `block` is
+    None. The norm is the maximum in both cases. Raises ConvergenceError
+    carrying the best estimate if any iteration hits the cap.
     """
     t0 = time.perf_counter()
     if op.dim < 1:
         raise ValueError("subspace dimension is zero")
     table = op.table
+    cosets = table.cosets()
+    ts = op.orbits()
     results = []  # (lam, residual, block)
-    problems = []  # (block, vector shape, apply K, project)
+    problems = []  # (block, vector shape, apply K)
     if op.measure.n_support * table.q >= table.order:
-        for t, b in _restricted_blocks(op):
-            if b is None:
+        floor = cosets.n * np.finfo(float).eps * op.measure.l1**2
+        for t, m in zip(ts, isotypic_blocks(op.measure, ts)):
+            if np.vdot(m, m).real <= floor:
                 results.append((0.0, 0.0, t))
-            else:  # B^H B v, as conj(conj(B v) B) to spare a copy of B^H
-                problems.append((t, b.shape[1], lambda v, b=b: np.conj(np.conj(b @ v) @ b),
-                                 functools.partial(op.project_block, t=t)))
-    else:  # one problem over the direct sum of the blocks: B^H B F = P M^H M F
-        cosets = table.cosets()
-        ts = cosets.torus_orbits()
+            else:  # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
+                problems.append((t, m.shape[1], lambda v, m=m: np.conj(np.conj(m @ v) @ m)))
+    else:  # one problem over the direct sum of the blocks
         supp = op.measure.support
         weights = op.measure.coeffs[supp]
         apply_m = _sparse_blocks(table, supp, weights, ts)
         # M_t^H is M_t of reverse(mu): conjugate weights at the inverses
         apply_mh = _sparse_blocks(table, table.inverse[supp], weights.conj(), ts)
-
-        moved = [(k, t) for k, t in enumerate(ts) if op.moves_block(t)]
-
-        def project(f):
-            for k, t in moved:
-                f[:, k] = op.project_block(f[:, k], t)
-            return f
-
-        problems.append((None, (cosets.n, len(ts)),
-                         lambda f: project(apply_mh(apply_m(f))), project))
+        problems.append((None, (cosets.n, len(ts)), lambda f: apply_mh(apply_m(f))))
 
     rng = np.random.default_rng(seed)
     converged = True
     total_iters = 0
-    for block, shape, apply, project in problems:
+    for block, shape, apply in problems:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v = project(v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ValueError("start vector projected to zero")
-        v /= nv
+        v /= np.linalg.norm(v)
         lam = 0.0
-        lam_prev = None
+        lam_prev = step_prev = None
         done = False
         iters = 0
         for iters in range(1, max_iter + 1):
@@ -293,9 +275,14 @@ def operator_norm(
                 done = True
                 break
             v = w / nw
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * max(lam, 1e-30):
-                done = True
-                break
+            if lam_prev is not None:
+                step = abs(lam - lam_prev)
+                if step_prev is not None:
+                    r = step / step_prev if step < 0.999 * step_prev else 0.999
+                    if step <= (1.0 - r) * tol * max(lam, 1e-30):
+                        done = True
+                        break
+                step_prev = step
             lam_prev = lam
         total_iters += iters
         converged = converged and done
@@ -759,21 +746,19 @@ def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guards
         mu = build_mu(params)
     except GuardExceeded as e:
         return SweepRow(q=q, group_order=table.order, skipped_reason=str(e))
-    proj = NewSpaceProjector(table)
-    op = ConvOperator(mu, "new_space", proj)
     try:
-        rep = operator_norm(op, tol=tol, max_iter=max_iter, seed=seed)
+        rep = operator_norm(ConvOperator(mu, "new_space"), tol=tol, max_iter=max_iter, seed=seed)
     except ConvergenceError as e:
         return SweepRow(
             q=q,
             group_order=table.order,
-            dim_eq=proj.dimension,
+            dim_eq=new_space_dimension(q),
             skipped_reason=f"power iteration did not converge: best {e.report.norm:.6g}",
         )
     return SweepRow(
         q=q,
         group_order=table.order,
-        dim_eq=proj.dimension,
+        dim_eq=new_space_dimension(q),
         l1_mass=mu.l1,
         opnorm_eq=rep.norm,
         ratio=rep.norm / mu.l1,

@@ -137,6 +137,13 @@ def test_schottky_needs_separating_outer(schottky):
         make_context(schottky, 5, 2, 2, [(), ()], 0.3)
 
 
+def test_replacement_survey_rejects_a_pole(schottky):
+    # at the midpoint base some window images of the subshift sit on a pole;
+    # their log-derivatives once turned into nan and dropped out of the max
+    with pytest.raises(ValueError, match=r"L=3, upper block \("):
+        fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
+
+
 def test_flatness_decays_geometrically(spec12_mod, a12_mod):
     ks = {L: flatness_ratio(spec12_mod, a12_mod, L, base=0.0) for L in (2, 3, 4, 5)}
     excess = [ks[L] - 1 for L in (2, 3, 4, 5)]

@@ -121,6 +121,23 @@ def test_level_average_constants_and_pullbacks(rng):
         assert np.allclose(vals, vals[0])
 
 
+@pytest.mark.parametrize("q", [5, 12])
+def test_level_average_matches_a_per_fiber_loop(q, rng):
+    # one path for functions and column blocks, real and complex; the
+    # summation order may differ from the loop's, so equal to rounding
+    t = get_group(q)
+    n = t.order
+    inputs = (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+    for q2 in [d for d in range(1, q) if q % d == 0]:
+        fid, _, nf = t.fibers(q2)
+        for phi in inputs:
+            ref = np.empty_like(phi)
+            for f in range(nf):
+                ref[fid == f] = phi[fid == f].mean(axis=0)
+            assert np.abs(level_average(t, phi, q2) - ref).max() < 1e-14
+
+
 def test_level_average_rejects_non_divisor():
     t = get_group(4)
     phi = np.zeros(t.order)

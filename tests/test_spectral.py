@@ -62,9 +62,8 @@ def test_operator_preserves_subspace(spec12, a12, rng):
     p = MeasureParams(spec=spec12, q=q, s=complex(a12, 1.0), r_len=2)
     mu = build_mu(p)
     proj = NewSpaceProjector(get_group(q))
-    op = ConvOperator(mu, "new_space", proj)
-    v = op.project(rng.standard_normal(get_group(q).order))
-    out = op.measure.action(v)
+    v = proj.apply(rng.standard_normal(get_group(q).order))
+    out = mu.action(v)
     assert np.linalg.norm(out - proj.apply(out)) < 1e-9 * max(np.linalg.norm(out), 1)
 
 
@@ -112,19 +111,20 @@ def _sweep_mu(spec, a, q):
     return build_mu(MeasureParams(spec=spec, q=q, s=complex(a, 1.0), r_len=r_len))
 
 
-def _block_norms(op, ts):
-    """Exact norm of each restricted block B_t = M_t P_t, by SVD."""
-    blocks = isotypic_blocks(op.measure, ts)
-    return [
-        float(np.linalg.svd(op.project_block(m.conj().T, t), compute_uv=False)[0])
-        for t, m in zip(ts, blocks)
-    ]
+def _block_norms(mu, ts):
+    """Exact norm of each bare block M_t, by SVD."""
+    return [float(np.linalg.svd(m, compute_uv=False)[0]) for m in isotypic_blocks(mu, ts)]
+
+
+def _lifts(cosets, t):
+    """The (|G|, n) lifts to V_t of the coset basis vectors (`UnipotentCosets.lift`)."""
+    return np.exp(2j * np.pi * t * cosets.beta / cosets.q)[:, None] * np.eye(cosets.n)[cosets.cid]
 
 
 @pytest.mark.parametrize("q", [6, 8, 9, 12])
 def test_blocks_are_the_restrictions_to_each_character(q, rng):
-    # at every t, not only the maximal one: M_t and P_t in coset coordinates
-    # are the dense convolution matrix and the dense E_q projector on V_t
+    # at every t, not only the maximal one, M_t in coset coordinates is the
+    # dense convolution matrix on V_t; at every unit t, V_t lies in E_q
     t = get_group(q)
     cosets = t.cosets()
     proj = NewSpaceProjector(t)
@@ -132,11 +132,30 @@ def test_blocks_are_the_restrictions_to_each_character(q, rng):
     conv = dense_conv_matrix(mu)
     blocks = isotypic_blocks(mu, range(q))
     for char in range(q):
-        lifts = np.stack([cosets.lift(e, char) for e in np.eye(cosets.n)], axis=1)
+        lifts = _lifts(cosets, char)
         assert np.abs(blocks[char] - (conv @ lifts)[cosets.section]).max() < 1e-12
-        dense_p = proj.apply_columns(lifts)[cosets.section]
-        fiber_p = proj.apply_block(np.eye(cosets.n), char)
-        assert np.abs(fiber_p - dense_p).max() < 1e-12
+        if math.gcd(char, q) == 1:
+            assert np.abs(proj.apply_columns(lifts) - lifts).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [16, 18, 20, 24])
+def test_unit_blocks_attain_the_new_space_norm(spec12, a12, q, rng):
+    # the largest bare unit block against the largest block M_t P_t over
+    # every orbit, with P_t the dense E_q projector on the lifts to V_t
+    t = get_group(q)
+    cosets = t.cosets()
+    proj = NewSpaceProjector(t)
+    reps = cosets.torus_orbits()
+    measures = (_sweep_mu(spec12, a12, q), _random_measure(t, t.order, rng))
+    blocks = [isotypic_blocks(mu, reps) for mu in measures]
+    projected = np.zeros((len(measures), len(reps)))
+    for k, char in enumerate(reps):
+        p = proj.apply(_lifts(cosets, char))[cosets.section]
+        for i, b in enumerate(blocks):
+            projected[i, k] = np.linalg.svd(b[k] @ p, compute_uv=False)[0]
+    units = [c for c in reps if math.gcd(c, q) == 1]
+    for mu, row in zip(measures, projected):
+        assert max(_block_norms(mu, units)) == pytest.approx(row.max(), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 9, 10, 12])
@@ -152,10 +171,9 @@ def test_block_engine_matches_dense_oracle(spec12, a12, q):
 
 @pytest.mark.parametrize("q", [8, 9, 13])
 def test_torus_orbit_representatives_attain_the_maximum(spec12, a12, q):
-    op = ConvOperator(_sweep_mu(spec12, a12, q), "new_space")
-    cosets = op.table.cosets()
-    every = _block_norms(op, range(q))
-    reps = cosets.torus_orbits()
+    mu = _sweep_mu(spec12, a12, q)
+    every = _block_norms(mu, range(q))
+    reps = mu.table.cosets().torus_orbits()
     assert len(reps) == {8: 8, 9: 5, 13: 3}[q]
     assert max(every[t] for t in reps) == pytest.approx(max(every), rel=1e-12)
     # blocks of one orbit t -> u^2 t have equal norms
@@ -171,12 +189,11 @@ def test_block_certificate_past_the_dense_guard(spec12, a12):
     table = mu.table
     assert table.order > 2500
     proj = NewSpaceProjector(table)
-    op = ConvOperator(mu, "new_space", proj)
-    rep = operator_norm(op)
+    rep = operator_norm(ConvOperator(mu, "new_space"))
     t = rep.block
+    assert math.gcd(t, q) == 1
     (m,) = isotypic_blocks(mu, [t])
-    b = op.project_block(m.conj().T, t).conj().T
-    f = np.linalg.svd(b)[2][0].conj()  # top right singular vector
+    f = np.linalg.svd(m)[2][0].conj()  # top right singular vector
     phi = table.cosets().lift(f, t)
     assert np.linalg.norm(proj.apply(phi) - phi) <= 1e-10 * np.linalg.norm(phi)
     gain = np.linalg.norm(mu.action(phi)) / np.linalg.norm(phi)
@@ -185,6 +202,16 @@ def test_block_certificate_past_the_dense_guard(spec12, a12):
     every = isotypic_blocks(mu, range(q))
     frob = float(np.sum(np.abs(every) ** 2))
     assert frob == pytest.approx(table.order * mu.l2**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [9, 32])
+def test_sweep_norm_meets_the_exact_unit_blocks(spec12, a12, q):
+    # on the unit blocks alone, stopping at the first small step left the
+    # sweep norm 3.0e-7 low at q=9 and 6.9e-7 low at q=32
+    (row,), _ = main_sweep(spec12, [q], a12, b=1.0)
+    mu = _sweep_mu(spec12, a12, q)
+    units = [t for t in mu.table.cosets().torus_orbits() if math.gcd(t, q) == 1]
+    assert row.opnorm_eq == pytest.approx(max(_block_norms(mu, units)), rel=1e-8)
 
 
 def test_support_rule_picks_the_representation(rng):
@@ -292,6 +319,14 @@ def test_sparse_gap_past_the_dense_guard(spec12, a12):
     assert eta.measure.table.order > 2500
     rep = eta_gap(eta)
     assert rep.c1 == pytest.approx(refs["eta-gaps"]["L=2,q=16"]["min_c1"], abs=1e-6)
+
+
+def test_sparse_gap_stops_within_tol(spec12, a12):
+    # the q=16 minimiser at q=32, where the Rayleigh quotient rises slowly:
+    # stopping at the first small step left c1 7.4e-7 above its limit
+    eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
+    limit = eta_gap(eta, tol=1e-12, max_iter=50_000).c1
+    assert eta_gap(eta).c1 == pytest.approx(limit, abs=2e-8)
 
 
 def test_sparse_zero_and_dirac(t5):
