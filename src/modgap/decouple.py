@@ -262,10 +262,8 @@ def measure_replacement_errors(spec: SystemSpec, a: float, base, L: int):
     For every pair (lower block, upper block) the true contribution of
     the upper block is its Birkhoff sum at the lower block's image of the
     base point; the replacement sees only the lower block's outer part.
-    Returns (max error, per-window spread over lower outer words).
     """
-    worst, spreads, _ = _replacement_survey(spec, a, base, L)
-    return worst, spreads
+    return _replacement_survey(spec, a, base, L)[0]
 
 
 # a window image on a pole of a letter gives an infinite log-derivative,
@@ -274,12 +272,12 @@ def measure_replacement_errors(spec: SystemSpec, a: float, base, L: int):
 def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     """Exhaustive comparison of true block weights against their windows.
 
-    Returns (max |log true - log beta|, per-outer-word error spread, and
-    the largest within-window log spread of true weights including beta).
-    The last quantity is the flatness constant: all deep continuations
-    that one replacement window stands in for carry weights within that
-    log range of each other. Raises ValueError, naming L and the upper
-    block, where a log-derivative is not finite.
+    Returns (max |log true - log beta|, the largest within-window log
+    spread of true weights including beta). The second quantity is the
+    flatness constant: all deep continuations that one replacement window
+    stands in for carry weights within that log range of each other.
+    Raises ValueError, naming L and the upper block, where a
+    log-derivative is not finite.
     """
     from .symdyn import _admissible_id_matrix
 
@@ -306,7 +304,6 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     n_outer = len(outer_words)
     worst = 0.0
     worst_spread = 0.0
-    spread = {}
     pts_true_all = np.array([img_block[b] for b in blocks])
     pts_beta = np.array([img_outer[ow] for ow in outer_words])
     for upper in blocks:
@@ -327,9 +324,6 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
                 "image lies on a pole of a letter"
             )
         worst = max(worst, top)
-        for kk, e in zip(oidx, errs):
-            ow = outer_words[kk]
-            spread[ow] = max(spread.get(ow, 0.0), float(e))
         # within-window spread of true weights, beta included
         lo = np.full(n_outer, np.inf)
         hi = np.full(n_outer, -np.inf)
@@ -339,7 +333,7 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
         lo[seen] = np.minimum(lo[seen], ld_beta_all[seen])
         hi[seen] = np.maximum(hi[seen], ld_beta_all[seen])
         worst_spread = max(worst_spread, float((a * (hi[seen] - lo[seen])).max()))
-    return worst, spread, worst_spread
+    return worst, worst_spread
 
 
 def flatness_ratio(spec: SystemSpec, a: float, L: int, base=None) -> float:
@@ -351,7 +345,7 @@ def flatness_ratio(spec: SystemSpec, a: float, L: int, base=None) -> float:
     decays geometrically in L by uniform contraction. Returns that
     maximal ratio exp(spread).
     """
-    _, _, worst_spread = _replacement_survey(spec, a, base, L)
+    _, worst_spread = _replacement_survey(spec, a, base, L)
     return math.exp(worst_spread)
 
 
@@ -368,7 +362,7 @@ def fit_decoupling_constant(
     c_scale = 0.0
     c_impl = 0.0
     for L in L_values:
-        err, _ = measure_replacement_errors(spec, a, o, L)
+        err = measure_replacement_errors(spec, a, o, L)
         err_by_L.append((L, err))
         c_scale = max(c_scale, err * gamma**L)
         if a > 0:

@@ -11,6 +11,10 @@ subspace when t is a unit mod q (proof in `spectral.operator_norm`). Left
 multiplication permutes those cosets, up to a unipotent factor
 (`UnipotentCosets.left_action`).
 
+`GroupTable.products` is the one product kernel: every product of two
+table elements (single products, translations, the coset action and, in
+`measures`, convolution) is an index lookup of its vectorised entries.
+
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
 range (q <= `Guards.max_q`, set by the config's `guards.max_q`). Tables are
 immutable after construction and safe to share between readers.
@@ -124,9 +128,6 @@ class ModMatrix:
     def to_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.to_tuple(), dtype=np.int64)
-
 
 def reduce_mod(m, q: int) -> ModMatrix:
     """Reduce an integer 2x2 matrix (det = 1 mod q) entrywise mod q."""
@@ -151,9 +152,9 @@ class GroupTable:
         self.key_to_index = key_to_index
         self.inverse = inverse
         self.order = int(elems.shape[0])
-        self.elems.setflags(write=False)
-        self.key_to_index.setflags(write=False)
-        self.inverse.setflags(write=False)
+        self._columns = np.ascontiguousarray(elems.T, dtype=np.int32)
+        for arr in (self.elems, self.key_to_index, self.inverse, self._columns):
+            arr.setflags(write=False)
         self._identity = int(self.index_of((1 % self.q, 0, 0, 1 % self.q)))
         self._fibers: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self._cosets: UnipotentCosets | None = None
@@ -179,56 +180,39 @@ class GroupTable:
             raise InvalidElement(f"not an element of SL2(Z/{self.q}): {(a, b, c, d)}")
         return idx
 
-    def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of an (n, 4) array of reduced entry rows."""
-        keys = self._pack(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
-        idx = self.key_to_index[keys]
-        if np.any(idx < 0):
-            raise InvalidElement("array contains non-elements")
-        return idx
-
     def matrix(self, i: int) -> ModMatrix:
         a, b, c, d = (int(v) for v in self.elems[i])
         return ModMatrix(a, b, c, d, self.q)
 
     # -- products -------------------------------------------------------
 
-    def multiply(self, i: int, j: int) -> int:
+    def products(self, g, h) -> np.ndarray:
+        """Indices of elems[g] @ elems[h], broadcast over g and h.
+
+        g and h may each be an index, an index array or a slice. The
+        entries are computed on contiguous int32 columns: every key is
+        below q^4, the length of key_to_index, and q^4 < 2^31 up to q=215.
+        """
         q = self.q
-        ga, gb, gc, gd = (int(v) for v in self.elems[i])
-        ha, hb, hc, hd = (int(v) for v in self.elems[j])
-        return int(
-            self.key_to_index[
-                self._pack(
-                    (ga * ha + gb * hc) % q,
-                    (ga * hb + gb * hd) % q,
-                    (gc * ha + gd * hc) % q,
-                    (gc * hb + gd * hd) % q,
-                )
-            ]
-        )
+        ga, gb, gc, gd = self._columns[:, g]
+        ha, hb, hc, hd = self._columns[:, h]
+        return self.key_to_index[self._pack(
+            (ga * ha + gb * hc) % q,
+            (ga * hb + gb * hd) % q,
+            (gc * ha + gd * hc) % q,
+            (gc * hb + gd * hd) % q,
+        )]
+
+    def multiply(self, i: int, j: int) -> int:
+        return int(self.products(i, j))
 
     def left_translation(self, i: int) -> np.ndarray:
         """t[k] = index(elems[i] @ elems[k]); one row of the Cayley table."""
-        q = self.q
-        ga, gb, gc, gd = (int(v) for v in self.elems[i])
-        A = self.elems
-        pa = (ga * A[:, 0] + gb * A[:, 2]) % q
-        pb = (ga * A[:, 1] + gb * A[:, 3]) % q
-        pc = (gc * A[:, 0] + gd * A[:, 2]) % q
-        pd = (gc * A[:, 1] + gd * A[:, 3]) % q
-        return self.key_to_index[self._pack(pa, pb, pc, pd)]
+        return self.products(i, slice(None))
 
     def right_translation(self, i: int) -> np.ndarray:
         """t[k] = index(elems[k] @ elems[i])."""
-        q = self.q
-        ha, hb, hc, hd = (int(v) for v in self.elems[i])
-        A = self.elems
-        pa = (A[:, 0] * ha + A[:, 1] * hc) % q
-        pb = (A[:, 0] * hb + A[:, 1] * hd) % q
-        pc = (A[:, 2] * ha + A[:, 3] * hc) % q
-        pd = (A[:, 2] * hb + A[:, 3] * hd) % q
-        return self.key_to_index[self._pack(pa, pb, pc, pd)]
+        return self.products(slice(None), i)
 
     # -- reduction fibers -------------------------------------------------
 
@@ -331,15 +315,7 @@ class UnipotentCosets:
         permutation of the cosets. Built from the n section rows alone, so
         the cost is len(h) * n, not |G|.
         """
-        table, q = self.table, self.q
-        g = table.elems[np.asarray(h, dtype=np.int64)][:, None, :]
-        s = table.elems[self.section][None, :, :]
-        idx = table.key_to_index[table._pack(
-            (g[..., 0] * s[..., 0] + g[..., 1] * s[..., 2]) % q,
-            (g[..., 0] * s[..., 1] + g[..., 1] * s[..., 3]) % q,
-            (g[..., 2] * s[..., 0] + g[..., 3] * s[..., 2]) % q,
-            (g[..., 2] * s[..., 1] + g[..., 3] * s[..., 3]) % q,
-        )]
+        idx = self.table.products(np.asarray(h, dtype=np.int64)[:, None], self.section)
         return self.cid[idx], self.beta[idx]
 
     def lift(self, f: np.ndarray, t: int) -> np.ndarray:

@@ -659,13 +659,9 @@ def zariski_check(table: GroupTable, generator_indices) -> tuple[bool, int]:
 
 def letter_pair_quotients(spec: SystemSpec, table: GroupTable) -> list[int]:
     """Indices of cocycle(k) * cocycle(k')^-1 over all letter pairs."""
-    q = table.q
-    idxs = set()
-    letter_idx = [table.index_of(cocycle(word(spec, (k,)), q)) for k in range(spec.n_letters)]
-    for i in letter_idx:
-        for j in letter_idx:
-            idxs.add(table.multiply(i, int(table.inverse[j])))
-    return sorted(idxs)
+    letters = np.array([table.index_of(cocycle(word(spec, (k,)), table.q))
+                        for k in range(spec.n_letters)])
+    return np.unique(table.products(letters[:, None], table.inverse[letters])).tolist()
 
 
 def digit_difference_quotients(digits, q: int, table: GroupTable) -> list[int]:

@@ -79,12 +79,6 @@ class SystemSpec:
         inv = self.letters[first].inverse
         return inv is None or inv != second
 
-    def default_base(self) -> tuple[float, int | None]:
-        """Default evaluation point and, in subshift mode, its interval id."""
-        if self.mode == "zaremba":
-            return self.base_point, None
-        return self.letters[0].rep, 0
-
 
 @dataclass(frozen=True)
 class Word:
@@ -239,13 +233,6 @@ def word(spec: SystemSpec, letter_ids) -> Word:
                 f"({spec.letters[ids[i]].label} then its inverse)"
             )
     return Word(spec, ids)
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    """Concatenate with w1 the more recent part."""
-    if w1.spec is not w2.spec and w1.spec != w2.spec:
-        raise AdmissibilityError("words from different systems")
-    return word(w1.spec, w1.letters + w2.letters)
 
 
 def count_admissible(spec: SystemSpec, n: int) -> int:

@@ -153,7 +153,7 @@ def test_04_decoupling_domination(spec, fitted):
                     spec, q, A_CRIT, L, r_prime, fitted, base=0.0
                 )
                 violations += verify_domination(mu1, bound).n_violations
-    errs = [measure_replacement_errors(spec, A_CRIT, 0.0, L)[0] for L in (2, 3, 4)]
+    errs = [measure_replacement_errors(spec, A_CRIT, 0.0, L) for L in (2, 3, 4)]
     rate = math.exp(-np.polyfit([2, 3, 4], np.log(errs), 1)[0])
     ok = violations == 0 and rate >= 2.0
     elapsed = time.time() - t0

@@ -91,12 +91,12 @@ def test_replacement_error_bound_form(spec12_mod, a12_mod, fitted):
     # outside the fitting set
     gamma = fitted.gamma_per_letter
     for L in (2, 3, 4):
-        err, _ = measure_replacement_errors(spec12_mod, a12_mod, 0.0, L)
+        err = measure_replacement_errors(spec12_mod, a12_mod, 0.0, L)
         assert err <= a12_mod * fitted.c_impl * gamma ** (-(L - 1)) * 1.0000001
 
 
 def test_replacement_error_decay_rate(spec12_mod, a12_mod):
-    errs = [measure_replacement_errors(spec12_mod, a12_mod, 0.0, L)[0] for L in (2, 3, 4)]
+    errs = [measure_replacement_errors(spec12_mod, a12_mod, 0.0, L) for L in (2, 3, 4)]
     assert errs[0] / errs[1] >= 4.0  # at least the worst-case contraction
     assert errs[1] / errs[2] >= 4.0
     slope = np.polyfit([2, 3, 4], np.log(errs), 1)[0]

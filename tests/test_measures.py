@@ -241,23 +241,40 @@ def test_reverse_conv_self_is_hermitian(t5, rng):
     assert h.allclose(reverse(h), atol=1e-12)
 
 
-def test_action_youngs_inequality(t5, rng):
+def test_convolution_youngs_inequality(t5, rng):
     for _ in range(1000):
         m = sparse_measure(t5, rng, k=int(rng.integers(1, 12)))
         phi = rng.standard_normal(t5.order) + 1j * rng.standard_normal(t5.order)
-        out = m.action(phi)
+        out = convolve(m, GroupMeasure(t5, phi)).coeffs
         assert np.linalg.norm(out) <= m.l1 * np.linalg.norm(phi) + 1e-9
 
 
-def test_action_matches_convolution_on_diracs(t5, rng):
-    # (mu * delta_g) as a function equals the convolution measure's coefficients
+def test_convolution_with_a_dirac_is_a_right_translation(t5, rng):
+    # (mu * delta_g)(x g) = mu(x), one term per cell
     m = sparse_measure(t5, rng)
     g = int(rng.integers(t5.order))
-    phi = np.zeros(t5.order, dtype=complex)
-    phi[g] = 1.0
-    via_action = m.action(phi)
-    via_conv = convolve(m, GroupMeasure.dirac(t5, g)).coeffs
-    assert np.allclose(via_action, via_conv, atol=1e-12)
+    out = convolve(m, GroupMeasure.dirac(t5, g)).coeffs
+    assert np.array_equal(out[t5.right_translation(g)], m.coeffs)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("k", [0, 1, 4, "full"])
+def test_convolution_matches_the_dense_matrix(t5, rng, monkeypatch, k, chunk):
+    # mu * nu = M(mu) nu, M the dense left-convolution matrix; a small
+    # _CHUNK splits one convolution over several chunks of support pairs
+    from modgap import measures
+    from modgap.spectral import dense_conv_matrix
+
+    if chunk is not None:
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+    n = t5.order
+    full = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mu = GroupMeasure(t5, full) if k == "full" else sparse_measure(t5, rng, k=k)
+    for nu in (sparse_measure(t5, rng, k=5), GroupMeasure(t5, full[::-1])):
+        for a, b in ((mu, nu), (nu, mu)):
+            out = a.convolve(b).coeffs
+            ref = dense_conv_matrix(a) @ b.coeffs
+            assert np.allclose(out, ref, rtol=0, atol=1e-12 * max(1.0, a.l1 * b.l1))
 
 
 def test_cocycle_splitting_identity(spec12):

@@ -74,6 +74,32 @@ def test_translations_are_cayley_rows(t5, rng):
         assert rt[k] == t5.multiply(k, i)
 
 
+def _exact_product_index(t, i, j):
+    # python-int 2x2 product of two table elements, reduced mod q
+    (a, b, c, d), (e, f, g, h) = (tuple(int(v) for v in t.elems[k]) for k in (i, j))
+    q = t.q
+    return t.index_of(((a * e + b * g) % q, (a * f + b * h) % q,
+                       (c * e + d * g) % q, (c * f + d * h) % q))
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 12])
+def test_products_match_exact_integer_products(q, rng):
+    t = get_group(q)
+    exact = np.vectorize(lambda i, j: _exact_product_index(t, i, j))
+    i, j = (int(v) for v in rng.integers(t.order, size=2))
+    assert t.products(i, j) == _exact_product_index(t, i, j)
+    g = rng.integers(t.order, size=(5, 1))
+    h = rng.integers(t.order, size=7)
+    out = t.products(g, h)
+    assert out.shape == (5, 7)
+    assert np.array_equal(out, exact(g, h))
+    sl = slice(1, None, 3)
+    every = np.arange(t.order)
+    assert np.array_equal(t.products(sl, j), exact(every[sl], j))
+    assert np.array_equal(t.products(i, sl), exact(i, every[sl]))
+    assert np.array_equal(t.products(g, sl), exact(g, every[sl]))
+
+
 def test_reduce_mod_examples():
     assert reduce_mod([[1, 0], [0, 1]], 7).to_tuple() == (1, 0, 0, 1)
     assert reduce_mod([[1, 2], [1, 3]], 2).to_tuple() == (1, 0, 1, 1)
@@ -200,7 +226,7 @@ def test_new_space_is_convolution_invariant(rng):
     c[idx] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     mu = GroupMeasure(t, c)
     phi = p.apply(rng.standard_normal(t.order))
-    out = mu.action(phi)
+    out = mu.convolve(GroupMeasure(t, phi)).coeffs
     assert np.abs(p.apply(out) - out).max() < 1e-10
 
 
