@@ -103,6 +103,14 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    @property
+    def base(self) -> float | None:
+        """The positive majorants' reference point; None is the system's."""
+        return None if self.base_point == "midpoint" else float(self.base_point)
+
+
+_BUILDERS = {"mu": build_mu, "mu1": build_mu1, "nu": build_nu}
+
 
 def default_config() -> dict:
     return {
@@ -153,7 +161,7 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("q_list must hold integers >= 2", field="q_list")
     if cfg.tol <= 0 or cfg.max_iter <= 0:
         raise ConfigError("tol and max_iter must be positive", field="tol")
-    if cfg.measure not in ("mu", "mu1", "nu"):
+    if cfg.measure not in _BUILDERS:
         raise ConfigError("measure must be mu, mu1, or nu", field="measure")
     if cfg.subspace not in ("full", "mean_zero", "new_space"):
         raise ConfigError(
@@ -184,7 +192,6 @@ def resolve_a(cfg: RunConfig, spec) -> float:
 
 
 def measure_params(cfg: RunConfig, spec, q: int, r_len: int, a: float) -> MeasureParams:
-    base = None if cfg.base_point == "midpoint" else float(cfg.base_point)
     return MeasureParams(
         spec=spec,
         q=q,
@@ -192,7 +199,7 @@ def measure_params(cfg: RunConfig, spec, q: int, r_len: int, a: float) -> Measur
         r_len=r_len,
         prefix=tuple(cfg.prefix),
         x=None if cfg.x is None else float(cfg.x),
-        base=base,
+        base=cfg.base,
         guards=cfg.guards,
     )
 
@@ -274,8 +281,7 @@ def cmd_build_measure(cfg: RunConfig, args) -> tuple[bool, dict]:
     q = cfg.q_list[0]
     r_len = cfg.L * cfg.R_prime
     p = measure_params(cfg, spec, q, r_len, a)
-    builder = {"mu": build_mu, "mu1": build_mu1, "nu": build_nu}[cfg.measure]
-    m = builder(p)
+    m = _BUILDERS[cfg.measure](p)
     out = args.out or f"measure_{cfg.measure}_q{q}.csv"
     m.to_csv(out)
     print(f"{cfg.measure} q={q} R={r_len}: support={m.n_support} l1={m.l1:.9g} -> {out}")
@@ -288,8 +294,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
     t0 = time.perf_counter()
     spec = build_system(cfg.system)
     a = resolve_a(cfg, spec)
-    base = None if cfg.base_point == "midpoint" else float(cfg.base_point)
-    fitted = fit_decoupling_constant(spec, a, base)
+    fitted = fit_decoupling_constant(spec, a, cfg.base)
     checks = []
     worst_violation = 0.0
     histogram = None
@@ -297,7 +302,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
         p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
         mu1 = build_mu1(p)
         bound, brep = decoupled_upper_bound(
-            spec, q, a, cfg.L, cfg.R_prime, fitted, base=base, guards=cfg.guards
+            spec, q, a, cfg.L, cfg.R_prime, fitted, base=cfg.base, guards=cfg.guards
         )
         dom = verify_domination(mu1, bound)
         worst_violation = max(worst_violation, dom.max_violation)
@@ -312,7 +317,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
                 scale=brep.scale,
             )
         )
-    K = flatness_ratio(spec, a, cfg.L, base)
+    K = flatness_ratio(spec, a, cfg.L, cfg.base)
     constants = {
         "fitted_c": fitted.c_scale,
         "c_impl": fitted.c_impl,
@@ -330,8 +335,7 @@ def cmd_opnorm(cfg: RunConfig, args) -> tuple[bool, dict]:
     a = resolve_a(cfg, spec)
     q = cfg.q_list[0]
     p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
-    builder = {"mu": build_mu, "mu1": build_mu1, "nu": build_nu}[cfg.measure]
-    m = builder(p)
+    m = _BUILDERS[cfg.measure](p)
     rep = operator_norm(
         ConvOperator(m, cfg.subspace), tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
     )
@@ -347,7 +351,6 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     t0 = time.perf_counter()
     spec = build_system(cfg.system)
     a = resolve_a(cfg, spec)
-    base = None if cfg.base_point == "midpoint" else float(cfg.base_point)
     rng = np.random.default_rng(cfg.seed)
     checks = []
     constants = {}
@@ -378,7 +381,7 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     for q in cfg.q_list:
         worst_c1[q] = min(
             eta_gap(e, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed).c1
-            for e in enumerate_etas(spec, q, a, cfg.L, base=base, guards=cfg.guards)
+            for e in enumerate_etas(spec, q, a, cfg.L, base=cfg.base, guards=cfg.guards)
         )
     checks.append(
         _check("per-block gap positive", all(v > 0 for v in worst_c1.values()),

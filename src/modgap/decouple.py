@@ -37,13 +37,17 @@ from .modgroup import GroupTable, get_group
 from .symdyn import (
     SystemSpec,
     Word,
+    _admissible_id_matrix,
+    count_admissible,
     estimate_contraction,
     evaluate_branch,
     resolve_point,
+    walk_words,
     word,
 )
 
 DEFAULT_SAFETY = 1.25
+_SURVEY_CHUNK = 1 << 16  # (upper, lower) block pairs per chunk of the survey
 
 
 def split_word(w: Word, L: int) -> tuple[Word, ...]:
@@ -152,8 +156,6 @@ def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.cont
     GuardExceeded when the S^r_prime contexts they make exceed `guard`;
     the only check of that limit.
     """
-    from .symdyn import _admissible_id_matrix, count_admissible
-
     outer_len = L - spec.block_width
     if outer_len < 0:
         raise ValueError(f"L={L} shorter than the inner slot width")
@@ -244,18 +246,6 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> Eta
 # error fitting
 
 
-def _block_log_deriv(spec: SystemSpec, block: tuple[int, ...], pts: np.ndarray):
-    """log|(block composition)'| at an array of points, per-letter."""
-    from .symdyn import letter_image, letter_log_deriv
-
-    ld = np.zeros_like(pts)
-    xs = pts
-    for k in reversed(block):
-        ld = ld + letter_log_deriv(spec, k, xs)
-        xs = letter_image(spec, k, xs)
-    return ld, xs
-
-
 def measure_replacement_errors(spec: SystemSpec, a: float, base, L: int):
     """Worst log-scale replacement error at block length L, exhaustively.
 
@@ -278,61 +268,47 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     stands in for carry weights within that log range of each other.
     Raises ValueError, naming L and the upper block, where a
     log-derivative is not finite.
+
+    Walks (upper, lower) block pairs about _SURVEY_CHUNK at a time. The
+    blocks are lexicographic, so the lower blocks that share an outer
+    word, and so a replacement window, are contiguous.
     """
-    from .symdyn import _admissible_id_matrix
-
     o, j0 = resolve_point(spec, base)
-    blocks = _admissible_id_matrix(spec, L)
-    blocks = [tuple(int(v) for v in r) for r in blocks]
+    blocks = _admissible_id_matrix(spec, L).astype(np.intp)
     if j0 is not None:
-        blocks = [b for b in blocks if spec.allowed(b[-1], j0)]
-    width = spec.block_width
-    outer_of = [b[: L - width] for b in blocks]
-    outer_words = sorted(set(outer_of))
-    outer_pos = {ow: i for i, ow in enumerate(outer_words)}
-    outer_idx = np.array([outer_pos[ow] for ow in outer_of])
+        blocks = blocks[spec.follows[blocks[:, -1], j0]]
+    n_blocks = len(blocks)
+    outer = blocks[:, : L - spec.block_width]
+    first = np.ones(n_blocks, dtype=bool)
+    first[1:] = (outer[1:] != outer[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)  # one outer-word group per start
+    group = np.cumsum(first) - 1
+    pts_true, _ = walk_words(spec, blocks, np.full(n_blocks, o))
+    pts_beta, _ = walk_words(spec, outer[starts], np.full(starts.size, o))
 
-    img_block = {}
-    img_outer = {}
-    for b in blocks:
-        _, img = _block_log_deriv(spec, b, np.array([o]))
-        img_block[b] = float(img[0])
-    for ow in outer_words:
-        _, img = _block_log_deriv(spec, ow, np.array([o]))
-        img_outer[ow] = float(img[0])
-
-    n_outer = len(outer_words)
     worst = 0.0
     worst_spread = 0.0
-    pts_true_all = np.array([img_block[b] for b in blocks])
-    pts_beta = np.array([img_outer[ow] for ow in outer_words])
-    for upper in blocks:
-        if spec.mode != "zaremba":
-            ok = np.array([spec.allowed(upper[-1], b[0]) for b in blocks])
-            if not ok.any():
-                continue
-        else:
-            ok = np.ones(len(blocks), dtype=bool)
-        ld_true, _ = _block_log_deriv(spec, upper, pts_true_all[ok])
-        ld_beta_all, _ = _block_log_deriv(spec, upper, pts_beta)
-        oidx = outer_idx[ok]
-        errs = np.abs(a * (ld_true - ld_beta_all[oidx]))
-        top = float(errs.max())  # nan or inf if any error is
-        if not math.isfinite(top):
+    step = max(1, _SURVEY_CHUNK // n_blocks)
+    for lo in range(0, n_blocks, step):
+        upper = blocks[lo : lo + step, None, :]
+        ok = spec.follows[upper[:, :, -1], blocks[:, 0]]  # (upper, lower)
+        _, ld_true = walk_words(spec, upper, pts_true)
+        _, ld_beta = walk_words(spec, upper, pts_beta)
+        errs = np.abs(a * (ld_true - ld_beta[:, group]))
+        bad = ok & ~np.isfinite(errs)
+        if bad.any():
+            row = tuple(int(v) for v in upper[bad.any(axis=1).argmax(), 0])
             raise ValueError(
-                f"non-finite log-derivative at L={L}, upper block {upper}: a window "
+                f"non-finite log-derivative at L={L}, upper block {row}: a window "
                 "image lies on a pole of a letter"
             )
-        worst = max(worst, top)
+        worst = max(worst, float(np.where(ok, errs, 0.0).max()))
         # within-window spread of true weights, beta included
-        lo = np.full(n_outer, np.inf)
-        hi = np.full(n_outer, -np.inf)
-        np.minimum.at(lo, oidx, ld_true)
-        np.maximum.at(hi, oidx, ld_true)
-        seen = np.isfinite(lo)
-        lo[seen] = np.minimum(lo[seen], ld_beta_all[seen])
-        hi[seen] = np.maximum(hi[seen], ld_beta_all[seen])
-        worst_spread = max(worst_spread, float((a * (hi[seen] - lo[seen])).max()))
+        lo_w = np.minimum.reduceat(np.where(ok, ld_true, np.inf), starts, axis=1)
+        hi_w = np.maximum.reduceat(np.where(ok, ld_true, -np.inf), starts, axis=1)
+        seen = np.isfinite(lo_w)
+        spread = a * (np.maximum(hi_w, ld_beta) - np.minimum(lo_w, ld_beta))
+        worst_spread = max(worst_spread, float(np.where(seen, spread, -np.inf).max()))
     return worst, worst_spread
 
 
@@ -350,11 +326,7 @@ def flatness_ratio(spec: SystemSpec, a: float, L: int, base=None) -> float:
 
 
 def fit_decoupling_constant(
-    spec: SystemSpec,
-    a: float,
-    base=None,
-    L_values=(2, 3),
-    safety: float = DEFAULT_SAFETY,
+    spec: SystemSpec, a: float, base=None, L_values=(2, 3)
 ) -> FittedDecoupling:
     gamma = estimate_contraction(spec).per_letter
     o, _ = resolve_point(spec, base)
@@ -374,8 +346,8 @@ def fit_decoupling_constant(
         gamma_per_letter=gamma,
         err_by_L=tuple(err_by_L),
         c_impl=c_impl,
-        c_scale=safety * c_scale,
-        safety=safety,
+        c_scale=DEFAULT_SAFETY * c_scale,
+        safety=DEFAULT_SAFETY,
     )
 
 
@@ -425,19 +397,16 @@ def decoupled_upper_bound(
     itself. `guards` bounds the modulus and the number of contexts.
     """
     table = get_group(q, guards.max_q)
-    words = outer_words(spec, L, r_prime, guards.contexts)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
-
-    def window(outer):
-        # block len(outer)'s measure on one window, kept as (support, weights)
-        j = len(outer)
-        eta = build_eta(make_context(spec, q, L, j, outer, a, base), j, table)
-        supp = eta.measure.support
-        return supp, eta.measure.coeffs[supp], eta.coefficient_spread
-
-    firsts = [window((o,)) for o in words]
-    pairs = [[window((o, o2)) for o in words] for o2 in words] if r_prime > 1 else []
-    spread = max(w[2] for w in itertools.chain(firsts, *pairs))
+    # each measure kept as (support, weights, spread), not as |G| coefficients
+    etas = [
+        (e.measure.support, e.measure.coeffs[e.measure.support], e.coefficient_spread)
+        for e in enumerate_etas(spec, q, a, L, r_prime, base, guards)
+    ]
+    n_words = count_admissible(spec, L - spec.block_width)
+    firsts = etas[:n_words]
+    pairs = [etas[i : i + n_words] for i in range(n_words, len(etas), n_words)]
+    spread = max(e[2] for e in etas)
     chain = [GroupMeasure.from_support(table, supp, wt) for supp, wt, _ in firsts]
     for _ in range(r_prime - 1):
         chain = [
@@ -453,7 +422,7 @@ def decoupled_upper_bound(
         L=L,
         r_prime=r_prime,
         q=q,
-        n_contexts=len(words) ** r_prime,
+        n_contexts=n_words**r_prime,
         scale=scale,
         fitted_c=fitted.c_scale,
         coefficient_spread=spread,
@@ -497,24 +466,21 @@ def verify_domination(mu1: GroupMeasure, bound: GroupMeasure, rtol=1e-9, atol=1e
     )
 
 
-def enumerate_etas(spec, q, a, L, r_prime=2, base=None, dedupe=True,
-                   guards: Guards = Guards()):
-    """Yield the per-block measures of every context, optionally deduplicated
-    by (support, rounded coefficients) fingerprint. `guards` bounds the
-    modulus and the number of contexts."""
+def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards()):
+    """Yield the per-block measures, one per window: eta_1(o) for each
+    outer word o, then, for r_prime >= 2, eta(o', o) for each window with
+    o' major.
+
+    These are the S + S^2 measures of `decoupled_upper_bound` (S alone at
+    r_prime = 1): block j >= 2 of every context carries the measure of its
+    window (o_j, o_{j-1}). `guards` bounds the modulus and the number of
+    contexts.
+    """
     table = get_group(q, guards.max_q)
-    seen = set()
-    for outer in enumerate_contexts(spec, L, r_prime, guards.contexts):
-        ctx = make_context(spec, q, L, r_prime, outer, a, base)
-        for j in range(1, r_prime + 1):
-            eta = build_eta(ctx, j, table)
-            if dedupe:
-                supp = eta.measure.support
-                fp = (
-                    tuple(int(i) for i in supp),
-                    tuple(np.round(eta.measure.coeffs[supp].real, 12)),
-                )
-                if fp in seen:
-                    continue
-                seen.add(fp)
-            yield eta
+    words = outer_words(spec, L, r_prime, guards.contexts)
+    windows = [(o,) for o in words]
+    if r_prime > 1:
+        windows += [(o, o2) for o2 in words for o in words]
+    for outer in windows:
+        j = len(outer)
+        yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table)

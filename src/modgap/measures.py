@@ -29,9 +29,8 @@ from .symdyn import (
     Word,
     _expand_orbit,
     evaluate_branch,
-    letter_image,
-    letter_log_deriv,
     resolve_point,
+    walk_words,
     word,
 )
 
@@ -259,10 +258,7 @@ def _prefix_mask(spec: SystemSpec, prefix, outer: np.ndarray):
     """Keep suffixes whose outermost letter may follow the prefix."""
     if not prefix:
         return slice(None)
-    inv = spec.inverse_of(prefix[-1])
-    if inv is None:
-        return slice(None)
-    return outer != inv
+    return spec.follows[prefix[-1], outer]
 
 
 def _accumulate(table: GroupTable, cidx: np.ndarray, weights: np.ndarray) -> GroupMeasure:
@@ -315,11 +311,8 @@ def build_mu(p: MeasureParams) -> GroupMeasure:
     xs, lds, outer, cidx = _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
                                          _cocycle_track(p.spec, t))
     keep = _prefix_mask(p.spec, p.prefix, outer)
-    xs, lds, cidx = xs[keep], lds[keep], cidx[keep]
-    for k in reversed(p.prefix):
-        lds = lds + letter_log_deriv(p.spec, k, xs)
-        xs = letter_image(p.spec, k, xs)
-    return _accumulate(t, cidx, np.exp(complex(p.s) * lds))
+    _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
+    return _accumulate(t, cidx[keep], np.exp(complex(p.s) * lds))
 
 
 def domination_constant(numer: GroupMeasure, denom: GroupMeasure, atol=1e-15):

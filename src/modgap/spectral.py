@@ -340,28 +340,23 @@ def dense_conv_matrix(measure: GroupMeasure, guard: int = DENSE_GUARD) -> np.nda
     return M
 
 
-def dense_subspace_projector(
-    table: GroupTable, subspace: str, projector: NewSpaceProjector | None = None
-) -> np.ndarray:
+def dense_subspace_projector(table: GroupTable, subspace: str) -> np.ndarray:
     n = table.order
     if subspace == "full":
         return np.eye(n)
     if subspace == "mean_zero":
         return np.eye(n) - np.full((n, n), 1.0 / n)
-    proj = projector if projector is not None else NewSpaceProjector(table)
-    return proj.apply_columns(np.eye(n))
+    return NewSpaceProjector(table).apply_columns(np.eye(n))
 
 
-def dense_operator_norm(
-    measure: GroupMeasure, subspace: str, projector=None, guard: int = DENSE_GUARD
-) -> float:
+def dense_operator_norm(measure: GroupMeasure, subspace: str, guard: int = DENSE_GUARD) -> float:
     """Oracle: top singular value of the restricted action A = M P.
 
     It is the square root of the largest eigenvalue of the Hermitian Gram
     matrix A^H A, clipped at 0 against rounding; no block structure is used.
     """
     M = dense_conv_matrix(measure, guard)
-    P = dense_subspace_projector(measure.table, subspace, projector)
+    P = dense_subspace_projector(measure.table, subspace)
     A = M @ P
     lam = float(np.linalg.eigvalsh(A.conj().T @ A)[-1])
     return math.sqrt(max(lam, 0.0))
@@ -447,26 +442,26 @@ class EtaGapReport:
     gap_failure: bool
 
 
-def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7, failure_tol=None) -> EtaGapReport:
+def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
     length too small for flatness. Vanishing means within the power
-    iteration's own resolution (it approaches the norm from below).
+    iteration's own resolution (it approaches the norm from below),
+    taken as 100 * tol.
     """
     rep = operator_norm(
         ConvOperator(eta.measure, "mean_zero"), tol=tol, max_iter=max_iter, seed=seed
     )
     c1 = 1.0 - rep.norm / rep.l1
-    failure_tol = 100.0 * tol if failure_tol is None else failure_tol
     return EtaGapReport(
         q=eta.measure.table.q,
         c1=c1,
         norm=rep.norm,
         l1=rep.l1,
         iters=rep.iters,
-        gap_failure=c1 <= failure_tol,
+        gap_failure=c1 <= 100.0 * tol,
     )
 
 
@@ -528,11 +523,7 @@ class TraceReport:
 
 
 def trace_identity_check(
-    measure: GroupMeasure,
-    projector: NewSpaceProjector | None = None,
-    nu: GroupMeasure | None = None,
-    guard: int = DENSE_GUARD,
-    mult_rtol: float = 1e-6,
+    measure: GroupMeasure, nu: GroupMeasure | None = None, guard: int = DENSE_GUARD
 ) -> TraceReport:
     """Verify tr[(A*A)^2] = |G| ||reverse(mu)*mu||_2^2 and count the top
     eigenvalue's multiplicity on the new subspace.
@@ -550,13 +541,12 @@ def trace_identity_check(
     rhs = t.order * kappa.l2**2
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
-    proj = projector if projector is not None else NewSpaceProjector(t)
-    P = dense_subspace_projector(t, "new_space", proj)
+    P = dense_subspace_projector(t, "new_space")
     S = P @ M @ P
     S = 0.5 * (S + (S.T.conj() if np.iscomplexobj(S) else S.T))
     eigs = np.linalg.eigvalsh(S)
     top = float(eigs[-1])
-    thresh = top - max(1e-12, mult_rtol * abs(top))
+    thresh = top - max(1e-12, 1e-6 * abs(top))  # eigenvalues this close count as top
     mult = int((eigs >= thresh).sum())
     norm_new = math.sqrt(max(top, 0.0))
 

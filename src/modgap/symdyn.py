@@ -18,6 +18,10 @@ matrices. Branch weights are accumulated letter by letter along the
 orbit (never through large integer matrix entries), giving the Birkhoff
 sum of log-derivatives; the Gibbs weight at s = a + ib is
 |w'(x)|^a * exp(i b log|w'(x)|).
+
+In array form a block of words is an (..., n) array of letter ids:
+`walk_words` walks it through points, and `SystemSpec.follows` is the
+admissibility rule as a table.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,12 +68,27 @@ class SystemSpec:
     letters: tuple[Letter, ...]
     block_width: int  # decoupling inner-slot width in letters
     symbols_per_letter: int
-    base_point: float
+    base_point: float | None  # None: a subshift at its interval midpoints
     digits: tuple[int, ...] = ()
 
     @property
     def n_letters(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def follows(self) -> np.ndarray:
+        """K x K table, follows[i, j] = allowed(i, j)."""
+        k = range(self.n_letters)
+        table = np.array([[self.allowed(i, j) for j in k] for i in k], dtype=bool)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The letter matrices as float rows a, b, c, d: column k is letter k."""
+        rows = np.array([letter.matrix for letter in self.letters], dtype=np.float64).T
+        rows.setflags(write=False)
+        return rows
 
     def inverse_of(self, k: int) -> int | None:
         return self.letters[k].inverse
@@ -187,7 +206,7 @@ def schottky_system(generators=None, base_point="midpoint") -> SystemSpec:
             center = a / c
             radius = 1.0 / abs(c)
             interval = (center - radius, center + radius)
-            rep = center if base_point == "midpoint" else float(base_point)
+            rep = center
         else:
             interval = None
             rep = 0.0
@@ -199,7 +218,7 @@ def schottky_system(generators=None, base_point="midpoint") -> SystemSpec:
         letters=tuple(letters),
         block_width=2,
         symbols_per_letter=1,
-        base_point=0.0,
+        base_point=None if base_point == "midpoint" else float(base_point),
         digits=(),
     )
 
@@ -243,10 +262,7 @@ def count_admissible(spec: SystemSpec, n: int) -> int:
     nl = spec.n_letters
     if spec.mode == "zaremba":
         return nl**n
-    T = np.array(
-        [[1 if spec.allowed(i, j) else 0 for j in range(nl)] for i in range(nl)],
-        dtype=np.int64,
-    )
+    T = spec.follows.astype(np.int64)
     vec = np.ones(nl, dtype=np.int64)
     for _ in range(n - 1):
         vec = T @ vec
@@ -268,13 +284,8 @@ def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
     if n == 0:
         return np.zeros((1, 0), dtype=np.int8)
     arr = np.arange(nl, dtype=np.int8).reshape(-1, 1)
-    inv = np.array(
-        [-1 if l.inverse is None else l.inverse for l in spec.letters], dtype=np.int8
-    )
-    cols = np.arange(nl, dtype=np.int8)
     for _ in range(n - 1):
-        allowed = inv[arr[:, -1]][:, None] != cols[None, :]
-        ridx, js = np.nonzero(allowed)
+        ridx, js = np.nonzero(spec.follows[arr[:, -1]])
         arr = np.concatenate([arr[ridx], js[:, None].astype(np.int8)], axis=1)
     return arr
 
@@ -290,15 +301,41 @@ def admissible_words(spec: SystemSpec, n: int, guard: int = Guards.max_words) ->
 # branch evaluation
 
 
-def letter_image(spec: SystemSpec, k: int, x):
-    a, b, c, d = spec.letters[k].matrix
+def _matrix(spec: SystemSpec, k):
+    # a Python int reads the letter's tuple, which keeps scalar calls cheap;
+    # an id array reads `entries`, each entry with the shape of k
+    if isinstance(k, int):
+        return spec.letters[k].matrix
+    return spec.entries[:, k]
+
+
+def letter_image(spec: SystemSpec, k, x):
+    """Image of x under letter k, a letter id or an array of them."""
+    a, b, c, d = _matrix(spec, k)
     return (a * x + b) / (c * x + d)
 
 
-def letter_log_deriv(spec: SystemSpec, k: int, x):
+def letter_log_deriv(spec: SystemSpec, k, x):
+    """log|letter k'(x)|, for a letter id or an array of them."""
     # det is +1 for every letter, so |gamma'(x)| = (cx + d)^-2
-    a, b, c, d = spec.letters[k].matrix
+    a, b, c, d = _matrix(spec, k)
     return -2.0 * np.log(np.abs(c * x + d))
+
+
+def walk_words(spec: SystemSpec, ids, x, ld=0.0):
+    """Walk words through points: (images, log-derivatives).
+
+    `ids` is an (..., n) array of letter ids, most recent letter first,
+    whose leading axes broadcast against x. The innermost letter is
+    applied first, and each letter's log-derivative is added to `ld` in
+    turn, so a caller's running sum keeps its order.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    for i in reversed(range(ids.shape[-1])):
+        k = ids[..., i]
+        ld = ld + letter_log_deriv(spec, k, x)
+        x = letter_image(spec, k, x)
+    return x, ld
 
 
 def _locate_interval(spec: SystemSpec, x: float) -> int:
@@ -314,25 +351,23 @@ def _locate_interval(spec: SystemSpec, x: float) -> int:
 def resolve_point(spec: SystemSpec, x, innermost: int | None = None):
     """Resolve an evaluation point to (x, interval id or None).
 
-    In subshift mode the point must sit in an interval that may follow
-    the innermost letter; x=None picks the first admissible letter's
-    representative.
+    x=None reads the system's base point. In subshift mode the point must
+    sit in an interval that may follow the innermost letter; a subshift
+    without a base point (at its midpoints) picks the first such
+    interval's representative.
     """
-    if spec.mode == "zaremba":
-        if x is None:
-            return spec.base_point, None
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"point {x} outside [0, 1]")
-        return x, None
     if x is None:
-        if innermost is None:
-            return spec.letters[0].rep, 0
+        x = spec.base_point
+    if x is None:
         for j in range(spec.n_letters):
-            if spec.allowed(innermost, j):
+            if innermost is None or spec.allowed(innermost, j):
                 return spec.letters[j].rep, j
         raise DomainError("no admissible base interval")
     x = float(x)
+    if spec.mode == "zaremba":
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"point {x} outside [0, 1]")
+        return x, None
     j = _locate_interval(spec, x)
     if innermost is not None and not spec.allowed(innermost, j):
         raise DomainError(
@@ -458,34 +493,25 @@ def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: in
     check_word_count(spec, n, guard)
     xs = np.array([x0], dtype=np.float64)
     lds = np.zeros(1, dtype=np.float64)
-    outer = np.full(1, -1, dtype=np.int16)
+    # the base interval stands in for the outermost letter before step 0
+    outer = np.full(1, -1 if j0 is None else j0, dtype=np.int16)
     idx = None if track is None else np.array([track[0]], dtype=np.int64)
-    for step in range(n):
+    for _ in range(n):
         xs_parts, ld_parts, outer_parts, idx_parts = [], [], [], []
         for k in range(spec.n_letters):
-            if step == 0:
-                if j0 is not None and not spec.allowed(k, j0):
-                    continue
-                sel = slice(None)
-            else:
-                inv = spec.inverse_of(k)
-                if inv is None:
-                    sel = slice(None)
-                else:
-                    sel = outer != inv
+            inv = spec.inverse_of(k)
+            sel = slice(None) if inv is None else outer != inv
             x_sel = xs[sel]
-            if x_sel.size == 0:
-                continue
             ld_parts.append(lds[sel] + letter_log_deriv(spec, k, x_sel))
             xs_parts.append(letter_image(spec, k, x_sel))
             if idx is not None:
                 idx_parts.append(track[1][k][idx[sel]])
             outer_parts.append(np.full(x_sel.size, k, dtype=np.int16))
-        xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
-        lds = np.concatenate(ld_parts) if ld_parts else np.empty(0)
-        outer = np.concatenate(outer_parts) if outer_parts else np.empty(0, np.int16)
+        xs = np.concatenate(xs_parts)
+        lds = np.concatenate(ld_parts)
+        outer = np.concatenate(outer_parts)
         if idx is not None:
-            idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
+            idx = np.concatenate(idx_parts)
     return xs, lds, outer, idx
 
 

@@ -208,11 +208,11 @@ ETA_RES = 100 * inspect.signature(eta_gap).parameters["tol"].default
 
 @pytest.fixture(scope="module")
 def eta_c1_table(spec):
-    """(L, q) -> [(c1, eta)] over every deduplicated per-block measure."""
+    """(L, q) -> [(c1, eta)] over every distinct per-block measure."""
     table = {}
     for L in (2, 3):
         for q in ETA_WINDOW:
-            etas = enumerate_etas(spec, q, A_CRIT, L, base=0.0, dedupe=True)
+            etas = enumerate_etas(spec, q, A_CRIT, L, base=0.0)
             table[(L, q)] = [(eta_gap(e).c1, e) for e in etas]
     return table
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from modgap import decouple
 from modgap.decouple import (
     FittedDecoupling,
+    _replacement_survey,
     beta,
     build_eta,
     decoupled_upper_bound,
@@ -15,12 +17,21 @@ from modgap.decouple import (
     inner_slots,
     make_context,
     measure_replacement_errors,
+    outer_words,
     split_word,
     verify_domination,
 )
 from modgap.measures import MeasureParams, build_mu1
 from modgap.modgroup import get_group
-from modgap.symdyn import word
+from modgap.symdyn import (
+    _admissible_id_matrix,
+    letter_image,
+    letter_log_deriv,
+    resolve_point,
+    schottky_system,
+    word,
+    zaremba_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +155,96 @@ def test_replacement_survey_rejects_a_pole(schottky):
         fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
 
 
+def _walk_block(spec, block, pts):
+    ld = np.zeros_like(pts)
+    for k in reversed(block):
+        ld = ld + letter_log_deriv(spec, k, pts)
+        pts = letter_image(spec, k, pts)
+    return ld, pts
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reference_survey(spec, a, base, L):
+    """Reference: the replacement survey as one loop over the upper blocks,
+    with per-block images and `.at` reductions of the window spread."""
+    o, j0 = resolve_point(spec, base)
+    blocks = [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, L)]
+    if j0 is not None:
+        blocks = [b for b in blocks if spec.allowed(b[-1], j0)]
+    width = spec.block_width
+    outer_of = [b[: L - width] for b in blocks]
+    outer_list = sorted(set(outer_of))
+    outer_pos = {ow: i for i, ow in enumerate(outer_list)}
+    outer_idx = np.array([outer_pos[ow] for ow in outer_of])
+    pts_true_all = np.array([_walk_block(spec, b, np.array([o]))[1][0] for b in blocks])
+    pts_beta = np.array([_walk_block(spec, ow, np.array([o]))[1][0] for ow in outer_list])
+    worst = 0.0
+    worst_spread = 0.0
+    for upper in blocks:
+        ok = np.array([spec.allowed(upper[-1], b[0]) for b in blocks])
+        if not ok.any():
+            continue
+        ld_true, _ = _walk_block(spec, upper, pts_true_all[ok])
+        ld_beta_all, _ = _walk_block(spec, upper, pts_beta)
+        oidx = outer_idx[ok]
+        errs = np.abs(a * (ld_true - ld_beta_all[oidx]))
+        top = float(errs.max())
+        if not math.isfinite(top):
+            raise ValueError(
+                f"non-finite log-derivative at L={L}, upper block {upper}: a window "
+                "image lies on a pole of a letter"
+            )
+        worst = max(worst, top)
+        lo = np.full(len(outer_list), np.inf)
+        hi = np.full(len(outer_list), -np.inf)
+        np.minimum.at(lo, oidx, ld_true)
+        np.maximum.at(hi, oidx, ld_true)
+        seen = np.isfinite(lo)
+        lo[seen] = np.minimum(lo[seen], ld_beta_all[seen])
+        hi[seen] = np.maximum(hi[seen], ld_beta_all[seen])
+        worst_spread = max(worst_spread, float((a * (hi[seen] - lo[seen])).max()))
+    return worst, worst_spread
+
+
+SURVEY_CASES = (
+    [("zaremba12", base, L) for base in (0.0, None) for L in (2, 3, 4)]
+    + [("zaremba123", 0.0, L) for L in (2, 3)]
+    + [("schottky", 2.45, L) for L in (3, 4, 5)]
+    + [("schottky", None, L) for L in (3, 4)]  # window images on a pole
+)
+SURVEY_SYSTEMS = {
+    "zaremba12": lambda: zaremba_system([1, 2]),
+    "zaremba123": lambda: zaremba_system([1, 2, 3]),
+    "schottky": schottky_system,
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("system,base,L", SURVEY_CASES)
+def test_replacement_survey_matches_the_per_block_loop(monkeypatch, system, base, L,
+                                                       chunked):
+    spec = SURVEY_SYSTEMS[system]()
+    if chunked:
+        # five upper blocks a chunk: chunks split outer-word groups, and no
+        # block count here is a multiple of five, so the last chunk is ragged
+        _, j0 = resolve_point(spec, base)
+        n = sum(j0 is None or spec.allowed(int(b[-1]), j0)
+                for b in _admissible_id_matrix(spec, L))
+        assert n % 5
+        monkeypatch.setattr(decouple, "_SURVEY_CHUNK", 5 * n)
+    got = _outcome(_replacement_survey, spec, 0.5322, base, L)
+    ref = _outcome(reference_survey, spec, 0.5322, base, L)
+    assert got == ref
+    assert isinstance(ref, str) == (system == "schottky" and base is None)
+
+
 def test_flatness_decays_geometrically(spec12_mod, a12_mod):
     ks = {L: flatness_ratio(spec12_mod, a12_mod, L, base=0.0) for L in (2, 3, 4, 5)}
     excess = [ks[L] - 1 for L in (2, 3, 4, 5)]
@@ -236,11 +337,27 @@ def test_context_enumeration_counts(spec12, schottky):
     assert len(enumerate_contexts(schottky, 3, 2)) == 16
 
 
-def test_enumerate_etas_dedupes(spec12, a12):
-    all_etas = list(enumerate_etas(spec12, 5, a12, 2, dedupe=False))
-    unique = list(enumerate_etas(spec12, 5, a12, 2, dedupe=True))
-    assert len(all_etas) == 32
-    assert len(unique) < len(all_etas)
+@pytest.mark.parametrize("system,L,r_prime", [("zaremba", L, r) for L in (2, 3) for r in (1, 2, 3)]
+                         + [("schottky", 3, 2), ("schottky", 4, 3)])
+def test_enumerate_etas_yields_each_distinct_measure_once(spec12_mod, a12_mod, schottky,
+                                                          system, L, r_prime):
+    spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
+    q = 5
+    table = get_group(q)
+
+    def key(eta):
+        m = eta.measure
+        return m.support.tobytes(), m.coeffs[m.support].tobytes()
+
+    walked = set()  # every block of every context
+    for outer in enumerate_contexts(spec, L, r_prime):
+        ctx = make_context(spec, q, L, r_prime, outer, a, base)
+        walked.update(key(build_eta(ctx, j, table)) for j in range(1, r_prime + 1))
+    keys = [key(e) for e in enumerate_etas(spec, q, a, L, r_prime, base)]
+    S = len(outer_words(spec, L, r_prime))
+    assert len(keys) == (S if r_prime == 1 else S + S * S)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == walked
 
 
 def test_schottky_inner_slots_nonempty_everywhere(schottky):

@@ -3,7 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from modgap.errors import AdmissibilityError, GuardExceeded, Guards, ModulusMismatch
+from modgap.errors import (
+    AdmissibilityError,
+    DomainError,
+    GuardExceeded,
+    Guards,
+    ModulusMismatch,
+)
 from modgap.measures import (
     GroupMeasure,
     MeasureParams,
@@ -16,7 +22,13 @@ from modgap.measures import (
     reverse,
 )
 from modgap.modgroup import get_group
-from modgap.symdyn import admissible_words, schottky_system, word
+from modgap.symdyn import (
+    admissible_words,
+    build_system,
+    resolve_point,
+    schottky_system,
+    word,
+)
 
 
 def sparse_measure(table, rng, k=8, complex_coeffs=True):
@@ -131,6 +143,20 @@ def test_nu_restricts_suffixes_in_subshift(schottky):
     nu = build_nu(p)
     mu1 = build_mu1(MeasureParams(spec=schottky, q=3, s=0.4, r_len=1))
     assert nu.n_support < mu1.n_support or nu.l1 < mu1.l1
+
+
+def test_numeric_schottky_base_resolves_to_its_interval():
+    # 0.5 lies in the interval of H (letter 3); every letter once had it as
+    # its representative, and the base resolved to letter 0's interval
+    sch = build_system({"mode": "schottky", "base_point": 0.5})
+    assert resolve_point(sch, None) == resolve_point(sch, 0.5) == (0.5, 3)
+    with pytest.raises(DomainError):
+        resolve_point(sch, None, innermost=2)  # H may not follow h
+    masses = [build_mu1(MeasureParams(spec=sch, q=7, s=0.3, r_len=3, base=b)).l1
+              for b in (None, 0.5)]
+    assert masses[0] == masses[1]
+    mid = schottky_system()
+    assert resolve_point(mid, None) == (mid.letters[0].rep, 0) == (12 / 5, 0)
 
 
 def test_mu_reduces_to_mu1(spec12):

@@ -21,6 +21,7 @@ from modgap.symdyn import (
     orbit_log_derivs,
     partition_sum,
     schottky_system,
+    walk_words,
     word,
     zaremba_system,
 )
@@ -138,6 +139,34 @@ def test_images_nest_inside_unit_interval(spec12, rng):
         lo_s, hi_s = sorted(evaluate_branch(lead, x=x)[0].image for x in (0.0, 1.0))
         lo_w, hi_w = sorted(evaluate_branch(w, x=x)[0].image for x in (0.0, 1.0))
         assert lo_s - 1e-12 <= lo_w and hi_w <= hi_s + 1e-12
+
+
+@pytest.mark.parametrize("system", ["zaremba", "schottky"])
+def test_walk_words_matches_evaluate_branch(spec12, schottky, rng, system):
+    if system == "zaremba":
+        spec = zaremba_system([1, 2, 3])
+        ids = rng.integers(spec.n_letters, size=(60, 5))
+        xs = rng.random(60)
+    else:
+        # admissible words through the base points evaluate_branch picks
+        spec = schottky
+        ids = np.array([w.letters for w in admissible_words(spec, 4)])
+        xs = np.array([evaluate_branch(word(spec, r))[0].x for r in ids])
+    evals = [evaluate_branch(word(spec, r), x=x)[0] for r, x in zip(ids, xs)]
+    # (B, n) words through B points
+    imgs, lds = walk_words(spec, ids, xs)
+    assert imgs.tolist() == [ev.image for ev in evals]
+    assert np.abs(lds - [ev.log_deriv for ev in evals]).max() <= 1e-13
+    # one word through many points
+    same = xs[(ids == ids[0]).all(axis=1)] if system == "schottky" else xs
+    imgs, lds = walk_words(spec, ids[0], same)
+    evals = [evaluate_branch(word(spec, ids[0]), x=x)[0] for x in same]
+    assert imgs.tolist() == [ev.image for ev in evals]
+    assert np.abs(lds - [ev.log_deriv for ev in evals]).max() <= 1e-13
+    # a walk continued from its images and running sum is the whole walk
+    whole = walk_words(spec, ids, xs)
+    split = walk_words(spec, ids[:, :2], *walk_words(spec, ids[:, 2:], xs))
+    assert all(np.array_equal(u, v) for u, v in zip(whole, split))
 
 
 def test_domain_errors(spec12, schottky):
