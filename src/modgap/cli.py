@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import platform
 import sys
 import time
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .decouple import (
-    build_eta,
     decoupled_upper_bound,
     enumerate_etas,
     fit_decoupling_constant,
@@ -31,16 +29,14 @@ from .decouple import (
 )
 from .errors import ConfigError, Guards, ModgapError
 from .measures import MeasureParams, build_mu, build_mu1, build_nu
-from .modgroup import get_group, group_order, new_space_dimension, new_space_projector
+from .modgroup import get_group, group_order, new_space_dimension
 from .spectral import (
     ConvOperator,
     LemmaExpandTester,
     digit_difference_quotients,
     eta_gap,
-    fit_decay_exponent,
     letter_pair_quotients,
     main_sweep,
-    mu1_decay,
     nu_autocorrelation,
     operator_norm,
     trace_identity_check,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, GuardExceeded, Guards
-from .measures import GroupMeasure, MeasureParams, build_mu1, cocycle
+from .measures import GroupMeasure, cocycle
 from .modgroup import GroupTable, get_group
 from .symdyn import (
     SystemSpec,
@@ -195,27 +195,33 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _window_point(spec: SystemSpec, innermost: int) -> float:
+    """Evaluation point of a subshift word whose innermost letter is
+    `innermost`: the system base point where its interval may follow that
+    letter, else the representative of the first interval that may (the
+    rule of a system at its interval midpoints). `resolve_point` raises
+    instead, as it must for a point given explicitly."""
+    x, j = resolve_point(spec, None)
+    if spec.allowed(innermost, j):
+        return x
+    return next(letter.rep for k, letter in enumerate(spec.letters)
+                if spec.allowed(innermost, k))
+
+
 def beta(ctx: BlockContext, j: int, inner: tuple[int, ...]) -> float:
     """Replacement weight of block j for one inner choice.
 
     For j >= 2 this is exp of the block's Birkhoff sum along the window
-    word (block j followed by block j-1's outer part) at the base point;
-    for j = 1 the block alone is evaluated at the base point.
+    word (block j followed by block j-1's outer part); for j = 1 the block
+    alone is evaluated. A Zaremba word is evaluated at the base point, a
+    subshift word at its `_window_point`.
     """
     spec = ctx.spec
     block = ctx.outer[j - 1] + tuple(inner)
-    if j == 1:
-        w = word(spec, block)
-        x = ctx.base if spec.mode == "zaremba" else None
-        ev, _ = evaluate_branch(w, x=x, s=complex(ctx.a, 0.0))
-        tau = ev.log_deriv
-    else:
-        window = block + ctx.outer[j - 2]
-        w = word(spec, window)
-        x = ctx.base if spec.mode == "zaremba" else None
-        ev, _ = evaluate_branch(w, x=x, s=complex(ctx.a, 0.0))
-        tau = math.fsum(ev.increments[: len(block)])
-    return math.exp(ctx.a * tau)
+    letters = block if j == 1 else block + ctx.outer[j - 2]
+    x = ctx.base if spec.mode == "zaremba" else _window_point(spec, letters[-1])
+    ev, _ = evaluate_branch(word(spec, letters), x=x, s=complex(ctx.a, 0.0))
+    return math.exp(ctx.a * math.fsum(ev.increments[: len(block)]))
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> EtaMeasure:

@@ -16,7 +16,6 @@ convolution walks the pairs of the two supports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

@@ -5,7 +5,8 @@ The operator of a measure mu acts on functions by left convolution,
 subspace: all functions, mean-zero functions, or the new subspace at
 level q. Its adjoint is convolution by the reversed measure, so the norm
 is the square root of the top eigenvalue of K = reverse(mu) * mu, found
-by one power-iteration loop. K itself is never formed.
+by one Lanczos solver with full reorthogonalisation (`_lanczos`). K itself
+is never formed.
 
 Left convolution commutes with right translation by the unipotent
 U = {[[1, b], [0, 1]]}, so functions split into q character blocks V_t of
@@ -18,12 +19,12 @@ largest of all (proof in `operator_norm`). The blocks come in two
 representations, chosen from the measure:
 
 * dense blocks, for |supp mu| >= |G|/q: one (|G|/q)^2 matrix per orbit,
-  built from mu in |G|^2/q steps (`isotypic_blocks`) and iterated one by
+  built from mu in |G|^2/q steps (`isotypic_blocks`) and solved one by
   one;
 * stacked sparse blocks, for sparser measures: each support point g
   permutes the cosets up to a unipotent phase, so M_t is a gather through
   |supp mu| permutations, built from the support in |supp mu| * |G|/q
-  steps (`_sparse_blocks`). All orbits are iterated together as one
+  steps (`_sparse_blocks`). All orbits are solved together as one
   problem over their direct sum, an (|G|/q, orbits) array.
 
 Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decouple import BlockContext, EtaMeasure
+from .decouple import EtaMeasure
 from .errors import ConvergenceError, GuardExceeded, Guards
 from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu, cocycle
 from .modgroup import (
@@ -60,6 +61,7 @@ from .symdyn import SystemSpec, word
 
 DENSE_GUARD = Guards.dense_oracle
 _CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
+_RITZ_EVERY = 4  # Lanczos steps between eigen-solves of the tridiagonal T
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -182,6 +184,56 @@ def _sparse_blocks(table: GroupTable, elements, weights, ts):
     return apply
 
 
+def _lanczos(apply, shape, rng, tol, max_iter):
+    """Top eigenvalue of a Hermitian positive semi-definite K, given as
+    `apply` on arrays of `shape`, by Lanczos with full reorthogonalisation
+    (Golub & Van Loan, Matrix Computations, sec. 10.1).
+
+    Step k makes one apply, subtracts alpha_k v_k + beta_{k-1} v_{k-1} and
+    makes one Gram-Schmidt pass against the whole basis, which grows with
+    the steps taken. Every _RITZ_EVERY steps the top Ritz pair (theta, s)
+    of the tridiagonal T_k is checked: the Ritz vector's residual is
+    beta_k |s_k|, and the run stops once it is at most tol * theta. At a
+    breakdown (beta_k <= 1e-14 max alpha <= 1e-14 theta) or at k = dim the
+    Krylov space is invariant and theta is exact. Returns (lam, residual,
+    steps, converged), with lam the Rayleigh quotient of the Ritz vector y
+    and residual the explicit ||K y - lam y||, from one more apply;
+    converged is False when max_iter < dim steps did not meet the stop.
+    """
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dim = v.size
+    limit = min(dim, max_iter)
+    # room for four Ritz checks; grows by doubling below, never past `limit` rows
+    basis = np.empty((min(limit, 4 * _RITZ_EVERY), dim), dtype=np.complex128)
+    basis[0] = v.reshape(-1) / np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(1, limit + 1):
+        v, V = basis[k - 1], basis[:k]
+        w = apply(v.reshape(shape)).reshape(-1)
+        alpha.append(float(np.vdot(v, w).real))
+        w -= alpha[-1] * v
+        if k > 1:
+            w -= beta[-1] * basis[k - 2]
+        w -= np.conj(V @ np.conj(w)) @ V
+        beta.append(math.sqrt(np.vdot(w, w).real))
+        invariant = k == dim or beta[-1] <= 1e-14 * max(alpha)
+        if invariant or k % _RITZ_EVERY == 0 or k == limit:
+            # eigh reads the lower triangle: the diagonal and beta_1..beta_{k-1}
+            thetas, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+            theta, s = thetas[-1], s[:, -1]
+            done = invariant or beta[-1] * abs(s[-1]) <= tol * theta
+            if done or k == limit:
+                break
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, limit - k), dim), basis.dtype)])
+        basis[k] = w / beta[-1]
+    y = (s @ V).reshape(shape)
+    y /= np.linalg.norm(y)
+    w = apply(y)
+    lam = max(float(np.vdot(y, w).real), 0.0)
+    return lam, float(np.linalg.norm(w - lam * y)), k, done
+
+
 def operator_norm(
     op: ConvOperator,
     tol: float = 1e-8,
@@ -190,7 +242,7 @@ def operator_norm(
 ) -> GapReport:
     """Largest singular value of the restricted convolution action.
 
-    Power-iterates K = reverse(mu) * mu as M_t^H M_t on the bare blocks M_t
+    Solves K = reverse(mu) * mu as M_t^H M_t on the bare blocks M_t
     of the torus orbits that `ConvOperator.orbits` keeps for the subspace.
     No projection is needed, because the norm on each subspace is the
     largest ||M_t|| over those orbits:
@@ -218,24 +270,28 @@ def operator_norm(
     One irreducible representation holds characters of several orbits, so
     blocks of different orbits can tie exactly (t = 1, 7 at q = 8).
 
-    Each problem stops when the geometric-tail estimate of the Rayleigh
-    quotient's remaining rise, step / (1 - r), is at most tol * theta, with
-    step = |theta_k - theta_{k-1}| and r the ratio of the last two steps,
-    capped at 0.999; it reports the Rayleigh quotient of the last iterate.
+    Each problem is solved by `_lanczos`, which stops when the Ritz
+    residual is at most tol * theta. The reported value is the Rayleigh
+    quotient of the Ritz vector, a lower bound on the top eigenvalue of
+    K up to rounding, since K is Hermitian positive; by the residual it
+    lies within `residual` of an eigenvalue of K.
     With |supp mu| >= |G|/q the blocks are dense (`isotypic_blocks`) and
-    each is iterated on its own: `iters` sums the blocks' iterations, and
+    each is solved on its own: `iters` sums the blocks' Lanczos steps, and
     `block` is the smallest t whose block lies within 100 * tol of the
     maximum, with its `residual`. A block whose trace ||M_t||_F^2 is at most
     dim * eps * ||mu||_1^2 (numpy's matrix_rank tolerance, with ||mu||_1^2
     bounding the block's norm) is reported as exactly 0. A sparser measure
-    gets the stacked sparse blocks, one problem over the direct sum of the
-    orbits with one Rayleigh quotient and one stopping test, and `block` is
-    None. The norm is the maximum in both cases. Raises ConvergenceError
-    carrying the best estimate if any iteration hits the cap.
+    gets the stacked sparse blocks, one Lanczos problem over the direct sum
+    of the orbits with one stopping test, and `block` is None. The norm is
+    the maximum in both cases. Raises ConvergenceError carrying the best
+    estimate if any problem reaches max_iter steps, short of its
+    dimension, without meeting the stop.
     """
     t0 = time.perf_counter()
     if op.dim < 1:
         raise ValueError("subspace dimension is zero")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     table = op.table
     cosets = table.cosets()
     ts = op.orbits()
@@ -260,37 +316,10 @@ def operator_norm(
     converged = True
     total_iters = 0
     for block, shape, apply in problems:
-        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        lam_prev = step_prev = None
-        done = False
-        iters = 0
-        for iters in range(1, max_iter + 1):
-            w = apply(v)
-            lam = max(float(np.real(np.vdot(v, w))), 0.0)
-            nw = np.linalg.norm(w)
-            if nw <= 1e-300:
-                lam = 0.0
-                done = True
-                break
-            v = w / nw
-            if lam_prev is not None:
-                step = abs(lam - lam_prev)
-                if step_prev is not None:
-                    r = step / step_prev if step < 0.999 * step_prev else 0.999
-                    if step <= (1.0 - r) * tol * max(lam, 1e-30):
-                        done = True
-                        break
-                step_prev = step
-            lam_prev = lam
-        total_iters += iters
+        lam, residual, steps, done = _lanczos(apply, shape, rng, tol, max_iter)
+        total_iters += steps
         converged = converged and done
-        # the residual apply also gives the Rayleigh quotient of the last
-        # iterate, which is no smaller (K is positive) and is what it certifies
-        w = apply(v)
-        lam = max(float(np.real(np.vdot(v, w))), 0.0)
-        results.append((lam, float(np.linalg.norm(w - lam * v)), block))
+        results.append((lam, residual, block))
     top = max(r[0] for r in results)
     # blocks of different torus orbits can tie exactly (t = 1, 7 at q = 8):
     # name the smallest t within the solver's resolution of the maximum
@@ -313,7 +342,7 @@ def operator_norm(
     )
     if not converged:
         raise ConvergenceError(
-            f"power iteration hit {max_iter} iterations at q={table.q}",
+            f"Lanczos hit {max_iter} steps at q={table.q}",
             report=report,
         )
     return report
@@ -447,8 +476,8 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
-    length too small for flatness. Vanishing means within the power
-    iteration's own resolution (it approaches the norm from below),
+    length too small for flatness. Vanishing means within the solver's
+    own resolution (its Rayleigh quotient approaches the norm from below),
     taken as 100 * tol.
     """
     rep = operator_norm(
@@ -739,7 +768,7 @@ def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guards
             q=q,
             group_order=table.order,
             dim_eq=new_space_dimension(q),
-            skipped_reason=f"power iteration did not converge: best {e.report.norm:.6g}",
+            skipped_reason=f"Lanczos did not converge: best {e.report.norm:.6g}",
         )
     return SweepRow(
         q=q,

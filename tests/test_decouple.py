@@ -21,10 +21,13 @@ from modgap.decouple import (
     split_word,
     verify_domination,
 )
+from modgap.errors import DomainError
 from modgap.measures import MeasureParams, build_mu1
 from modgap.modgroup import get_group
 from modgap.symdyn import (
     _admissible_id_matrix,
+    build_system,
+    evaluate_branch,
     letter_image,
     letter_log_deriv,
     resolve_point,
@@ -365,3 +368,50 @@ def test_schottky_inner_slots_nonempty_everywhere(schottky):
         ctx = make_context(schottky, 3, 4, 2, outer, 0.3)
         for j in (1, 2):
             assert len(inner_slots(ctx, j)) >= 6
+
+
+def _base_point_betas(eta):
+    """The weights of `beta` with every word evaluated at x=None (the base
+    point, or a midpoint system's first admissible interval) in subshift
+    mode, and at the context's base in Zaremba mode."""
+    ctx, j = eta.context, eta.j
+    spec = ctx.spec
+    out = []
+    for inner in eta.inners:
+        block = ctx.outer[j - 1] + inner
+        letters = block if j == 1 else block + ctx.outer[j - 2]
+        x = ctx.base if spec.mode == "zaremba" else None
+        try:
+            ev, _ = evaluate_branch(word(spec, letters), x=x)
+        except DomainError:  # the base interval may not follow this word
+            out.append(None)
+            continue
+        out.append(math.exp(ctx.a * math.fsum(ev.increments[: len(block)])))
+    return out
+
+
+@pytest.mark.parametrize("system,L", [("zaremba", 2), ("zaremba", 3), ("schottky", 3),
+                                      ("schottky", 4)])
+def test_window_points_keep_base_point_weights(spec12_mod, a12_mod, schottky, system, L):
+    # Zaremba and midpoint-system weights are exactly those of x=None
+    spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
+    for eta in enumerate_etas(spec, 5, a, L, 2, base):
+        assert list(eta.betas) == _base_point_betas(eta)
+
+
+def test_numeric_schottky_base_decouples_every_window():
+    # every window used to be evaluated at the base point 0.5, in the
+    # interval of H, which may not follow h: enumerate_etas raised
+    spec = build_system({"mode": "schottky", "base_point": 0.5})
+    etas = list(enumerate_etas(spec, 5, 0.3, 3, 2))
+    S = len(outer_words(spec, 3, 2))
+    assert len(etas) == S + S * S
+    moved = 0
+    for eta in etas:
+        for b, ref in zip(eta.betas, _base_point_betas(eta)):
+            assert b > 0
+            if ref is None:
+                moved += 1
+            else:  # a window that admits the base interval keeps the base point
+                assert b == ref
+    assert moved > 0

@@ -8,6 +8,7 @@ from modgap.errors import ConvergenceError, GuardExceeded
 from modgap.measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
 from modgap.modgroup import NewSpaceProjector, get_group
 from modgap.spectral import (
+    _lanczos,
     ConvOperator,
     LemmaExpandTester,
     dense_conv_matrix,
@@ -38,7 +39,7 @@ def test_uniform_measure_annihilates_mean_zero(t5):
     assert rep.norm == 0.0
 
 
-def test_power_iteration_matches_dense_oracle(spec12, a12):
+def test_lanczos_matches_dense_oracle(spec12, a12):
     # spec invariant: match to 1e-7 on every group with |G| <= 400
     for q in (2, 3, 4, 5, 6, 7):
         p = MeasureParams(spec=spec12, q=q, s=complex(a12, 1.0), r_len=2, x=0.2, base=0.6)
@@ -100,6 +101,8 @@ def test_convergence_error_carries_best_estimate(spec12, a12):
         operator_norm(ConvOperator(m, "mean_zero"), tol=1e-30, max_iter=3)
     assert exc.value.report is not None
     assert exc.value.report.norm > 0
+    with pytest.raises(ValueError, match="max_iter"):
+        operator_norm(ConvOperator(m, "mean_zero"), max_iter=0)
 
 
 # -- isotypic block representation ----------------------------------------------
@@ -207,11 +210,28 @@ def test_block_certificate_past_the_dense_guard(spec12, a12):
 @pytest.mark.parametrize("q", [9, 32])
 def test_sweep_norm_meets_the_exact_unit_blocks(spec12, a12, q):
     # on the unit blocks alone, stopping at the first small step left the
-    # sweep norm 3.0e-7 low at q=9 and 6.9e-7 low at q=32
+    # sweep norm 3.0e-7 low at q=9 and 6.9e-7 low at q=32; power iteration
+    # with a geometric-tail stop left it 4.9e-9 low at q=32
     (row,), _ = main_sweep(spec12, [q], a12, b=1.0)
     mu = _sweep_mu(spec12, a12, q)
     units = [t for t in mu.table.cosets().torus_orbits() if math.gcd(t, q) == 1]
-    assert row.opnorm_eq == pytest.approx(max(_block_norms(mu, units)), rel=1e-8)
+    assert row.opnorm_eq == pytest.approx(max(_block_norms(mu, units)), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_lanczos_brackets_every_block(spec12, a12, q):
+    # lam, the Rayleigh quotient of the Ritz vector, is a lower bound up to
+    # rounding, and its explicit residual bounds how far below it sits
+    mu = _sweep_mu(spec12, a12, q)
+    ts = ConvOperator(mu, "new_space").orbits()
+    rng = np.random.default_rng(7)
+    for m, exact in zip(isotypic_blocks(mu, ts), _block_norms(mu, ts)):
+        exact **= 2
+        lam, residual, steps, converged = _lanczos(
+            lambda v, m=m: m.conj().T @ (m @ v), m.shape[1], rng, 1e-8, 5000)
+        assert converged and steps <= m.shape[1]
+        assert lam <= exact * (1 + 1e-12)
+        assert exact - lam <= residual + 1e-12 * exact
 
 
 def test_support_rule_picks_the_representation(rng):
@@ -251,6 +271,7 @@ def test_sparse_blocks_match_dense_oracle(spec12, a12, q, rng):
         for sub in ("full", "mean_zero", "new_space"):
             rep = operator_norm(ConvOperator(mu, sub), tol=1e-13, max_iter=50_000)
             assert rep.block is None and rep.converged
+            assert rep.iters <= n * len(ConvOperator(mu, sub).orbits())
             oracle = dense_operator_norm(mu, sub)
             assert rep.norm == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -329,6 +350,34 @@ def test_sparse_gap_stops_within_tol(spec12, a12):
     assert eta_gap(eta).c1 == pytest.approx(limit, abs=2e-8)
 
 
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_stacked_lanczos_brackets_the_eta_norm(spec12, a12, q):
+    # against the exact block norms, and the dense oracle where it fits
+    for eta in enumerate_etas(spec12, q, a12, 2, base=0.0):
+        op = ConvOperator(eta.measure, "mean_zero")
+        rep = operator_norm(op)
+        assert rep.block is None and rep.converged
+        assert rep.iters <= op.table.cosets().n * len(op.orbits())
+        exacts = [max(_block_norms(eta.measure, op.orbits())) ** 2]
+        if op.table.order <= 2500:
+            exacts.append(dense_operator_norm(eta.measure, "mean_zero") ** 2)
+        lam = rep.norm**2
+        for exact in exacts:
+            assert lam <= exact * (1 + 1e-12)
+            assert exact - lam <= rep.residual + 1e-12 * exact
+
+
+def test_lanczos_stops_at_the_problem_dimension(spec12, a12):
+    # with a stop it can never meet, the 36-dimensional stacked problem at
+    # q=4 (12 cosets x 3 orbits) ends within 36 steps as invariant
+    eta = next(enumerate_etas(spec12, 4, a12, 2, base=0.0))
+    op = ConvOperator(eta.measure, "mean_zero")
+    assert op.table.cosets().n * len(op.orbits()) == 36
+    rep = operator_norm(op, tol=0.0)
+    assert rep.converged and rep.iters <= 36
+    assert rep.norm == pytest.approx(dense_operator_norm(eta.measure, "mean_zero"), rel=1e-12)
+
+
 def test_sparse_zero_and_dirac(t5):
     zero = operator_norm(ConvOperator(GroupMeasure(t5, np.zeros(t5.order)), "full"))
     assert zero.norm == 0.0 and zero.block is None
@@ -341,7 +390,7 @@ def test_tied_blocks_report_the_same_block_whatever_the_seed(spec12, a12):
     # at q=8 the blocks t = 1 and t = 7 tie exactly
     mu = _sweep_mu(spec12, a12, 8)
     oracle = dense_operator_norm(mu, "new_space")
-    reps = [operator_norm(ConvOperator(mu, "new_space"), seed=s) for s in (1, 3, 7, 11)]
+    reps = [operator_norm(ConvOperator(mu, "new_space"), seed=s) for s in (0, 1, 2, 3, 4, 7, 11)]
     assert {r.block for r in reps} == {1}
     assert all(r.norm == pytest.approx(oracle, rel=1e-8) for r in reps)
 
