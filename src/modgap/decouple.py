@@ -38,6 +38,7 @@ from .symdyn import (
     SystemSpec,
     Word,
     _admissible_id_matrix,
+    _window_point,
     count_admissible,
     estimate_contraction,
     evaluate_branch,
@@ -195,26 +196,13 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _window_point(spec: SystemSpec, innermost: int) -> float:
-    """Evaluation point of a subshift word whose innermost letter is
-    `innermost`: the system base point where its interval may follow that
-    letter, else the representative of the first interval that may (the
-    rule of a system at its interval midpoints). `resolve_point` raises
-    instead, as it must for a point given explicitly."""
-    x, j = resolve_point(spec, None)
-    if spec.allowed(innermost, j):
-        return x
-    return next(letter.rep for k, letter in enumerate(spec.letters)
-                if spec.allowed(innermost, k))
-
-
 def beta(ctx: BlockContext, j: int, inner: tuple[int, ...]) -> float:
     """Replacement weight of block j for one inner choice.
 
     For j >= 2 this is exp of the block's Birkhoff sum along the window
     word (block j followed by block j-1's outer part); for j = 1 the block
     alone is evaluated. A Zaremba word is evaluated at the base point, a
-    subshift word at its `_window_point`.
+    subshift word at its `symdyn._window_point`.
     """
     spec = ctx.spec
     block = ctx.outer[j - 1] + tuple(inner)

@@ -348,6 +348,15 @@ def _locate_interval(spec: SystemSpec, x: float) -> int:
     raise DomainError(f"point {x} lies in no letter interval")
 
 
+def _first_interval_after(spec: SystemSpec, innermost: int | None = None) -> int:
+    """Id of the first letter interval that may follow `innermost` (the
+    first interval of all for None)."""
+    for j in range(spec.n_letters):
+        if innermost is None or spec.allowed(innermost, j):
+            return j
+    raise DomainError("no admissible base interval")
+
+
 def resolve_point(spec: SystemSpec, x, innermost: int | None = None):
     """Resolve an evaluation point to (x, interval id or None).
 
@@ -359,10 +368,8 @@ def resolve_point(spec: SystemSpec, x, innermost: int | None = None):
     if x is None:
         x = spec.base_point
     if x is None:
-        for j in range(spec.n_letters):
-            if innermost is None or spec.allowed(innermost, j):
-                return spec.letters[j].rep, j
-        raise DomainError("no admissible base interval")
+        j = _first_interval_after(spec, innermost)
+        return spec.letters[j].rep, j
     x = float(x)
     if spec.mode == "zaremba":
         if not 0.0 <= x <= 1.0:
@@ -375,6 +382,19 @@ def resolve_point(spec: SystemSpec, x, innermost: int | None = None):
             f"{spec.letters[innermost].label}"
         )
     return x, j
+
+
+@lru_cache(maxsize=64)
+def _window_point(spec: SystemSpec, innermost: int) -> float:
+    """Evaluation point of a subshift word whose innermost letter is
+    `innermost`: the system base point where its interval may follow that
+    letter, else the representative of the first interval that may (the
+    rule of a system at its interval midpoints). `resolve_point` raises
+    instead, as it must for a point given explicitly."""
+    x, j = resolve_point(spec, None)
+    if not spec.allowed(innermost, j):
+        x = spec.letters[_first_interval_after(spec, innermost)].rep
+    return x
 
 
 def evaluate_branch(w: Word, x=None, s: complex = complex(1.0, 0.0)):

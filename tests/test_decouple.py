@@ -400,8 +400,8 @@ def test_window_points_keep_base_point_weights(spec12_mod, a12_mod, schottky, sy
 
 
 def test_numeric_schottky_base_decouples_every_window():
-    # every window used to be evaluated at the base point 0.5, in the
-    # interval of H, which may not follow h: enumerate_etas raised
+    # the base point 0.5 lies in the interval of H, which may not follow h:
+    # such windows are evaluated in the first interval that may
     spec = build_system({"mode": "schottky", "base_point": 0.5})
     etas = list(enumerate_etas(spec, 5, 0.3, 3, 2))
     S = len(outer_words(spec, 3, 2))

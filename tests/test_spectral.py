@@ -209,9 +209,9 @@ def test_block_certificate_past_the_dense_guard(spec12, a12):
 
 @pytest.mark.parametrize("q", [9, 32])
 def test_sweep_norm_meets_the_exact_unit_blocks(spec12, a12, q):
-    # on the unit blocks alone, stopping at the first small step left the
-    # sweep norm 3.0e-7 low at q=9 and 6.9e-7 low at q=32; power iteration
-    # with a geometric-tail stop left it 4.9e-9 low at q=32
+    # the residual-gated Ritz value sits within the residual squared (over the
+    # spectral gap) of the top eigenvalue, so at tol=1e-8 it meets the exact
+    # unit blocks to rounding
     (row,), _ = main_sweep(spec12, [q], a12, b=1.0)
     mu = _sweep_mu(spec12, a12, q)
     units = [t for t in mu.table.cosets().torus_orbits() if math.gcd(t, q) == 1]
