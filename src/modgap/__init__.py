@@ -13,14 +13,11 @@ from .modgroup import (
     group_order,
     level_average,
     new_space_dimension,
-    new_space_projector,
-    reduce_mod,
 )
 from .spectral import ConvOperator, main_sweep, operator_norm, zariski_check
 from .symdyn import (
     SystemSpec,
     Word,
-    admissible_words,
     build_system,
     estimate_contraction,
     estimate_delta,
@@ -40,7 +37,6 @@ __all__ = [
     "ConvOperator",
     "SystemSpec",
     "Word",
-    "admissible_words",
     "build_mu",
     "build_mu1",
     "build_nu",
@@ -55,9 +51,7 @@ __all__ = [
     "level_average",
     "main_sweep",
     "new_space_dimension",
-    "new_space_projector",
     "operator_norm",
-    "reduce_mod",
     "schottky_system",
     "word",
     "zaremba_system",

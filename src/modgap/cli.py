@@ -29,8 +29,9 @@ from .decouple import (
 )
 from .errors import ConfigError, Guards, ModgapError
 from .measures import MeasureParams, build_mu, build_mu1, build_nu
-from .modgroup import get_group, group_order, new_space_dimension
+from .modgroup import factorize, get_group, group_order, new_space_dimension
 from .spectral import (
+    SUBSPACES,
     ConvOperator,
     LemmaExpandTester,
     digit_difference_quotients,
@@ -159,10 +160,8 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("tol and max_iter must be positive", field="tol")
     if cfg.measure not in _BUILDERS:
         raise ConfigError("measure must be mu, mu1, or nu", field="measure")
-    if cfg.subspace not in ("full", "mean_zero", "new_space"):
-        raise ConfigError(
-            "subspace must be full, mean_zero, or new_space", field="subspace"
-        )
+    if cfg.subspace not in SUBSPACES:
+        raise ConfigError(f"subspace must be one of {', '.join(SUBSPACES)}", field="subspace")
     return cfg
 
 
@@ -237,6 +236,11 @@ def _check(name: str, passed: bool | None, **details) -> dict:
     return {"name": name, "status": status, **details}
 
 
+def _passed(checks: list) -> bool:
+    """A run fails on a failed check only; a skipped check examined nothing."""
+    return all(c["status"] != "fail" for c in checks)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -252,7 +256,7 @@ def cmd_group_info(cfg: RunConfig, args) -> tuple[bool, dict]:
         )
         if args.out and len(cfg.q_list) == 1:
             t.to_csv(args.out)
-    return all(c["status"] == "pass" for c in checks), _report(cfg, checks)
+    return _passed(checks), _report(cfg, checks)
 
 
 def cmd_delta_estimate(cfg: RunConfig, args) -> tuple[bool, dict]:
@@ -322,8 +326,7 @@ def cmd_decouple_verify(cfg: RunConfig, args) -> tuple[bool, dict]:
         "max_violation": worst_violation,
         "slack_histogram": histogram,
     }
-    ok = all(c["status"] == "pass" for c in checks)
-    return ok, _report(cfg, checks, constants, t0)
+    return _passed(checks), _report(cfg, checks, constants, t0)
 
 
 def cmd_opnorm(cfg: RunConfig, args) -> tuple[bool, dict]:
@@ -369,8 +372,11 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
         spike[int(rng.integers(len(spike)))] = 25.0
         if not tester.check(spike).passed:
             draws_failed += 1
-    checks.append(_check("weighted expansion draws", draws_failed == 0,
-                         failed=draws_failed, c0=c0s))
+    if small_q:
+        checks.append(_check("weighted expansion draws", draws_failed == 0,
+                             failed=draws_failed, c0=c0s))
+    else:
+        checks.append(_check("weighted expansion draws", None, dense_oracle=dense))
 
     # per-block gaps
     worst_c1 = {}
@@ -406,8 +412,7 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     )
     constants["minimal_r"] = min_rs
 
-    ok = all(c["status"] == "pass" for c in checks)
-    return ok, _report(cfg, checks, constants, t0)
+    return _passed(checks), _report(cfg, checks, constants, t0)
 
 
 def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
@@ -438,29 +443,30 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
                 f"q={r.q} R={r.r_used} ratio={r.ratio:.6f} "
                 f"q^-1/4={r.q ** -0.25:.4f} gap={1 - r.ratio:.4f}"
             )
-    non_sf = [r for r in rows if not r.skipped_reason and _not_squarefree(r.q)]
-    gaps_ok = all(r.ratio < 1.0 for r in non_sf)
+    non_sf = [r for r in rows if _not_squarefree(r.q)]
+    swept = [r for r in non_sf if not r.skipped_reason]
     alpha_ok = alpha is not None and alpha >= 0.15
     print(f"alpha={alpha}")
+    gap_details = {"moduli": [r.q for r in swept]}
+    if not swept:
+        gap_details["skipped"] = [r.q for r in non_sf]
     checks = [
         _check("decay exponent >= 0.15", alpha_ok, alpha=alpha),
-        _check("positive gap at non-square-free moduli", gaps_ok,
-               moduli=[r.q for r in non_sf]),
+        _check("positive gap at non-square-free moduli",
+               all(r.ratio < 1.0 for r in swept) if swept else None, **gap_details),
     ]
-    ok = alpha_ok and gaps_ok
     max_block = {str(r.q): r.max_block for r in rows if not r.skipped_reason}
-    return ok, _report(cfg, checks, {"alpha": alpha, "csv": out, "max_block": max_block}, t0)
+    constants = {"alpha": alpha, "csv": out, "max_block": max_block}
+    return _passed(checks), _report(cfg, checks, constants, t0)
 
 
 def _not_squarefree(q: int) -> bool:
-    from .modgroup import factorize
-
     return any(e > 1 for _, e in factorize(q))
 
 
 def cmd_schottky_check(cfg: RunConfig, args) -> tuple[bool, dict]:
     spec = schottky_system() if cfg.system.get("mode") != "schottky" else build_system(cfg.system)
-    q = cfg.q_list[0] if cfg.q_list else 5
+    q = cfg.q_list[0]
     t = get_group(q, cfg.guards.max_q)
     checks = []
 
@@ -481,8 +487,7 @@ def cmd_schottky_check(cfg: RunConfig, args) -> tuple[bool, dict]:
     )
     for c in checks:
         print(f"{c['name']}: {c['status']}")
-    ok = all(c["status"] == "pass" for c in checks)
-    return ok, _report(cfg, checks)
+    return _passed(checks), _report(cfg, checks)
 
 
 _SUBCOMMANDS = {

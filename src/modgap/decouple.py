@@ -51,23 +51,6 @@ DEFAULT_SAFETY = 1.25
 _SURVEY_CHUNK = 1 << 16  # (upper, lower) block pairs per chunk of the survey
 
 
-def split_word(w: Word, L: int) -> tuple[Word, ...]:
-    """Split into blocks of L letters, index 1 first (deepest block first).
-
-    Blocks concatenate back to the word in reverse index order; the
-    splitting is unique.
-    """
-    n = len(w.letters)
-    if L < 1 or n % L != 0:
-        raise ValueError(f"word length {n} is not a multiple of L={L}")
-    r_prime = n // L
-    blocks = []
-    for j in range(1, r_prime + 1):
-        lo = n - j * L
-        blocks.append(Word(w.spec, w.letters[lo : lo + L]))
-    return tuple(blocks)
-
-
 @dataclass(frozen=True)
 class BlockContext:
     """Fixed data of one decoupling context.
@@ -166,6 +149,7 @@ def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.cont
     return [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, outer_len)]
 
 
+# perfbench's tracer patches this and regen_refs.py calls it: it goes with a benchmark change
 def enumerate_contexts(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
     """All admissible outer-word tuples, lexicographic, as id tuples."""
     return list(itertools.product(outer_words(spec, L, r_prime, guard), repeat=r_prime))
@@ -179,21 +163,16 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     j = 1, by the base interval in subshift mode).
     """
     spec = ctx.spec
-    left = ctx.outer[j - 1][-1] if ctx.outer[j - 1] else None
     if j >= 2:
         right = ctx.outer[j - 2][0] if ctx.outer[j - 2] else None
     else:
         right = ctx.base_interval
-    out = []
-    for t in itertools.product(range(spec.n_letters), repeat=ctx.width):
-        if left is not None and not spec.allowed(left, t[0]):
-            continue
-        if any(not spec.allowed(t[i], t[i + 1]) for i in range(len(t) - 1)):
-            continue
-        if right is not None and not spec.allowed(t[-1], right):
-            continue
-        out.append(t)
-    return tuple(out)
+    slots = _admissible_id_matrix(spec, ctx.width)
+    if ctx.outer[j - 1]:
+        slots = slots[spec.follows[ctx.outer[j - 1][-1], slots[:, 0]]]
+    if right is not None:
+        slots = slots[spec.follows[slots[:, -1], right]]
+    return tuple(map(tuple, slots.tolist()))
 
 
 def beta(ctx: BlockContext, j: int, inner: tuple[int, ...]) -> float:

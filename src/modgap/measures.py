@@ -40,9 +40,6 @@ __all__ = [
     "build_mu1",
     "build_nu",
     "build_mu",
-    "convolve",
-    "reverse",
-    "domination_constant",
 ]
 
 _CHUNK = 1 << 17  # support pairs per chunk of `GroupMeasure.convolve`
@@ -84,22 +81,10 @@ class GroupMeasure:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def dirac(cls, table: GroupTable, index: int, coeff=1.0) -> "GroupMeasure":
-        c = np.zeros(table.order, dtype=np.complex128)
-        c[index] = coeff
-        return cls(table, c)
-
-    @classmethod
     def from_support(cls, table: GroupTable, support, weights) -> "GroupMeasure":
         c = np.zeros(table.order, dtype=np.complex128)
         c[support] = weights
         return cls(table, c)
-
-    @classmethod
-    def uniform(cls, table: GroupTable) -> "GroupMeasure":
-        return cls(
-            table, np.full(table.order, 1.0 / table.order, dtype=np.complex128)
-        )
 
     # -- cached norms and support -----------------------------------------
 
@@ -125,9 +110,6 @@ class GroupMeasure:
     @property
     def n_support(self) -> int:
         return int(self.support.size)
-
-    def coverage(self) -> float:
-        return self.n_support / self.table.order
 
     # -- algebra -----------------------------------------------------------
 
@@ -186,14 +168,6 @@ class GroupMeasure:
             f"GroupMeasure(q={self.table.q}, support={self.n_support}, "
             f"l1={self.l1:.6g})"
         )
-
-
-def convolve(mu: GroupMeasure, nu: GroupMeasure) -> GroupMeasure:
-    return mu.convolve(nu)
-
-
-def reverse(mu: GroupMeasure) -> GroupMeasure:
-    return mu.reverse()
 
 
 @dataclass(frozen=True)
@@ -313,20 +287,3 @@ def build_mu(p: MeasureParams) -> GroupMeasure:
     _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
     return _accumulate(t, cidx[keep], np.exp(complex(p.s) * lds))
 
-
-def domination_constant(numer: GroupMeasure, denom: GroupMeasure, atol=1e-15):
-    """Smallest C with |numer| <= C * denom pointwise on denom's support.
-
-    Returns (C, index attaining it). Mass of numer outside denom's
-    support raises, since no C works there.
-    """
-    numer._check_same_group(denom)
-    n = np.abs(numer.coeffs)
-    d = denom.coeffs.real
-    bad = (d <= atol) & (n > atol)
-    if np.any(bad):
-        raise ValueError("numerator has mass outside the denominator's support")
-    mask = d > atol
-    ratios = n[mask] / d[mask]
-    i_local = int(np.argmax(ratios))
-    return float(ratios[i_local]), int(np.nonzero(mask)[0][i_local])

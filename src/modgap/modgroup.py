@@ -52,25 +52,6 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Modulus:
-    q: int
-    factorization: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, q: int) -> "Modulus":
-        return cls(q, factorize(q))
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factorization)
-
-    @property
-    def maximal_divisors(self) -> tuple[int, ...]:
-        """Maximal proper divisors q/p. Every proper divisor divides one."""
-        return tuple(self.q // p for p in self.primes)
-
-
 def group_order(q: int) -> int:
     """|SL2(Z/q)| = q^3 * prod_{p | q} (1 - p^-2), computed exactly."""
     if q == 1:
@@ -129,13 +110,6 @@ class ModMatrix:
         return (self.a, self.b, self.c, self.d)
 
 
-def reduce_mod(m, q: int) -> ModMatrix:
-    """Reduce an integer 2x2 matrix (det = 1 mod q) entrywise mod q."""
-    arr = np.asarray(m, dtype=object).reshape(4)
-    a, b, c, d = (int(v) % q for v in arr)
-    return ModMatrix(a, b, c, d, q)
-
-
 class GroupTable:
     """Complete enumeration of SL2(Z/q) with index and inverse tables.
 
@@ -145,9 +119,8 @@ class GroupTable:
     immutable; reduction fibers are cached per divisor level.
     """
 
-    def __init__(self, modulus: Modulus, elems, key_to_index, inverse):
-        self.modulus = modulus
-        self.q = modulus.q
+    def __init__(self, q: int, elems, key_to_index, inverse):
+        self.q = q
         self.elems = elems
         self.key_to_index = key_to_index
         self.inverse = inverse
@@ -202,9 +175,6 @@ class GroupTable:
             (gc * ha + gd * hc) % q,
             (gc * hb + gd * hd) % q,
         )]
-
-    def multiply(self, i: int, j: int) -> int:
-        return int(self.products(i, j))
 
     def left_translation(self, i: int) -> np.ndarray:
         """t[k] = index(elems[i] @ elems[k]); one row of the Cayley table."""
@@ -318,10 +288,6 @@ class UnipotentCosets:
         idx = self.table.products(np.asarray(h, dtype=np.int64)[:, None], self.section)
         return self.cid[idx], self.beta[idx]
 
-    def lift(self, f: np.ndarray, t: int) -> np.ndarray:
-        """The function on G in V_t whose coset coordinates are f."""
-        return np.exp(2j * np.pi * t * self.beta / self.q) * np.asarray(f)[self.cid]
-
     def __repr__(self):
         return f"UnipotentCosets(q={self.q}, n={self.n})"
 
@@ -358,7 +324,7 @@ def _enumerate(q: int) -> GroupTable:
     inv_keys = ((inv[:, 0] * q + inv[:, 1]) * q + inv[:, 2]) * q + inv[:, 3]
     inverse = key_to_index[inv_keys].copy()
 
-    table = GroupTable(Modulus.of(q), elems, key_to_index, inverse)
+    table = GroupTable(q, elems, key_to_index, inverse)
     if table.order != group_order(q):
         raise AssertionError(
             f"enumeration of SL2(Z/{q}) found {table.order} elements, "
@@ -413,7 +379,8 @@ class NewSpaceProjector:
     def __init__(self, table: GroupTable):
         self.table = table
         self.q = table.q
-        self.levels = table.modulus.maximal_divisors
+        # maximal proper divisors q/p: every proper divisor divides one
+        self.levels = tuple(self.q // p for p, _ in factorize(self.q))
         self.dimension = new_space_dimension(self.q)
         self._fiber_data = [table.fibers(q2) for q2 in self.levels]
 
@@ -429,7 +396,3 @@ class NewSpaceProjector:
 
     def __repr__(self):
         return f"NewSpaceProjector(q={self.q}, dim={self.dimension})"
-
-
-def new_space_projector(q: int, max_q: int = Guards.max_q) -> NewSpaceProjector:
-    return NewSpaceProjector(get_group(q, max_q))

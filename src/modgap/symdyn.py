@@ -104,10 +104,6 @@ class Word:
     spec: SystemSpec
     letters: tuple[int, ...]  # most recently applied letter first
 
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -290,13 +286,6 @@ def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
     return arr
 
 
-def admissible_words(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> list[Word]:
-    """All admissible words of length n, in lexicographic stored order."""
-    check_word_count(spec, n, guard)
-    ids = _admissible_id_matrix(spec, n)
-    return [Word(spec, tuple(int(v) for v in row)) for row in ids]
-
-
 # ---------------------------------------------------------------------------
 # branch evaluation
 
@@ -421,24 +410,6 @@ def evaluate_branch(w: Word, x=None, s: complex = complex(1.0, 0.0)):
     )
     weight = cmath.exp(complex(s) * log_deriv)
     return ev, weight
-
-
-def branch_matrix(w: Word) -> tuple[int, int, int, int]:
-    """Exact integer composition matrix (most recent letter leftmost).
-
-    Entries grow exponentially with length; intended for short words in
-    consistency checks only.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for k in w.letters:
-        la, lb, lc, ld = w.spec.letters[k].matrix
-        a, b, c, d = (
-            a * la + b * lc,
-            a * lb + b * ld,
-            c * la + d * lc,
-            c * lb + d * ld,
-        )
-    return a, b, c, d
 
 
 # ---------------------------------------------------------------------------

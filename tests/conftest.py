@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from modgap.errors import Guards
 from modgap.modgroup import get_group
-from modgap.symdyn import schottky_system, zaremba_system
+from modgap.symdyn import (
+    SystemSpec,
+    Word,
+    _admissible_id_matrix,
+    check_word_count,
+    schottky_system,
+    zaremba_system,
+)
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +50,28 @@ def random_sl2z(rng, n_factors=6):
             f = np.array([[1, 0], [k, 1]], dtype=object)
         m = m @ f
     return m
+
+
+def admissible_words(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> list[Word]:
+    """All admissible words of length n, in lexicographic stored order."""
+    check_word_count(spec, n, guard)
+    ids = _admissible_id_matrix(spec, n)
+    return [Word(spec, tuple(int(v) for v in row)) for row in ids]
+
+
+def branch_matrix(w: Word) -> tuple[int, int, int, int]:
+    """Exact integer composition matrix (most recent letter leftmost).
+
+    Entries grow exponentially with length; intended for short words in
+    consistency checks only.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for k in w.letters:
+        la, lb, lc, ld = w.spec.letters[k].matrix
+        a, b, c, d = (
+            a * la + b * lc,
+            a * lb + b * ld,
+            c * la + d * lc,
+            c * lb + d * ld,
+        )
+    return a, b, c, d

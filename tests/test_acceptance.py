@@ -34,7 +34,7 @@ from modgap.decouple import (
     verify_domination,
 )
 from modgap.measures import GroupMeasure, MeasureParams, build_mu1, cocycle
-from modgap.modgroup import get_group, group_order, level_average, new_space_projector
+from modgap.modgroup import NewSpaceProjector, get_group, group_order, level_average
 from modgap.spectral import (
     LemmaExpandTester,
     digit_difference_quotients,
@@ -79,16 +79,13 @@ def test_01_group_engine(rng):
         assert get_group(q).order == n == group_order(q)
     # homomorphism and projector invariants at 1e-10
     from conftest import random_sl2z
-    from modgap.modgroup import reduce_mod
 
     t = get_group(12)
     t6 = get_group(6)
     for _ in range(500):
         g, h = random_sl2z(rng), random_sl2z(rng)
-        gi = t6.index_of(reduce_mod(g, 6).to_tuple())
-        hi = t6.index_of(reduce_mod(h, 6).to_tuple())
-        assert t6.index_of(reduce_mod(g @ h, 6).to_tuple()) == t6.multiply(gi, hi)
-    proj = new_space_projector(12)
+        assert t6.index_of(g @ h) == t6.products(t6.index_of(g), t6.index_of(h))
+    proj = NewSpaceProjector(t)
     phi = rng.standard_normal(t.order)
     v = proj.apply(phi)
     assert np.abs(proj.apply(v) - v).max() < 1e-10

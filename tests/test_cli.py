@@ -144,8 +144,12 @@ def test_sweep_skipped_row_schema(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [5], "a": 0.3, "system": {"mode": "zaremba", "digits": [1]}}))
     out = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(capsys, "sweep-q", "--config", str(cfg), "--out", str(out))
+    rpt = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "sweep-q", "--config", str(cfg), "--out", str(out),
+                         "--report", str(rpt))
+    # a failed check fails the run beside a skipped one
     assert code == 1
+    assert [c["status"] for c in json.loads(rpt.read_text())["checks"]] == ["fail", "skip"]
     lines = out.read_text().strip().splitlines()
     fields = lines[1].split(",")
     assert fields[0] == "5"
@@ -205,6 +209,28 @@ def test_dense_oracle_guard_reaches_the_dense_checks(tmp_path, capsys):
     assert "trace identity q=3" in checks and "trace identity q=5" not in checks
     assert set(checks["weighted expansion draws"]["c0"]) == {"3"}
     assert set(checks["per-block gap positive"]["min_c1"]) == {"3", "5"}
+
+
+def test_a_check_that_examines_nothing_skips(tmp_path, capsys):
+    # no group within guards.dense_oracle: no expansion draw is made
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [3], "a": 0.5322, "n_draws": 10, "L": 2,
+                               "R_prime": 2, "guards": {"dense_oracle": 10}}))
+    rpt = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
+    assert checks["weighted expansion draws"] == {
+        "name": "weighted expansion draws", "status": "skip", "dense_oracle": 10}
+    # the only non-square-free modulus lies past guards.max_q
+    cfg.write_text(json.dumps({"q_list": [5, 7, 9], "a": 0.5322, "b": 1.0,
+                               "guards": {"max_q": 8}}))
+    code, _, _ = run_cli(capsys, "sweep-q", "--config", str(cfg),
+                         "--out", str(tmp_path / "s.csv"), "--report", str(rpt))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
+    gap = checks["positive gap at non-square-free moduli"]
+    assert (gap["status"], gap["moduli"], gap["skipped"]) == ("skip", [], [9])
 
 
 def test_max_q_guard_lifts_the_measure_build(tmp_path, capsys):

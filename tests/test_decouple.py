@@ -18,7 +18,6 @@ from modgap.decouple import (
     make_context,
     measure_replacement_errors,
     outer_words,
-    split_word,
     verify_domination,
 )
 from modgap.errors import DomainError
@@ -52,28 +51,6 @@ def spec12_mod():
 @pytest.fixture(scope="module")
 def a12_mod():
     return 0.5322
-
-
-def test_split_round_trip(spec12, rng):
-    for _ in range(50):
-        ids = tuple(rng.integers(4, size=8))
-        w = word(spec12, ids)
-        blocks = split_word(w, 2)
-        assert len(blocks) == 4
-        rebuilt = sum((list(b.letters) for b in reversed(blocks)), [])
-        assert tuple(rebuilt) == ids
-        assert all(len(b) == 2 for b in blocks)
-
-
-def test_split_single_block(spec12):
-    w = word(spec12, (0, 1, 2))
-    (b,) = split_word(w, 3)
-    assert b.letters == w.letters
-
-
-def test_split_requires_divisibility(spec12):
-    with pytest.raises(ValueError):
-        split_word(word(spec12, (0, 1, 2)), 2)
 
 
 def test_beta_frozen_value(spec12):

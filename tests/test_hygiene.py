@@ -35,3 +35,52 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# definitions that nothing in src/modgap or perfbench reads, kept on purpose
+KEEP = {
+    "level_average": "the oracle of the NewSpaceProjector tests and of acceptance check C01",
+    "mu1_decay": "acceptance check C08, the exponential decay of the positive majorant",
+}
+
+
+def unread_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """Top-level functions and classes, and their methods other than dunders,
+    defined in `sources` that no source in `sources + readers` reads. A read
+    is a loaded bare name (`f`) or attribute (`x.f`); a method is reported as
+    `Class.method`."""
+    trees = [ast.parse(s) for s in sources]
+    read = set()
+    for tree in trees + [ast.parse(s) for s in readers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defined[f"{node.name}.{item.name}"] = item.name
+    return sorted(qual for qual, name in defined.items() if name not in read)
+
+
+def test_scan_flags_an_unread_definition():
+    source = ("def used(): pass\ndef unused(): pass\n"
+              "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
+              "    def n(self): pass\nused()\nC().m\n")
+    # a store is not a read
+    assert unread_definitions([source], ["x.n = 1\n"]) == ["C.n", "unused"]
+    assert unread_definitions([source], ["C.n(c)\nunused\n"]) == []
+
+
+def test_every_definition_is_read():
+    sources = [p.read_text() for p in MODULES]
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_definitions(sources, readers) == sorted(KEEP)

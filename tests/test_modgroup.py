@@ -5,15 +5,13 @@ from conftest import random_sl2z
 from modgap.errors import GuardExceeded, InvalidElement
 from modgap.modgroup import (
     GroupTable,
-    Modulus,
+    NewSpaceProjector,
     enumerate_group,
     factorize,
     get_group,
     group_order,
     level_average,
     new_space_dimension,
-    new_space_projector,
-    reduce_mod,
 )
 
 
@@ -59,8 +57,8 @@ def test_index_and_inverse_tables(t5, rng):
     for _ in range(50):
         i = int(rng.integers(t5.order))
         j = int(t5.inverse[i])
-        assert t5.multiply(i, j) == t5.identity_index
-        assert t5.multiply(j, i) == t5.identity_index
+        assert t5.products(i, j) == t5.identity_index
+        assert t5.products(j, i) == t5.identity_index
         assert t5.index_of(t5.matrix(i)) == i
 
 
@@ -70,8 +68,8 @@ def test_translations_are_cayley_rows(t5, rng):
         lt = t5.left_translation(i)
         rt = t5.right_translation(i)
         k = int(rng.integers(t5.order))
-        assert lt[k] == t5.multiply(i, k)
-        assert rt[k] == t5.multiply(k, i)
+        assert lt[k] == t5.products(i, k)
+        assert rt[k] == t5.products(k, i)
 
 
 def _exact_product_index(t, i, j):
@@ -100,17 +98,14 @@ def test_products_match_exact_integer_products(q, rng):
     assert np.array_equal(t.products(g, sl), exact(g, every[sl]))
 
 
-def test_reduce_mod_examples():
-    assert reduce_mod([[1, 0], [0, 1]], 7).to_tuple() == (1, 0, 0, 1)
-    assert reduce_mod([[1, 2], [1, 3]], 2).to_tuple() == (1, 0, 1, 1)
-    m = reduce_mod([[1, 1], [2, 3]], 3)
-    assert m.to_tuple() == (1, 1, 2, 0)
-    assert (1 * 0 - 1 * 2) % 3 == 1
-
-
-def test_reduce_mod_rejects_bad_determinant():
+def test_index_of_reduces_integer_matrices():
+    for q, m, reduced in [(7, [[1, 0], [0, 1]], (1, 0, 0, 1)), (2, [[1, 2], [1, 3]], (1, 0, 1, 1)),
+                          (3, [[1, 1], [2, 3]], (1, 1, 2, 0))]:
+        t = get_group(q)
+        assert t.matrix(t.index_of(m)).to_tuple() == reduced
+    # determinant 2 mod 5 is not an element
     with pytest.raises(InvalidElement):
-        reduce_mod([[1, 0], [0, 2]], 5)
+        get_group(5).index_of([[1, 0], [0, 2]])
 
 
 def test_reduction_is_homomorphism(rng):
@@ -121,15 +116,10 @@ def test_reduction_is_homomorphism(rng):
             g = random_sl2z(rng)
             h = random_sl2z(rng)
             gh = g @ h
-            lhs = reduce_mod(gh, q2).to_tuple()
-            gi = t2.index_of(reduce_mod(g, q2).to_tuple())
-            hi = t2.index_of(reduce_mod(h, q2).to_tuple())
-            assert t2.index_of(lhs) == t2.multiply(gi, hi)
+            assert t2.index_of(gh) == t2.products(t2.index_of(g), t2.index_of(h))
             # reducing mod q then mod q2 agrees with reducing mod q2
-            gq = reduce_mod(g, q).to_tuple()
-            assert reduce_mod(np.array(gq).reshape(2, 2), q2).to_tuple() == reduce_mod(
-                g, q2
-            ).to_tuple()
+            gq = t.matrix(t.index_of(g)).to_tuple()
+            assert t2.index_of(gq) == t2.index_of(g)
 
 
 def test_level_average_constants_and_pullbacks(rng):
@@ -193,7 +183,7 @@ def test_new_space_dimension_against_rank():
 
 @pytest.mark.parametrize("q", [4, 5, 12])
 def test_projector_invariants(q, rng):
-    p = new_space_projector(q)
+    p = NewSpaceProjector(get_group(q))
     t = p.table
     phi = rng.standard_normal(t.order) + 1j * rng.standard_normal(t.order)
     v = p.apply(phi)
@@ -219,7 +209,7 @@ def test_new_space_is_convolution_invariant(rng):
     from modgap.measures import GroupMeasure
 
     q = 6
-    p = new_space_projector(q)
+    p = NewSpaceProjector(get_group(q))
     t = p.table
     c = np.zeros(t.order, dtype=complex)
     idx = rng.choice(t.order, 10, replace=False)
@@ -240,4 +230,4 @@ def test_group_csv_dump(tmp_path, t5):
 
 def test_modulus_factorization():
     assert factorize(12) == ((2, 2), (3, 1))
-    assert Modulus.of(12).maximal_divisors == (6, 4)
+    assert NewSpaceProjector(get_group(12)).levels == (6, 4)

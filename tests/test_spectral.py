@@ -30,12 +30,14 @@ from modgap.spectral import (
 
 
 def test_identity_dirac_norm(t5):
-    rep = operator_norm(ConvOperator(GroupMeasure.dirac(t5, t5.identity_index), "mean_zero"))
+    identity = GroupMeasure.from_support(t5, [t5.identity_index], [1.0])
+    rep = operator_norm(ConvOperator(identity, "mean_zero"))
     assert rep.norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uniform_measure_annihilates_mean_zero(t5):
-    rep = operator_norm(ConvOperator(GroupMeasure.uniform(t5), "mean_zero"))
+    uniform = GroupMeasure(t5, np.full(t5.order, 1.0 / t5.order))
+    rep = operator_norm(ConvOperator(uniform, "mean_zero"))
     assert rep.norm == 0.0
 
 
@@ -120,7 +122,7 @@ def _block_norms(mu, ts):
 
 
 def _lifts(cosets, t):
-    """The (|G|, n) lifts to V_t of the coset basis vectors (`UnipotentCosets.lift`)."""
+    """The (|G|, n) lifts to V_t of the coset basis vectors."""
     return np.exp(2j * np.pi * t * cosets.beta / cosets.q)[:, None] * np.eye(cosets.n)[cosets.cid]
 
 
@@ -197,7 +199,7 @@ def test_block_certificate_past_the_dense_guard(spec12, a12):
     assert math.gcd(t, q) == 1
     (m,) = isotypic_blocks(mu, [t])
     f = np.linalg.svd(m)[2][0].conj()  # top right singular vector
-    phi = table.cosets().lift(f, t)
+    phi = _lifts(table.cosets(), t) @ f
     assert np.linalg.norm(proj.apply(phi) - phi) <= 1e-10 * np.linalg.norm(phi)
     gain = np.linalg.norm(mu.convolve(GroupMeasure(table, phi)).coeffs) / np.linalg.norm(phi)
     assert gain == pytest.approx(rep.norm, rel=1e-8)
@@ -381,7 +383,7 @@ def test_lanczos_stops_at_the_problem_dimension(spec12, a12):
 def test_sparse_zero_and_dirac(t5):
     zero = operator_norm(ConvOperator(GroupMeasure(t5, np.zeros(t5.order)), "full"))
     assert zero.norm == 0.0 and zero.block is None
-    dirac = GroupMeasure.dirac(t5, 17, coeff=2.0 - 1.5j)
+    dirac = GroupMeasure.from_support(t5, [17], [2.0 - 1.5j])
     rep = operator_norm(ConvOperator(dirac, "full"))
     assert rep.norm == pytest.approx(dirac.l1, rel=1e-12)
 
@@ -399,7 +401,7 @@ def test_dense_conv_matrix_is_the_cayley_matrix(t5, rng):
     mu = _random_measure(t5, 9, rng)
     M = dense_conv_matrix(mu)
     for x, y in rng.integers(t5.order, size=(200, 2)):
-        assert M[x, y] == mu.coeffs[t5.multiply(int(x), int(t5.inverse[y]))]
+        assert M[x, y] == mu.coeffs[t5.products(x, t5.inverse[y])]
 
 
 # -- weighted expansion -------------------------------------------------------
@@ -503,7 +505,7 @@ def test_mu1_decay_validates_lengths(spec12, a12):
 
 
 def test_trace_identity_dirac(t5):
-    d = GroupMeasure.dirac(t5, 17)
+    d = GroupMeasure.from_support(t5, [17], [1.0])
     rep = trace_identity_check(d)
     # reverse(d)*d is the identity Dirac: both sides equal |G|
     assert rep.trace_lhs == pytest.approx(t5.order)

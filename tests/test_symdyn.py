@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import admissible_words, branch_matrix
 from modgap.errors import (
     AdmissibilityError,
     DomainError,
@@ -11,9 +12,8 @@ from modgap.errors import (
     NonContractingError,
 )
 from modgap.symdyn import (
-    admissible_words,
-    branch_matrix,
     build_system,
+    check_word_count,
     count_admissible,
     estimate_contraction,
     estimate_delta,
@@ -64,14 +64,14 @@ def test_word_counts(spec12, schottky):
 
 def test_admissible_words_guard(spec12):
     with pytest.raises(GuardExceeded):
-        admissible_words(spec12, 5, guard=100)
+        check_word_count(spec12, 5, guard=100)
 
 
 def test_inverse_succession_rejected(schottky):
     with pytest.raises(AdmissibilityError):
         word(schottky, (0, 1))
     w = word(schottky, (0, 2))
-    assert w.length == 2
+    assert len(w) == 2
 
 
 def test_branch_eval_frozen_values(spec12):
