@@ -98,11 +98,15 @@ def test_products_match_exact_integer_products(q, rng):
     assert np.array_equal(t.products(g, sl), exact(g, every[sl]))
 
 
-def test_index_of_reduces_integer_matrices():
+# reduction of an integer matrix mod q goes through GroupTable.index_of
+def test_reduce_mod_examples():
     for q, m, reduced in [(7, [[1, 0], [0, 1]], (1, 0, 0, 1)), (2, [[1, 2], [1, 3]], (1, 0, 1, 1)),
                           (3, [[1, 1], [2, 3]], (1, 1, 2, 0))]:
         t = get_group(q)
         assert t.matrix(t.index_of(m)).to_tuple() == reduced
+
+
+def test_reduce_mod_rejects_bad_determinant():
     # determinant 2 mod 5 is not an element
     with pytest.raises(InvalidElement):
         get_group(5).index_of([[1, 0], [0, 2]])
