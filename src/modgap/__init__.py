@@ -8,7 +8,6 @@ from .modgroup import (
     GroupTable,
     ModMatrix,
     NewSpaceProjector,
-    enumerate_group,
     get_group,
     group_order,
     level_average,
@@ -42,7 +41,6 @@ __all__ = [
     "build_nu",
     "build_system",
     "cocycle",
-    "enumerate_group",
     "estimate_contraction",
     "estimate_delta",
     "evaluate_branch",

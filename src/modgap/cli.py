@@ -399,6 +399,8 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
                    rel_err=tr.trace_rel_err, multiplicity=tr.multiplicity,
                    cprime=tr.cprime)
         )
+    if not small_q:
+        checks.append(_check("trace identity", None, dense_oracle=dense))
 
     # autocorrelation threshold
     min_rs = {}
@@ -445,7 +447,7 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
             )
     non_sf = [r for r in rows if _not_squarefree(r.q)]
     swept = [r for r in non_sf if not r.skipped_reason]
-    alpha_ok = alpha is not None and alpha >= 0.15
+    alpha_ok = None if alpha is None else alpha >= 0.15  # no fit from fewer than two moduli
     print(f"alpha={alpha}")
     gap_details = {"moduli": [r.q for r in swept]}
     if not swept:

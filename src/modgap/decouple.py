@@ -32,19 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, GuardExceeded, Guards
-from .measures import GroupMeasure, cocycle
+from .measures import GroupMeasure, _accumulate, _cocycle_track
 from .modgroup import GroupTable, get_group
 from .symdyn import (
     SystemSpec,
-    Word,
     _admissible_id_matrix,
     _window_point,
     count_admissible,
     estimate_contraction,
-    evaluate_branch,
     resolve_point,
     walk_words,
-    word,
 )
 
 DEFAULT_SAFETY = 1.25
@@ -74,9 +71,6 @@ class BlockContext:
     @property
     def width(self) -> int:
         return self.spec.block_width
-
-    def block_word(self, j: int, inner: tuple[int, ...]) -> Word:
-        return word(self.spec, self.outer[j - 1] + inner)
 
 
 @dataclass(frozen=True)
@@ -175,43 +169,46 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, slots.tolist()))
 
 
-def beta(ctx: BlockContext, j: int, inner: tuple[int, ...]) -> float:
-    """Replacement weight of block j for one inner choice.
-
-    For j >= 2 this is exp of the block's Birkhoff sum along the window
-    word (block j followed by block j-1's outer part); for j = 1 the block
-    alone is evaluated. A Zaremba word is evaluated at the base point, a
-    subshift word at its `symdyn._window_point`.
-    """
-    spec = ctx.spec
-    block = ctx.outer[j - 1] + tuple(inner)
-    letters = block if j == 1 else block + ctx.outer[j - 2]
-    x = ctx.base if spec.mode == "zaremba" else _window_point(spec, letters[-1])
-    ev, _ = evaluate_branch(word(spec, letters), x=x, s=complex(ctx.a, 0.0))
-    return math.exp(ctx.a * math.fsum(ev.increments[: len(block)]))
+def _start_points(spec: SystemSpec, base: float, innermost) -> np.ndarray:
+    """Where window walks start, by innermost letter id: the base point in
+    Zaremba mode, else `symdyn._window_point`. The survey starts here too."""
+    if spec.mode == "zaremba":
+        return np.full(np.shape(innermost), base)
+    return np.array([_window_point(spec, k) for k in range(spec.n_letters)])[innermost]
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> EtaMeasure:
-    """The block-j measure: beta-weighted Diracs at the block cocycles."""
+    """The block-j measure: beta-weighted Diracs at the block cocycles.
+
+    beta = exp(a * fsum of the block's log-derivative increments) along the
+    window word, block j then block j-1's outer part (block 1 alone),
+    walked from `_start_points` of its innermost letter.
+    """
     table = get_group(ctx.q) if table is None else table
     inners = inner_slots(ctx, j)
     if not inners:
         raise AdmissibilityError(
             f"no admissible inner choice for block {j}; malformed subshift context"
         )
-    coeffs = np.zeros(table.order, dtype=np.complex128)
-    betas = []
-    for inner in inners:
-        b = beta(ctx, j, inner)
-        betas.append(b)
-        idx = table.index_of(cocycle(ctx.block_word(j, inner), ctx.q))
-        coeffs[idx] += b
+    spec = ctx.spec
+    blocks = np.array([ctx.outer[j - 1] + inner for inner in inners], dtype=np.intp)
+    lower = ctx.outer[j - 2] if j >= 2 else ()
+    innermost = lower[-1] if lower else blocks[:, -1]
+    x, _ = walk_words(spec, lower, _start_points(spec, ctx.base, innermost))
+    start, maps = _cocycle_track(spec, table)
+    idx = np.full(len(inners), start)
+    incs = []
+    for col in reversed(range(ctx.L)):
+        x, inc = walk_words(spec, blocks[:, col : col + 1], x)
+        incs.append(inc)
+        idx = maps[blocks[:, col], idx]
+    betas = tuple(math.exp(ctx.a * math.fsum(row)) for row in np.transpose(incs).tolist())
     return EtaMeasure(
-        measure=GroupMeasure(table, coeffs),
+        measure=_accumulate(table, idx, np.array(betas)),
         context=ctx,
         j=j,
         inners=inners,
-        betas=tuple(betas),
+        betas=betas,
     )
 
 
@@ -242,9 +239,11 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     Raises ValueError, naming L and the upper block, where a
     log-derivative is not finite.
 
-    Walks (upper, lower) block pairs about _SURVEY_CHUNK at a time. The
-    blocks are lexicographic, so the lower blocks that share an outer
-    word, and so a replacement window, are contiguous.
+    True weights start at the base point, replacement windows where
+    `build_eta`'s do (`_start_points`), so the error is that of the weights
+    the bound uses. Walks (upper, lower) block pairs about _SURVEY_CHUNK at
+    a time. The blocks are lexicographic, so the lower blocks that share an
+    outer word, and so a replacement window, are contiguous.
     """
     o, j0 = resolve_point(spec, base)
     blocks = _admissible_id_matrix(spec, L).astype(np.intp)
@@ -257,7 +256,7 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     starts = np.flatnonzero(first)  # one outer-word group per start
     group = np.cumsum(first) - 1
     pts_true, _ = walk_words(spec, blocks, np.full(n_blocks, o))
-    pts_beta, _ = walk_words(spec, outer[starts], np.full(starts.size, o))
+    windows = outer[starts]
 
     worst = 0.0
     worst_spread = 0.0
@@ -266,6 +265,9 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
         upper = blocks[lo : lo + step, None, :]
         ok = spec.follows[upper[:, :, -1], blocks[:, 0]]  # (upper, lower)
         _, ld_true = walk_words(spec, upper, pts_true)
+        # a window's innermost letter ends its outer word, or the upper block
+        tail = windows[:, -1] if windows.size else upper[:, :, -1]
+        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, tail))
         _, ld_beta = walk_words(spec, upper, pts_beta)
         errs = np.abs(a * (ld_true - ld_beta[:, group]))
         bad = ok & ~np.isfinite(errs)
@@ -355,7 +357,7 @@ def decoupled_upper_bound(
     tuples (o_1, ..., o_R') of eta_1 * ... * eta_R', with scale the
     frozen per-block replacement cost to the power of the number of
     replaced blocks. Block j's measure depends only on the window
-    (o_j, o_{j-1}): `inner_slots` and `beta` read no other outer word,
+    (o_j, o_{j-1}): `inner_slots` and `build_eta` read no other outer word,
     and for j >= 2 not j itself, so one eta(o', o) serves every j >= 2.
     By distributivity of convolution the sum is therefore exactly the
     transfer chain

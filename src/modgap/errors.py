@@ -15,7 +15,7 @@ class GuardExceeded(ModgapError):
 class Guards:
     """The four resource limits, each checked by one function.
 
-    max_q bounds the modulus (`modgroup.enumerate_group`), max_words the
+    max_q bounds the modulus (`modgroup.get_group`), max_words the
     admissible words of one expansion (`symdyn.check_word_count`), contexts
     the outer-word tuples of decoupling (`decouple.outer_words`) and
     dense_oracle the group order of a dense Cayley matrix

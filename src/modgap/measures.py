@@ -141,14 +141,8 @@ class GroupMeasure:
         """Coefficient at g becomes the conjugate of the one at g^-1."""
         return GroupMeasure(self.table, np.conj(self.coeffs[self.table.inverse]))
 
-    def abs(self) -> "GroupMeasure":
-        return GroupMeasure(self.table, np.abs(self.coeffs).astype(np.complex128))
-
     def scaled(self, factor) -> "GroupMeasure":
         return GroupMeasure(self.table, self.coeffs * factor)
-
-    def allclose(self, other: "GroupMeasure", atol=1e-12) -> bool:
-        return bool(np.allclose(self.coeffs, other.coeffs, atol=atol))
 
     def to_csv(self, path) -> None:
         import csv
@@ -217,14 +211,14 @@ class MeasureParams:
 @lru_cache(maxsize=64)
 def _cocycle_track(spec: SystemSpec, table: GroupTable):
     """The cocycle track of `symdyn._expand_orbit`: start at the identity,
-    and prepending letter k maps index i to index(elems[i] @ M_k mod q),
-    which matches the first-applied-leftmost product convention."""
-    q = table.q
-    out = []
-    for letter in spec.letters:
-        m = tuple(v % q for v in letter.matrix)
-        out.append(table.right_translation(table.index_of(m)))
-    return table.identity_index, tuple(out)
+    and prepending letter k maps index i to maps[k, i], the index of
+    elems[i] @ M_k mod q, which matches the first-applied-leftmost product
+    convention. The maps are stacked, so `maps[ks, idx]` walks a column of
+    letters at once."""
+    maps = np.stack([table.right_translation(table.index_of(letter.matrix))
+                     for letter in spec.letters])
+    maps.setflags(write=False)
+    return table.identity_index, maps
 
 
 def _prefix_mask(spec: SystemSpec, prefix, outer: np.ndarray):

@@ -146,8 +146,8 @@ class GroupTable:
         if isinstance(mat, ModMatrix):
             a, b, c, d = mat.to_tuple()
         else:
-            arr = np.asarray(mat, dtype=np.int64).reshape(4) % self.q
-            a, b, c, d = (int(v) for v in arr)
+            # Python ints reduce exact entries of any size
+            a, b, c, d = (int(v) % self.q for v in np.asarray(mat, dtype=object).reshape(4))
         idx = int(self.key_to_index[self._pack(a, b, c, d)])
         if idx < 0:
             raise InvalidElement(f"not an element of SL2(Z/{self.q}): {(a, b, c, d)}")
@@ -292,7 +292,7 @@ class UnipotentCosets:
         return f"UnipotentCosets(q={self.q}, n={self.n})"
 
 
-def enumerate_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
+def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
     """Enumerate SL2(Z/q) completely, once per q whatever the guard.
 
     Scans all q^4 entry tuples and keeps those with det = 1 mod q, in
@@ -331,11 +331,6 @@ def _enumerate(q: int) -> GroupTable:
             f"formula gives {group_order(q)}"
         )
     return table
-
-
-def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
-    """Cached accessor; alias of enumerate_group for call sites."""
-    return enumerate_group(q, max_q)
 
 
 def _fiber_average(phi: np.ndarray, fid, n_fibers) -> np.ndarray:

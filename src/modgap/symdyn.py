@@ -290,24 +290,16 @@ def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
 # branch evaluation
 
 
-def _matrix(spec: SystemSpec, k):
-    # a Python int reads the letter's tuple, which keeps scalar calls cheap;
-    # an id array reads `entries`, each entry with the shape of k
-    if isinstance(k, int):
-        return spec.letters[k].matrix
-    return spec.entries[:, k]
-
-
-def letter_image(spec: SystemSpec, k, x):
-    """Image of x under letter k, a letter id or an array of them."""
-    a, b, c, d = _matrix(spec, k)
+def letter_image(spec: SystemSpec, k: int, x):
+    """Image of x under letter k."""
+    a, b, c, d = spec.letters[k].matrix
     return (a * x + b) / (c * x + d)
 
 
-def letter_log_deriv(spec: SystemSpec, k, x):
-    """log|letter k'(x)|, for a letter id or an array of them."""
+def letter_log_deriv(spec: SystemSpec, k: int, x):
+    """log|letter k'(x)|."""
     # det is +1 for every letter, so |gamma'(x)| = (cx + d)^-2
-    a, b, c, d = _matrix(spec, k)
+    _, _, c, d = spec.letters[k].matrix
     return -2.0 * np.log(np.abs(c * x + d))
 
 
@@ -321,9 +313,11 @@ def walk_words(spec: SystemSpec, ids, x, ld=0.0):
     """
     ids = np.asarray(ids, dtype=np.intp)
     for i in reversed(range(ids.shape[-1])):
-        k = ids[..., i]
-        ld = ld + letter_log_deriv(spec, k, x)
-        x = letter_image(spec, k, x)
+        # the steps of `letter_log_deriv` and `letter_image`, for a column of ids
+        a, b, c, d = spec.entries[:, ids[..., i]]
+        den = c * x + d
+        ld = ld + -2.0 * np.log(np.abs(den))
+        x = (a * x + b) / den
     return x, ld
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modgap.cli import default_config, load_config, main, validate_config
+from modgap.cli import _check, _passed, default_config, load_config, main, validate_config
 from modgap.errors import ConfigError, Guards
 
 
@@ -147,14 +147,20 @@ def test_sweep_skipped_row_schema(tmp_path, capsys):
     rpt = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "sweep-q", "--config", str(cfg), "--out", str(out),
                          "--report", str(rpt))
-    # a failed check fails the run beside a skipped one
-    assert code == 1
-    assert [c["status"] for c in json.loads(rpt.read_text())["checks"]] == ["fail", "skip"]
+    # one modulus fits no decay exponent, and q=5 is skipped: nothing is examined
+    assert code == 0
+    assert [c["status"] for c in json.loads(rpt.read_text())["checks"]] == ["skip", "skip"]
     lines = out.read_text().strip().splitlines()
     fields = lines[1].split(",")
     assert fields[0] == "5"
     assert fields[4] == "" and fields[5] == ""
     assert "subgroup" in fields[-1]
+
+
+def test_a_failed_check_fails_the_run_beside_a_skipped_one():
+    assert not _passed([_check("examined", False), _check("not examined", None)])
+    assert _passed([_check("examined", True), _check("not examined", None)])
+    assert _passed([_check("not examined", None)])
 
 
 def test_schottky_check_passes(capsys):
@@ -222,6 +228,8 @@ def test_a_check_that_examines_nothing_skips(tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
     assert checks["weighted expansion draws"] == {
         "name": "weighted expansion draws", "status": "skip", "dense_oracle": 10}
+    assert checks["trace identity"] == {
+        "name": "trace identity", "status": "skip", "dense_oracle": 10}
     # the only non-square-free modulus lies past guards.max_q
     cfg.write_text(json.dumps({"q_list": [5, 7, 9], "a": 0.5322, "b": 1.0,
                                "guards": {"max_q": 8}}))

@@ -7,7 +7,6 @@ from modgap import decouple
 from modgap.decouple import (
     FittedDecoupling,
     _replacement_survey,
-    beta,
     build_eta,
     decoupled_upper_bound,
     enumerate_contexts,
@@ -25,6 +24,7 @@ from modgap.measures import MeasureParams, build_mu1
 from modgap.modgroup import get_group
 from modgap.symdyn import (
     _admissible_id_matrix,
+    _window_point,
     build_system,
     evaluate_branch,
     letter_image,
@@ -53,15 +53,21 @@ def a12_mod():
     return 0.5322
 
 
+def _beta(ctx, j, inner):
+    eta = build_eta(ctx, j)
+    return eta.betas[eta.inners.index(inner)]
+
+
 def test_beta_frozen_value(spec12):
     ctx = make_context(spec12, 2, 1, 1, [()], 0.5, base=0.0)
-    assert beta(ctx, 1, (0,)) == pytest.approx(0.5)
+    assert _beta(ctx, 1, (0,)) == pytest.approx(0.5)
 
 
 def test_beta_zeroth_power(spec12):
     ctx = make_context(spec12, 3, 2, 2, [(1,), (2,)], 0.0, base=0.0)
-    for inner in inner_slots(ctx, 2):
-        assert beta(ctx, 2, inner) == 1.0
+    eta = build_eta(ctx, 2)
+    assert eta.inners == inner_slots(ctx, 2)
+    assert eta.betas == (1.0,) * len(eta.inners)
 
 
 def test_beta_uses_shifted_window_point(spec12, a12):
@@ -74,7 +80,7 @@ def test_beta_uses_shifted_window_point(spec12, a12):
     block = ctx.outer[1] + inner
     shift_img = evaluate_branch(word(spec12, ctx.outer[0]), x=0.0)[0].image
     ev = evaluate_branch(word(spec12, block), x=shift_img)[0]
-    assert beta(ctx, 2, inner) == pytest.approx(math.exp(a12 * ev.log_deriv))
+    assert _beta(ctx, 2, inner) == pytest.approx(math.exp(a12 * ev.log_deriv))
 
 
 def test_replacement_error_bound_form(spec12_mod, a12_mod, fitted):
@@ -128,11 +134,26 @@ def test_schottky_needs_separating_outer(schottky):
         make_context(schottky, 5, 2, 2, [(), ()], 0.3)
 
 
-def test_replacement_survey_rejects_a_pole(schottky):
-    # at the midpoint base some window images of the subshift sit on a pole;
-    # their log-derivatives once turned into nan and dropped out of the max
+def test_replacement_survey_rejects_a_pole(monkeypatch, schottky):
+    # windows that start on the pole -d/c of their innermost letter have an
+    # infinite log-derivative, which once turned into nan and dropped out of
+    # the max
+    def pole(spec, k):
+        _, _, c, d = spec.letters[k].matrix
+        return -d / c
+
+    monkeypatch.setattr(decouple, "_window_point", pole)
     with pytest.raises(ValueError, match=r"L=3, upper block \("):
         fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
+
+
+def test_default_schottky_system_decouples(schottky):
+    # the midpoint base once put replacement windows on a pole of a letter
+    fitted = fit_decoupling_constant(schottky, 0.3)
+    p = MeasureParams(spec=schottky, q=5, s=0.3, r_len=6)
+    bound, _ = decoupled_upper_bound(schottky, 5, 0.3, 3, 2, fitted)
+    dom = verify_domination(build_mu1(p), bound)
+    assert dom.passed and dom.n_violations == 0
 
 
 def _walk_block(spec, block, pts):
@@ -157,7 +178,12 @@ def reference_survey(spec, a, base, L):
     outer_pos = {ow: i for i, ow in enumerate(outer_list)}
     outer_idx = np.array([outer_pos[ow] for ow in outer_of])
     pts_true_all = np.array([_walk_block(spec, b, np.array([o]))[1][0] for b in blocks])
-    pts_beta = np.array([_walk_block(spec, ow, np.array([o]))[1][0] for ow in outer_list])
+    # each window starts at the base point, or at the window point of its
+    # innermost letter in subshift mode
+    pts_beta = np.array([
+        _walk_block(spec, ow, np.array([o if spec.mode == "zaremba"
+                                        else _window_point(spec, ow[-1])]))[1][0]
+        for ow in outer_list])
     worst = 0.0
     worst_spread = 0.0
     for upper in blocks:
@@ -190,7 +216,7 @@ SURVEY_CASES = (
     [("zaremba12", base, L) for base in (0.0, None) for L in (2, 3, 4)]
     + [("zaremba123", 0.0, L) for L in (2, 3)]
     + [("schottky", 2.45, L) for L in (3, 4, 5)]
-    + [("schottky", None, L) for L in (3, 4)]  # window images on a pole
+    + [("schottky", None, L) for L in (3, 4)]  # some windows start off the base point
 )
 SURVEY_SYSTEMS = {
     "zaremba12": lambda: zaremba_system([1, 2]),
@@ -222,7 +248,7 @@ def test_replacement_survey_matches_the_per_block_loop(monkeypatch, system, base
     got = _outcome(_replacement_survey, spec, 0.5322, base, L)
     ref = _outcome(reference_survey, spec, 0.5322, base, L)
     assert got == ref
-    assert isinstance(ref, str) == (system == "schottky" and base is None)
+    assert not isinstance(ref, str)
 
 
 def test_flatness_decays_geometrically(spec12_mod, a12_mod):
@@ -246,7 +272,7 @@ def test_bound_equals_mu1_for_single_block(spec12_mod, a12_mod, fitted):
     p = MeasureParams(spec=spec12_mod, q=5, s=a12_mod, r_len=3, base=0.0)
     bound, rep = decoupled_upper_bound(spec12_mod, 5, a12_mod, 3, 1, fitted, base=0.0)
     assert rep.scale == 1.0
-    assert bound.allclose(build_mu1(p), atol=1e-10)
+    assert np.allclose(bound.coeffs, build_mu1(p).coeffs, atol=1e-10)
 
 
 def per_context_bound(spec, q, a, L, r_prime, fitted, base=None):

@@ -6,7 +6,6 @@ from modgap.errors import GuardExceeded, InvalidElement
 from modgap.modgroup import (
     GroupTable,
     NewSpaceProjector,
-    enumerate_group,
     factorize,
     get_group,
     group_order,
@@ -40,9 +39,9 @@ def test_order_formula_against_brute_force():
 
 def test_guard_range():
     with pytest.raises(GuardExceeded):
-        enumerate_group(40)
+        get_group(40)
     with pytest.raises(GuardExceeded):
-        enumerate_group(1)
+        get_group(1)
 
 
 def test_elements_lex_sorted_unique_det_one(t5):
@@ -104,6 +103,12 @@ def test_reduce_mod_examples():
                           (3, [[1, 1], [2, 3]], (1, 1, 2, 0))]:
         t = get_group(q)
         assert t.matrix(t.index_of(m)).to_tuple() == reduced
+
+
+def test_reduce_mod_takes_exact_integers_of_any_size():
+    # 2^64 = 1 mod 5; an int64 conversion overflowed here
+    t = get_group(5)
+    assert t.index_of([[2**64 + 1, 1], [2**64, 1]]) == t.index_of([[2, 1], [1, 1]])
 
 
 def test_reduce_mod_rejects_bad_determinant():
