@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, GuardExceeded, Guards
+from .errors import AdmissibilityError, DomainError, GuardExceeded, Guards
 from .measures import GroupMeasure, _accumulate, _cocycle_track
 from .modgroup import GroupTable, get_group
 from .symdyn import (
@@ -169,12 +169,14 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, slots.tolist()))
 
 
-def _start_points(spec: SystemSpec, base: float, innermost) -> np.ndarray:
-    """Where window walks start, by innermost letter id: the base point in
-    Zaremba mode, else `symdyn._window_point`. The survey starts here too."""
+def _start_points(spec: SystemSpec, base: float, interval, innermost) -> np.ndarray:
+    """Where window walks start, by innermost letter id, from the resolved
+    base point and its interval: the base point in Zaremba mode, else
+    `symdyn._window_point`. The survey starts here too."""
     if spec.mode == "zaremba":
         return np.full(np.shape(innermost), base)
-    return np.array([_window_point(spec, k) for k in range(spec.n_letters)])[innermost]
+    points = [_window_point(spec, k, base, interval) for k in range(spec.n_letters)]
+    return np.array(points)[innermost]
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> EtaMeasure:
@@ -194,7 +196,7 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> Eta
     blocks = np.array([ctx.outer[j - 1] + inner for inner in inners], dtype=np.intp)
     lower = ctx.outer[j - 2] if j >= 2 else ()
     innermost = lower[-1] if lower else blocks[:, -1]
-    x, _ = walk_words(spec, lower, _start_points(spec, ctx.base, innermost))
+    x, _ = walk_words(spec, lower, _start_points(spec, ctx.base, ctx.base_interval, innermost))
     start, maps = _cocycle_track(spec, table)
     idx = np.full(len(inners), start)
     incs = []
@@ -236,7 +238,7 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     spread of true weights including beta). The second quantity is the
     flatness constant: all deep continuations that one replacement window
     stands in for carry weights within that log range of each other.
-    Raises ValueError, naming L and the upper block, where a
+    Raises DomainError, naming L and the upper block, where a
     log-derivative is not finite.
 
     True weights start at the base point, replacement windows where
@@ -267,13 +269,13 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
         _, ld_true = walk_words(spec, upper, pts_true)
         # a window's innermost letter ends its outer word, or the upper block
         tail = windows[:, -1] if windows.size else upper[:, :, -1]
-        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, tail))
+        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, tail))
         _, ld_beta = walk_words(spec, upper, pts_beta)
         errs = np.abs(a * (ld_true - ld_beta[:, group]))
         bad = ok & ~np.isfinite(errs)
         if bad.any():
             row = tuple(int(v) for v in upper[bad.any(axis=1).argmax(), 0])
-            raise ValueError(
+            raise DomainError(
                 f"non-finite log-derivative at L={L}, upper block {row}: a window "
                 "image lies on a pole of a letter"
             )
@@ -301,8 +303,14 @@ def flatness_ratio(spec: SystemSpec, a: float, L: int, base=None) -> float:
 
 
 def fit_decoupling_constant(
-    spec: SystemSpec, a: float, base=None, L_values=(2, 3)
+    spec: SystemSpec, a: float, base=None, L_values=None
 ) -> FittedDecoupling:
+    """Freeze the replacement-error constant from exhaustive surveys at the
+    block lengths L_values. By default these are the two shortest a bound
+    can use, L = width + 1 and width + 2: L = 2, 3 in Zaremba mode, where
+    the width is 1; a subshift's `make_context` rejects L <= width."""
+    if L_values is None:
+        L_values = (spec.block_width + 1, spec.block_width + 2)
     gamma = estimate_contraction(spec).per_letter
     o, _ = resolve_point(spec, base)
     err_by_L = []

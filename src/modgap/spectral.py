@@ -30,6 +30,14 @@ representations, chosen from the measure:
 Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
 only for small groups, as oracles and for eigenvalue multiplicity counts.
 
+The per-block gap (`eta_gap`) needs no iteration. Right translation of a
+measure is unitary on the mean-zero functions, so a measure and its right
+translates have one norm, and the per-block measures of one modulus fall
+into a few right-translation classes. Each block V_t splits once into
+G-invariant pieces, the eigenspaces of a Hermitian element of its
+commutant; left convolution preserves each piece and its complement, so
+the largest norm over the pieces, of small dense matrices, is exact.
+
 The module also hosts the verification routines built on that engine:
 the weighted-expansion lemma, the per-block flat-expansion gap, the
 exponential decay in the word length, the trace identity with its
@@ -44,11 +52,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .decouple import EtaMeasure
-from .errors import ConvergenceError, GuardExceeded, Guards
+from .errors import ConvergenceError, EstimationError, GuardExceeded, Guards
 from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu, cocycle
 from .modgroup import (
     GroupTable,
@@ -62,6 +71,11 @@ from .symdyn import SystemSpec, word
 DENSE_GUARD = Guards.dense_oracle
 _CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
 _RITZ_EVERY = 4  # Lanczos steps between eigen-solves of the tridiagonal T
+_HECKE_TERMS = 32  # Hecke operators in the commutant element that splits each V_t
+_SPLIT_GAP = 1e-8  # relative eigenvalue gap between two pieces of V_t
+_INVARIANCE_TOL = 1e-10  # largest part of a generator's image allowed to leave a piece
+_GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1))  # they generate SL2(Z/q)
+_CLASS_CACHE = 16  # right-translation classes whose compressed generators `eta_gap` keeps
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -471,25 +485,143 @@ class EtaGapReport:
     gap_failure: bool
 
 
+def _translation_class(table: GroupTable, supp: np.ndarray, weights: np.ndarray):
+    """Canonical form of sum_k weights[k] delta(supp[k]) up to right translation.
+
+    Over x in supp, the support supp x^-1 is sorted and the weights reordered
+    with it; the least (sorted support, weights) pair is kept, so every right
+    translate of the measure has the same form. Returns (key, weights).
+    """
+    shifted = table.products(supp[:, None], table.inverse[supp])  # [k, x] = supp_k x^-1
+    forms = []
+    for col in shifted.T:
+        order = np.argsort(col)
+        forms.append((tuple(col[order].tolist()),
+                      tuple(zip(weights.real[order].tolist(), weights.imag[order].tolist()))))
+    key, ws = min(forms)
+    return key, np.array([complex(*w) for w in ws])
+
+
+def _clusters(w: np.ndarray) -> list[int]:
+    """Boundaries of the clusters of the sorted eigenvalues w: a cluster ends
+    where the next gap exceeds _SPLIT_GAP times the spectral radius."""
+    cut = np.flatnonzero(np.diff(w) > _SPLIT_GAP * np.abs(w).max()) + 1
+    return [0, *cut.tolist(), w.size]
+
+
+def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
+    """Orthonormal bases (n, d) of G-invariant pieces that split V_t.
+
+    The pieces are the eigenspaces of a seeded Hermitian element of the
+    commutant of left translation on V_t, H = sum_k c_k (T_k + T_k^H), with
+    Hecke operators T_g = P_t R_g: right translation by g, then the
+    projection onto V_t. In coset coordinates, with s_i u_b g = s_j u_beta,
+    T_g[i, j] collects e(t (beta - b) / q) / q over b, from the products
+    s_i u_b g of the coset grid, n * q steps per term. Left translations
+    commute with H, so every eigenspace is invariant; a generic H has
+    irreducible eigenspaces. Eigenvalues are grouped by `_clusters`.
+    """
+    cosets = table.cosets()
+    q, n = table.q, cosets.n
+    rng = np.random.default_rng([q, t])
+    gs = rng.integers(table.order, size=_HECKE_TERMS)
+    idx = table.products(cosets.grid[None], gs[:, None, None])  # s_i u_b g_k
+    cells = (np.arange(n)[:, None] * n + cosets.cid[idx]).reshape(-1)
+    coef = rng.standard_normal(_HECKE_TERMS)[:, None, None] / q
+    phase = (coef * np.exp(2j * np.pi * t * (cosets.beta[idx] - np.arange(q)) / q)).reshape(-1)
+    h = np.bincount(cells, phase.real, n * n) + 1j * np.bincount(cells, phase.imag, n * n)
+    h = h.reshape(n, n)
+    w, v = np.linalg.eigh(h + h.conj().T)
+    bounds = _clusters(w)
+    return [v[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _class_generators(table: GroupTable, key: tuple[int, ...], ts: tuple[int, ...]):
+    """The class elements delta(key[k]) compressed to every piece of V_t,
+    t in ts, as read-only arrays (len(key), pieces, d, d), one per piece size d.
+
+    Each piece W is checked invariant under M_t of the generators
+    [[0,-1],[1,0]] and [[1,1],[0,1]] of SL2(Z/q): EstimationError if a column
+    of M_t W leaves span W by more than _INVARIANCE_TOL, relative to the
+    unit norm of M_t. A piece that merges two invariant pieces is harmless;
+    one that splits an invariant piece would give a wrong norm.
+    """
+    cosets = table.cosets()
+    gens = [table.index_of(g) for g in _GENERATORS]
+    # M_t delta(g) f(c) = e(t b(c) / q) f(perm(c)), with g^-1 s_c = s_perm(c) u_b(c)
+    perm, beta = cosets.left_action(table.inverse[np.array([*key, *gens])])
+    by_size: dict[int, list[np.ndarray]] = {}
+    for t in ts:
+        phase = np.exp(2j * np.pi * t * beta / table.q)[:, :, None]
+        for w in _character_pieces(table, t):
+            mw = phase * w[perm]  # (elements, n, d)
+            comp = w.conj().T @ mw
+            off = np.linalg.norm(mw[len(key):] - w @ comp[len(key):], axis=1).max()
+            if off > _INVARIANCE_TOL:
+                raise EstimationError(
+                    f"piece of dimension {w.shape[1]} at q={table.q}, t={t} is not "
+                    f"invariant: {off:.2e} of a generator's image leaves it"
+                )
+            by_size.setdefault(w.shape[1], []).append(comp[: len(key)])
+    out = []
+    for comps in by_size.values():
+        arr = np.stack(comps, axis=1)
+        arr.setflags(write=False)
+        out.append(arr)
+    return tuple(out)
+
+
 def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
+    The norm is exact up to rounding; nothing iterates, so `iters` is 0 and
+    `max_iter` and `seed` are unused (kept for the callers of the Lanczos
+    path). Two facts make it exact and cheap:
+
+    * Right translation is unitary on the mean-zero functions: convolution
+      by eta * delta(g) is convolution by eta after left translation by g.
+      So eta is first put in the canonical form of its right-translation
+      class (`_translation_class`); on the C07 table one class per modulus
+      holds every eta.
+    * Left convolution preserves every G-invariant subspace of a character
+      block V_t, and the orthogonal complement of one too, so the norm is
+      the largest over the invariant pieces of `_character_pieces`. On a
+      piece W it is that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top
+      eigenvalue of B^H B, with one batched `eigvalsh` per piece size.
+
+    The blocks are those of the mean-zero orbits (`operator_norm`). With
+    real weights M_{-t} = conj(M_t) has the same norm, so of the orbits of
+    t and -t only the one with the smaller representative is kept. The
+    compressed generators of a class are cached (`_class_generators`); at
+    q <= 16 no piece exceeds 48 dimensions.
+
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
-    length too small for flatness. Vanishing means within the solver's
-    own resolution (its Rayleigh quotient approaches the norm from below),
-    taken as 100 * tol.
+    length too small for flatness. Vanishing means below 100 * tol, the
+    resolution of the iterative solver, kept as the threshold.
     """
-    rep = operator_norm(
-        ConvOperator(eta.measure, "mean_zero"), tol=tol, max_iter=max_iter, seed=seed
-    )
-    c1 = 1.0 - rep.norm / rep.l1
+    m = eta.measure
+    table = m.table
+    supp = m.support
+    key, weights = _translation_class(table, supp, m.coeffs[supp])
+    ts = ConvOperator(m, "mean_zero").orbits()
+    if not weights.imag.any():
+        squares = {u * u % table.q for u in range(1, table.q) if math.gcd(u, table.q) == 1}
+        ts = tuple(t for t in ts if min(s * -t % table.q for s in squares) >= t)
+    top = 0.0
+    for gens in _class_generators(table, key, ts):
+        b = np.tensordot(weights, gens, axes=1)
+        top = max(top, float(np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1].max()))
+    norm = math.sqrt(top)
+    l1 = math.fsum(np.abs(weights).tolist())
+    c1 = 1.0 - norm / l1
     return EtaGapReport(
-        q=eta.measure.table.q,
+        q=table.q,
         c1=c1,
-        norm=rep.norm,
-        l1=rep.l1,
-        iters=rep.iters,
+        norm=norm,
+        l1=l1,
+        iters=0,
         gap_failure=c1 <= 100.0 * tol,
     )
 

@@ -367,17 +367,15 @@ def resolve_point(spec: SystemSpec, x, innermost: int | None = None):
     return x, j
 
 
-@lru_cache(maxsize=64)
-def _window_point(spec: SystemSpec, innermost: int) -> float:
+def _window_point(spec: SystemSpec, innermost: int, x: float, j: int) -> float:
     """Evaluation point of a subshift word whose innermost letter is
-    `innermost`: the system base point where its interval may follow that
-    letter, else the representative of the first interval that may (the
-    rule of a system at its interval midpoints). `resolve_point` raises
-    instead, as it must for a point given explicitly."""
-    x, j = resolve_point(spec, None)
-    if not spec.allowed(innermost, j):
-        x = spec.letters[_first_interval_after(spec, innermost)].rep
-    return x
+    `innermost`, given the resolved base point x in interval j: x where
+    interval j may follow that letter, else the representative of the first
+    interval that may (the rule of a system at its interval midpoints).
+    `resolve_point` raises instead, as it must for a point given explicitly."""
+    if spec.allowed(innermost, j):
+        return x
+    return spec.letters[_first_interval_after(spec, innermost)].rep
 
 
 def evaluate_branch(w: Word, x=None, s: complex = complex(1.0, 0.0)):

@@ -129,6 +129,44 @@ def test_decouple_verify_report(tmp_path, capsys):
     assert validate_config(report["config"]) == load_config(str(cfg))
 
 
+SCHOTTKY_VERIFY = {"system": {"mode": "schottky"}, "q_list": [5], "a": 0.3, "L": 3,
+                   "R_prime": 2}
+
+
+def test_a_pole_in_the_replacement_survey_ends_in_an_error_line(tmp_path, capsys,
+                                                                monkeypatch):
+    from modgap import decouple
+
+    def pole(spec, k, x, j):
+        _, _, c, d = spec.letters[k].matrix
+        return -d / c
+
+    monkeypatch.setattr(decouple, "_window_point", pole)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SCHOTTKY_VERIFY))
+    code, _, err = run_cli(capsys, "decouple-verify", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: non-finite log-derivative at L=3, upper block (")
+    assert "Traceback" not in err
+
+
+def test_a_run_base_point_decouples_like_the_systems_own(tmp_path, capsys):
+    # the base point beside the system once failed with 10 violations
+    reports = []
+    for cfg_dict in ({**SCHOTTKY_VERIFY, "base_point": 0.5},
+                     {**SCHOTTKY_VERIFY, "system": {"mode": "schottky", "base_point": 0.5}}):
+        cfg, rpt = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps(cfg_dict))
+        code, _, _ = run_cli(capsys, "decouple-verify", "--config", str(cfg),
+                             "--report", str(rpt))
+        assert code == 0
+        reports.append(json.loads(rpt.read_text()))
+    (check_a,), (check_b,) = (r["checks"] for r in reports)
+    assert check_a["status"] == "pass" and check_a["n_violations"] == 0
+    assert check_a["mass_ratio"] == check_b["mass_ratio"]
+    assert reports[0]["constants"]["fitted_c"] == reports[1]["constants"]["fitted_c"]
+
+
 def test_sweep_q_csv_schema(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [4, 5, 7], "a": 0.5322, "b": 1.0}))

@@ -138,18 +138,22 @@ def test_replacement_survey_rejects_a_pole(monkeypatch, schottky):
     # windows that start on the pole -d/c of their innermost letter have an
     # infinite log-derivative, which once turned into nan and dropped out of
     # the max
-    def pole(spec, k):
+    def pole(spec, k, x, j):
         _, _, c, d = spec.letters[k].matrix
         return -d / c
 
     monkeypatch.setattr(decouple, "_window_point", pole)
-    with pytest.raises(ValueError, match=r"L=3, upper block \("):
+    with pytest.raises(DomainError, match=r"L=3, upper block \("):
         fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
 
 
 def test_default_schottky_system_decouples(schottky):
-    # the midpoint base once put replacement windows on a pole of a letter
+    # the midpoint base once put replacement windows on a pole of a letter;
+    # the default fit once included L = width, where a window has no outer
+    # letter and make_context rejects the block length
     fitted = fit_decoupling_constant(schottky, 0.3)
+    assert [L for L, _ in fitted.err_by_L] == [3, 4]
+    assert all(L > schottky.block_width for L, _ in fitted.err_by_L)
     p = MeasureParams(spec=schottky, q=5, s=0.3, r_len=6)
     bound, _ = decoupled_upper_bound(schottky, 5, 0.3, 3, 2, fitted)
     dom = verify_domination(build_mu1(p), bound)
@@ -182,7 +186,7 @@ def reference_survey(spec, a, base, L):
     # innermost letter in subshift mode
     pts_beta = np.array([
         _walk_block(spec, ow, np.array([o if spec.mode == "zaremba"
-                                        else _window_point(spec, ow[-1])]))[1][0]
+                                        else _window_point(spec, ow[-1], o, j0)]))[1][0]
         for ow in outer_list])
     worst = 0.0
     worst_spread = 0.0
@@ -400,6 +404,22 @@ def test_window_points_keep_base_point_weights(spec12_mod, a12_mod, schottky, sy
     spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
     for eta in enumerate_etas(spec, 5, a, L, 2, base):
         assert list(eta.betas) == _base_point_betas(eta)
+
+
+def test_zaremba_default_fit_keeps_block_lengths_2_and_3(spec12_mod, a12_mod):
+    fitted = fit_decoupling_constant(spec12_mod, a12_mod, 0.0)
+    assert [L for L, _ in fitted.err_by_L] == [2, 3]
+
+
+def test_a_base_point_beside_the_system_reaches_the_window_weights():
+    # a numeric base point given as the run's base, not the system's, once
+    # reached build_mu1 and the survey's true weights but not the eta weights
+    inside = list(enumerate_etas(build_system({"mode": "schottky", "base_point": 0.5}),
+                                 5, 0.3, 3, 2))
+    beside = list(enumerate_etas(build_system({"mode": "schottky"}), 5, 0.3, 3, 2, base=0.5))
+    assert [e.betas for e in beside] == [e.betas for e in inside]
+    assert all(np.array_equal(e.measure.coeffs, f.measure.coeffs)
+               for e, f in zip(beside, inside))
 
 
 def test_numeric_schottky_base_decouples_every_window():

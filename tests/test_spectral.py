@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from modgap import spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
-from modgap.errors import ConvergenceError, GuardExceeded
+from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
 from modgap.measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
 from modgap.modgroup import NewSpaceProjector, get_group
 from modgap.spectral import (
@@ -352,6 +354,17 @@ def test_sparse_gap_stops_within_tol(spec12, a12):
     assert eta_gap(eta).c1 == pytest.approx(limit, abs=2e-8)
 
 
+def test_stacked_lanczos_stops_within_tol(spec12, a12):
+    # the same minimiser through the stacked sparse Lanczos stop, which
+    # eta_gap no longer takes
+    eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
+    op = ConvOperator(eta.measure, "mean_zero")
+    limit = operator_norm(op, tol=1e-12, max_iter=50_000)
+    rep = operator_norm(op)
+    assert rep.block is None
+    assert 1 - rep.norm / rep.l1 == pytest.approx(1 - limit.norm / limit.l1, abs=2e-8)
+
+
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_stacked_lanczos_brackets_the_eta_norm(spec12, a12, q):
     # against the exact block norms, and the dense oracle where it fits
@@ -464,6 +477,64 @@ def test_eta_gap_detects_proper_subgroup_support(t5):
     rep = eta_gap(eta)
     assert rep.gap_failure
     assert rep.c1 == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16])
+def test_eta_gap_is_the_largest_block_norm(spec12, a12, q):
+    # exact: the largest bare block over the mean-zero orbits, partner
+    # orbits included; the dense oracle checks the minimiser where it fits
+    reps = []
+    for eta in enumerate_etas(spec12, q, a12, 2, base=0.0):
+        rep = eta_gap(eta)
+        assert rep.iters == 0
+        ts = ConvOperator(eta.measure, "mean_zero").orbits()
+        assert rep.norm == pytest.approx(max(_block_norms(eta.measure, ts)), rel=1e-12)
+        reps.append((rep.c1, rep.norm, eta))
+    _, norm, eta = min(reps, key=lambda r: r[0])
+    if eta.measure.table.order <= 2500:
+        assert norm == pytest.approx(dense_operator_norm(eta.measure, "mean_zero"), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_eta_gap_of_a_right_translate_is_bit_identical(spec12, a12, q, rng):
+    eta = build_eta(make_context(spec12, q, 2, 2, ((1,), (0,)), a12, base=0.0), 2)
+    table = eta.measure.table
+    supp = eta.measure.support
+    c1 = eta_gap(eta).c1
+    for g in rng.integers(table.order, size=5):
+        moved = GroupMeasure.from_support(table, table.products(supp, g),
+                                          eta.measure.coeffs[supp])
+        assert eta_gap(replace(eta, measure=moved)).c1 == c1
+
+
+def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
+    # no partner orbit is dropped when M_-t is not conj(M_t)
+    eta = build_eta(make_context(spec12, 8, 2, 2, ((1,), (0,)), a12, base=0.0), 2)
+    supp = eta.measure.support
+    phases = np.exp(2j * np.pi * rng.random(supp.size))
+    m = GroupMeasure.from_support(eta.measure.table, supp, eta.measure.coeffs[supp] * phases)
+    rep = eta_gap(replace(eta, measure=m))
+    op = ConvOperator(m, "mean_zero")
+    assert rep.norm == pytest.approx(max(_block_norms(m, op.orbits())), rel=1e-12)
+    lanczos = operator_norm(op)
+    assert abs(rep.norm**2 - lanczos.norm**2) <= lanczos.residual + 1e-12 * rep.norm**2
+
+
+def test_a_split_invariant_piece_is_caught(spec12, a12, monkeypatch):
+    # splitting the largest eigenvalue cluster leaves a piece that the
+    # generators move out of itself
+    clusters = spectral._clusters
+
+    def split_largest(w):
+        bounds = clusters(w)
+        lo = max(zip(bounds, bounds[1:]), key=lambda b: b[1] - b[0])[0]
+        return sorted({*bounds, lo + 1})
+
+    monkeypatch.setattr(spectral, "_clusters", split_largest)
+    spectral._class_generators.cache_clear()
+    eta = next(enumerate_etas(spec12, 8, a12, 2, base=0.0))
+    with pytest.raises(EstimationError, match="not invariant"):
+        eta_gap(eta)
 
 
 def test_eta_gap_uniform_in_q_at_fixed_l(spec12, a12):
