@@ -382,7 +382,7 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
     worst_c1 = {}
     for q in cfg.q_list:
         worst_c1[q] = min(
-            eta_gap(e, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed).c1
+            eta_gap(e, tol=cfg.tol, seed=cfg.seed).c1
             for e in enumerate_etas(spec, q, a, cfg.L, base=cfg.base, guards=cfg.guards)
         )
     checks.append(

@@ -37,6 +37,8 @@ into a few right-translation classes. Each block V_t splits once into
 G-invariant pieces, the eigenspaces of a Hermitian element of its
 commutant; left convolution preserves each piece and its complement, so
 the largest norm over the pieces, of small dense matrices, is exact.
+Isomorphic pieces have one norm, so only one piece per character,
+evaluated on the conjugacy classes, is solved.
 
 The module also hosts the verification routines built on that engine:
 the weighted-expansion lemma, the per-block flat-expansion gap, the
@@ -71,8 +73,10 @@ from .symdyn import SystemSpec, word
 DENSE_GUARD = Guards.dense_oracle
 _CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
 _RITZ_EVERY = 4  # Lanczos steps between eigen-solves of the tridiagonal T
-_HECKE_TERMS = 32  # Hecke operators in the commutant element that splits each V_t
-_SPLIT_GAP = 1e-8  # relative eigenvalue gap between two pieces of V_t
+_HECKE_TERMS = 32  # random Hecke operators in the commutant element that splits each V_t
+# relative eigenvalue gap between two pieces of V_t; across a smaller gap the
+# eigenvectors mix neighbouring pieces by more than _INVARIANCE_TOL
+_SPLIT_GAP = 1e-5
 _INVARIANCE_TOL = 1e-10  # largest part of a generator's image allowed to leave a piece
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1))  # they generate SL2(Z/q)
 _CLASS_CACHE = 16  # right-translation classes whose compressed generators `eta_gap` keeps
@@ -493,13 +497,13 @@ def _translation_class(table: GroupTable, supp: np.ndarray, weights: np.ndarray)
     translate of the measure has the same form. Returns (key, weights).
     """
     shifted = table.products(supp[:, None], table.inverse[supp])  # [k, x] = supp_k x^-1
-    forms = []
-    for col in shifted.T:
-        order = np.argsort(col)
-        forms.append((tuple(col[order].tolist()),
-                      tuple(zip(weights.real[order].tolist(), weights.imag[order].tolist()))))
-    key, ws = min(forms)
-    return key, np.array([complex(*w) for w in ws])
+    order = np.argsort(shifted, axis=0)
+    cols = np.take_along_axis(shifted, order, axis=0)
+    ws = weights[order]
+    # rows in order of precedence: the support, then re and im of each weight
+    keys = np.concatenate([cols, np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])])
+    best = np.lexsort(keys[::-1])[0]  # lexsort's last key takes precedence
+    return tuple(cols[:, best].tolist()), ws[:, best]
 
 
 def _clusters(w: np.ndarray) -> list[int]:
@@ -509,26 +513,55 @@ def _clusters(w: np.ndarray) -> list[int]:
     return [0, *cut.tolist(), w.size]
 
 
+@lru_cache(maxsize=None)
+def _conjugacy_classes(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives and sizes of the conjugacy classes of the group.
+
+    A class is an orbit of conjugation by the two generators, which generate
+    the group: labels fall to the least index of their orbit.
+    """
+    perms = [table.products(table.products(g, slice(None)), table.inverse[g])
+             for g in (table.index_of(g) for g in _GENERATORS)]  # x -> g x g^-1
+    label = np.arange(table.order)
+    while True:
+        new = np.minimum.reduce([label, *(label[p] for p in perms)])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps, sizes = np.unique(label, return_counts=True)
+    return reps, sizes
+
+
 def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
     """Orthonormal bases (n, d) of G-invariant pieces that split V_t.
 
     The pieces are the eigenspaces of a seeded Hermitian element of the
-    commutant of left translation on V_t, H = sum_k c_k (T_k + T_k^H), with
-    Hecke operators T_g = P_t R_g: right translation by g, then the
-    projection onto V_t. In coset coordinates, with s_i u_b g = s_j u_beta,
-    T_g[i, j] collects e(t (beta - b) / q) / q over b, from the products
-    s_i u_b g of the coset grid, n * q steps per term. Left translations
-    commute with H, so every eigenspace is invariant; a generic H has
-    irreducible eigenspaces. Eigenvalues are grouped by `_clusters`.
+    commutant of left translation on V_t, H = sum_k (c_k T_k + conj(c_k) T_k^H)
+    with complex c_k, and Hecke operators T_g = P_t R_g: right translation
+    by g, then the projection onto V_t. In coset coordinates, with
+    s_i u_b g = s_j u_beta, T_g[i, j] collects e(t (beta - b) / q) / q over
+    b, from the products s_i u_b g of the coset grid, n * q steps per term.
+    Left translations commute with H, so every eigenspace is invariant; a
+    generic H has irreducible eigenspaces. Complex c_k also separate the
+    copies of a representation whose multiplicity space is quaternionic,
+    which a real combination of the Hermitian parts T_k + T_k^H cannot.
+    Besides _HECKE_TERMS random g, the terms include the centre, u I with
+    u^2 = 1: T_z acts on each irreducible by its central character, random
+    g almost never fall in the centre, and without it pieces of two
+    representations stay merged at q=16. Eigenvalues are grouped by
+    `_clusters`.
     """
     cosets = table.cosets()
     q, n = table.q, cosets.n
     rng = np.random.default_rng([q, t])
-    gs = rng.integers(table.order, size=_HECKE_TERMS)
+    centre = [table.index_of([[u, 0], [0, u]]) for u in range(1, q) if u * u % q == 1]
+    gs = np.concatenate([centre, rng.integers(table.order, size=_HECKE_TERMS)])
     idx = table.products(cosets.grid[None], gs[:, None, None])  # s_i u_b g_k
     cells = (np.arange(n)[:, None] * n + cosets.cid[idx]).reshape(-1)
-    coef = rng.standard_normal(_HECKE_TERMS)[:, None, None] / q
-    phase = (coef * np.exp(2j * np.pi * t * (cosets.beta[idx] - np.arange(q)) / q)).reshape(-1)
+    coef = ([1, 1j] @ rng.standard_normal((2, gs.size)))[:, None, None] / q
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    phase = (coef * roots[t * (cosets.beta[idx] - np.arange(q)) % q]).reshape(-1)
     h = np.bincount(cells, phase.real, n * n) + 1j * np.bincount(cells, phase.imag, n * n)
     h = h.reshape(n, n)
     w, v = np.linalg.eigh(h + h.conj().T)
@@ -537,47 +570,79 @@ def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _class_generators(table: GroupTable, key: tuple[int, ...], ts: tuple[int, ...]):
-    """The class elements delta(key[k]) compressed to every piece of V_t,
-    t in ts, as read-only arrays (len(key), pieces, d, d), one per piece size d.
+def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
+    """The class elements delta(key[k]) compressed to one piece per
+    isomorphism class of the G-invariant pieces of the mean-zero blocks V_t.
+
+    Returns one (d, gens) pair per piece size d, with gens a read-only
+    (len(key), pieces * d * d) array of the flattened compressions.
 
     Each piece W is checked invariant under M_t of the generators
     [[0,-1],[1,0]] and [[1,1],[0,1]] of SL2(Z/q): EstimationError if a column
     of M_t W leaves span W by more than _INVARIANCE_TOL, relative to the
     unit norm of M_t. A piece that merges two invariant pieces is harmless;
     one that splits an invariant piece would give a wrong norm.
+
+    Every piece is checked, but only one per character is kept: pieces
+    with characters chi and chi' on the conjugacy classes C are isomorphic
+    iff sum_C |C| |chi - chi'|^2 / |G| < 1/2 (the sum is the integer
+    sum_pi (m_pi - m'_pi)^2 over the irreducible pi), and isomorphic pieces
+    give unitarily equivalent compressions. With real weights (`real`) a
+    piece whose character is conj(chi) of a kept one is dropped too: its
+    compression is conj(B). For the same reason only one of the orbits of
+    t and -t is kept.
     """
+    q = table.q
     cosets = table.cosets()
+    ts = tuple(t for t in cosets.torus_orbits() if t)  # the mean-zero orbits
+    if real:
+        squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
+        ts = tuple(t for t in ts if min(s * -t % q for s in squares) >= t)
+    reps, sizes = _conjugacy_classes(table)
+    weight = sizes / table.order
     gens = [table.index_of(g) for g in _GENERATORS]
+    k = len(key)
     # M_t delta(g) f(c) = e(t b(c) / q) f(perm(c)), with g^-1 s_c = s_perm(c) u_b(c)
-    perm, beta = cosets.left_action(table.inverse[np.array([*key, *gens])])
-    by_size: dict[int, list[np.ndarray]] = {}
+    perm, beta = cosets.left_action(table.inverse[np.array([*key, *gens, *reps])])
+    cols = np.arange(cosets.n)
+    comps, chars = [], []
     for t in ts:
-        phase = np.exp(2j * np.pi * t * beta / table.q)[:, :, None]
+        phase = np.exp(2j * np.pi * t * beta / q)
         for w in _character_pieces(table, t):
-            mw = phase * w[perm]  # (elements, n, d)
+            mw = phase[: k + 2, :, None] * w[perm[: k + 2]]  # (elements, n, d)
             comp = w.conj().T @ mw
-            off = np.linalg.norm(mw[len(key):] - w @ comp[len(key):], axis=1).max()
+            off = np.linalg.norm(mw[k:] - w @ comp[k:], axis=1).max()
             if off > _INVARIANCE_TOL:
                 raise EstimationError(
-                    f"piece of dimension {w.shape[1]} at q={table.q}, t={t} is not "
+                    f"piece of dimension {w.shape[1]} at q={q}, t={t} is not "
                     f"invariant: {off:.2e} of a generator's image leaves it"
                 )
-            by_size.setdefault(w.shape[1], []).append(comp[: len(key)])
+            comps.append(comp[:k])
+            # chi(g^-1) = tr(W^H M_t W) = sum_c e(t beta_c / q) P[perm(c), c], P = W W^H
+            chars.append((phase[k + 2:] * (w @ w.conj().T)[perm[k + 2:], cols]).sum(axis=1))
+    # dist[i, j] = sum_C |C| |chi_i - chi_j|^2 / |G|, or to conj(chi_j) if smaller
+    chi = np.array(chars)
+    norms = np.abs(chi) ** 2 @ weight
+    dist = norms[:, None] + norms - 2 * (chi * weight @ chi.conj().T).real
+    if real:
+        dist = np.minimum(dist, norms[:, None] + norms - 2 * (chi * weight @ chi.T).real)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for i in np.flatnonzero(~np.tril(dist < 0.5, -1).any(axis=1)):
+        by_size.setdefault(comps[i].shape[1], []).append(comps[i])
     out = []
-    for comps in by_size.values():
-        arr = np.stack(comps, axis=1)
+    for d, group in by_size.items():
+        arr = np.stack(group, axis=1).reshape(k, -1)
         arr.setflags(write=False)
-        out.append(arr)
+        out.append((d, arr))
     return tuple(out)
 
 
-def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
+def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
     The norm is exact up to rounding; nothing iterates, so `iters` is 0 and
-    `max_iter` and `seed` are unused (kept for the callers of the Lanczos
-    path). Two facts make it exact and cheap:
+    `seed` is unused (kept for the callers of the Lanczos path). Two facts
+    make it exact and cheap:
 
     * Right translation is unitary on the mean-zero functions: convolution
       by eta * delta(g) is convolution by eta after left translation by g.
@@ -588,13 +653,13 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
       block V_t, and the orthogonal complement of one too, so the norm is
       the largest over the invariant pieces of `_character_pieces`. On a
       piece W it is that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top
-      eigenvalue of B^H B, with one batched `eigvalsh` per piece size.
+      eigenvalue of B^H B. Isomorphic pieces give the same norm, so one
+      piece per character is solved (`_class_generators`), with one matmul
+      and one batched `eigvalsh` per piece size.
 
-    The blocks are those of the mean-zero orbits (`operator_norm`). With
-    real weights M_{-t} = conj(M_t) has the same norm, so of the orbits of
-    t and -t only the one with the smaller representative is kept. The
-    compressed generators of a class are cached (`_class_generators`); at
-    q <= 16 no piece exceeds 48 dimensions.
+    The blocks are those of the mean-zero orbits (`operator_norm`). The
+    compressed generators of a class are cached; at q <= 16 no kept piece
+    exceeds 24 dimensions.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
@@ -605,13 +670,9 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, max_iter=5000, seed=7) -> EtaGapReport:
     table = m.table
     supp = m.support
     key, weights = _translation_class(table, supp, m.coeffs[supp])
-    ts = ConvOperator(m, "mean_zero").orbits()
-    if not weights.imag.any():
-        squares = {u * u % table.q for u in range(1, table.q) if math.gcd(u, table.q) == 1}
-        ts = tuple(t for t in ts if min(s * -t % table.q for s in squares) >= t)
     top = 0.0
-    for gens in _class_generators(table, key, ts):
-        b = np.tensordot(weights, gens, axes=1)
+    for d, gens in _class_generators(table, key, not weights.imag.any()):
+        b = (weights @ gens).reshape(-1, d, d)
         top = max(top, float(np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1].max()))
     norm = math.sqrt(top)
     l1 = math.fsum(np.abs(weights).tolist())
