@@ -15,19 +15,11 @@ and Statistics, ch. 3), and one block per orbit of the diagonal torus on
 the characters suffices. No subspace needs a projection: the norm on the
 new subspace is the largest norm of a block M_t with t a unit mod q, on
 the mean-zero functions the largest with t != 0, and on all functions the
-largest of all (proof in `operator_norm`). The blocks come in two
-representations, chosen from the measure:
-
-* dense blocks, for |supp mu| >= |G|/q. The central elements u I with
-  u^2 = 1 mod q, the torus stabiliser S, commute with every M_t and move
-  the cosets freely, so each M_t splits into |S| blocks of size |G|/(q|S|)
-  (`UnipotentCosets.stabiliser`), built from mu in |G|^2/(q|S|) steps
-  (`isotypic_blocks`) and solved one by one;
-* stacked sparse blocks, for sparser measures: each support point g
-  permutes the cosets up to a unipotent phase, so M_t is a gather through
-  |supp mu| permutations, built from the support in |supp mu| * |G|/q
-  steps (`_sparse_blocks`). All orbits are solved together as one
-  problem over their direct sum, an (|G|/q, orbits) array.
+largest of all (proof in `operator_norm`). The central elements u I with
+u^2 = 1 mod q, the torus stabiliser S, commute with every M_t and move the
+cosets freely, so each M_t splits into |S| dense blocks of size
+|G|/(q|S|) (`UnipotentCosets.stabiliser`), built from mu in |G|^2/(q|S|)
+steps (`isotypic_blocks`) whatever its support, and solved one by one.
 
 Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
 only for small groups, as oracles and for eigenvalue multiplicity counts.
@@ -74,7 +66,6 @@ from .modgroup import (
 from .symdyn import SystemSpec, word
 
 DENSE_GUARD = Guards.dense_oracle
-_CHUNK = 1 << 18  # entries (points x cosets x blocks) per chunk of `_sparse_blocks`
 _RITZ_EVERY = 4  # Lanczos steps between eigen-solves of the tridiagonal T
 _HECKE_TERMS = 32  # random Hecke operators in the commutant element that splits each V_t
 # relative eigenvalue gap between two pieces of V_t; across a smaller gap the
@@ -147,7 +138,7 @@ class GapReport:
     residual: float
     seconds: float
     converged: bool
-    block: int | None = None
+    block: int
 
 
 def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
@@ -180,44 +171,9 @@ def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
     return blocks
 
 
-def _sparse_blocks(table: GroupTable, elements, weights, ts):
-    """F -> (M_t F[:, k])_k for the measure sum_k weights[k] delta(elements[k]),
-    on an (n, len(ts)) stack of coset coordinates, one column per character.
-
-    With g^-1 s_c = s_pi(c) u_b(c) (`UnipotentCosets.left_action`),
-    (M_t f)(c) = sum_g mu(g) e(t b(c) / q) f(pi(c)): a gather through one
-    coset permutation per support point. Storage is the (pi, b) integers of
-    the support and a q x len(ts) phase table, built in |supp| * |G|/q steps;
-    the support is walked in chunks of at most _CHUNK entries.
-    """
-    cosets = table.cosets()
-    perm, beta = cosets.left_action(table.inverse[elements])
-    phases = np.exp(2j * np.pi * np.outer(np.arange(table.q), ts) / table.q)
-    cols = np.arange(len(ts))
-    size = cosets.n * cols.size
-    step = max(1, _CHUNK // size)
-
-    def chunk(lo):  # mu(g) e(t b(c) / q) and the flat index of (pi(c), t), per point
-        sl = slice(lo, lo + step)
-        return ((weights[sl, None, None] * phases[beta[sl]]).reshape(-1, size),
-                (perm[sl, :, None] * cols.size + cols).reshape(-1, size))
-
-    kept = chunk(0) if weights.size <= step else None  # a single chunk is built once
-
-    def apply(f: np.ndarray) -> np.ndarray:
-        flat = f.reshape(-1)
-        out = np.zeros(size, dtype=np.complex128)
-        for lo in range(0, weights.size, step):
-            w, idx = kept or chunk(lo)
-            out += np.add.reduce(w * flat.take(idx), axis=0)
-        return out.reshape(f.shape)
-
-    return apply
-
-
-def _lanczos(apply, shape, rng, tol, max_iter):
+def _lanczos(apply, dim, rng, tol, max_iter):
     """Top eigenvalue of a Hermitian positive semi-definite K, given as
-    `apply` on arrays of `shape`, by Lanczos with full reorthogonalisation
+    `apply` on vectors of length `dim`, by Lanczos with full reorthogonalisation
     (Golub & Van Loan, Matrix Computations, sec. 10.1).
 
     Step k makes one apply, subtracts alpha_k v_k + beta_{k-1} v_{k-1} and
@@ -231,16 +187,15 @@ def _lanczos(apply, shape, rng, tol, max_iter):
     and residual the explicit ||K y - lam y||, from one more apply;
     converged is False when max_iter < dim steps did not meet the stop.
     """
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    dim = v.size
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     limit = min(dim, max_iter)
     # room for four Ritz checks; grows by doubling below, never past `limit` rows
     basis = np.empty((min(limit, 4 * _RITZ_EVERY), dim), dtype=np.complex128)
-    basis[0] = v.reshape(-1) / np.linalg.norm(v)
+    basis[0] = v / np.linalg.norm(v)
     alpha, beta = [], []
     for k in range(1, limit + 1):
         v, V = basis[k - 1], basis[:k]
-        w = apply(v.reshape(shape)).reshape(-1)
+        w = apply(v)
         alpha.append(float(np.vdot(v, w).real))
         w -= alpha[-1] * v
         if k > 1:
@@ -258,7 +213,7 @@ def _lanczos(apply, shape, rng, tol, max_iter):
         if k == len(basis):
             basis = np.concatenate([basis, np.empty((min(k, limit - k), dim), basis.dtype)])
         basis[k] = w / beta[-1]
-    y = (s @ V).reshape(shape)
+    y = s @ V
     y /= np.linalg.norm(y)
     w = apply(y)
     lam = max(float(np.vdot(y, w).real), 0.0)
@@ -301,24 +256,21 @@ def operator_norm(
     One irreducible representation holds characters of several orbits, so
     blocks of different orbits can tie exactly (t = 1, 7 at q = 8).
 
-    Each problem is solved by `_lanczos`, which stops when the Ritz
+    Each block is solved by `_lanczos`, which stops when the Ritz
     residual is at most tol * theta. The reported value is the Rayleigh
     quotient of the Ritz vector, a lower bound on the top eigenvalue of
     K up to rounding, since K is Hermitian positive; by the residual it
     lies within `residual` of an eigenvalue of K.
-    With |supp mu| >= |G|/q the blocks are dense and split by the torus
-    stabiliser S (`isotypic_blocks`): ||M_t|| is the largest norm of its
-    |S| blocks B_chi, and each B_chi is solved on its own. `iters` sums
-    their Lanczos steps, and `block` is the smallest t with a block within
-    100 * tol of the maximum, with its `residual`. A block whose trace
-    ||B_chi||_F^2 is at most dim * eps * ||mu||_1^2, with dim = n/|S| its
-    dimension (numpy's matrix_rank tolerance, with ||mu||_1^2 bounding the
-    block's norm), is reported as exactly 0. A sparser measure
-    gets the stacked sparse blocks, one Lanczos problem over the direct sum
-    of the orbits with one stopping test, and `block` is None. The norm is
-    the maximum in both cases. Raises ConvergenceError carrying the best
-    estimate if any problem reaches max_iter steps, short of its
-    dimension, without meeting the stop.
+    The blocks are split by the torus stabiliser S (`isotypic_blocks`):
+    ||M_t|| is the largest norm of its |S| blocks B_chi, and each B_chi is
+    solved on its own. `iters` sums their Lanczos steps, and `block` is the
+    smallest t with a block within 100 * tol of the maximum, with its
+    `residual`. A block whose trace ||B_chi||_F^2 is at most
+    dim * eps * ||mu||_1^2, with dim = n/|S| its dimension (numpy's
+    matrix_rank tolerance, with ||mu||_1^2 bounding the block's norm), is
+    reported as exactly 0. Raises ConvergenceError carrying the best
+    estimate if any block reaches max_iter steps, short of its dimension,
+    without meeting the stop.
     """
     t0 = time.perf_counter()
     if op.dim < 1:
@@ -326,40 +278,29 @@ def operator_norm(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     table = op.table
-    cosets = table.cosets()
     ts = op.orbits()
-    results = []  # (lam, residual, block)
-    problems = []  # (block, vector shape, apply K)
-    if op.measure.n_support * table.q >= table.order:
-        blocks = isotypic_blocks(op.measure, ts)
-        floor = blocks.shape[-1] * np.finfo(float).eps * op.measure.l1**2
-        for t, split in zip(ts, blocks):
-            for m in split:
-                if np.vdot(m, m).real <= floor:
-                    results.append((0.0, 0.0, t))
-                else:  # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
-                    problems.append((t, m.shape[1], lambda v, m=m: np.conj(np.conj(m @ v) @ m)))
-    else:  # one problem over the direct sum of the blocks
-        supp = op.measure.support
-        weights = op.measure.coeffs[supp]
-        apply_m = _sparse_blocks(table, supp, weights, ts)
-        # M_t^H is M_t of reverse(mu): conjugate weights at the inverses
-        apply_mh = _sparse_blocks(table, table.inverse[supp], weights.conj(), ts)
-        problems.append((None, (cosets.n, len(ts)), lambda f: apply_mh(apply_m(f))))
-
+    blocks = isotypic_blocks(op.measure, ts)
+    floor = blocks.shape[-1] * np.finfo(float).eps * op.measure.l1**2
     rng = np.random.default_rng(seed)
+    results = []  # (lam, residual, t)
     converged = True
     total_iters = 0
-    for block, shape, apply in problems:
-        lam, residual, steps, done = _lanczos(apply, shape, rng, tol, max_iter)
-        total_iters += steps
-        converged = converged and done
-        results.append((lam, residual, block))
+    for t, split in zip(ts, blocks):
+        for m in split:
+            if np.vdot(m, m).real <= floor:
+                results.append((0.0, 0.0, t))
+                continue
+            # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
+            lam, residual, steps, done = _lanczos(
+                lambda v, m=m: np.conj(np.conj(m @ v) @ m), m.shape[1], rng, tol, max_iter)
+            total_iters += steps
+            converged = converged and done
+            results.append((lam, residual, t))
     top = max(r[0] for r in results)
     # blocks of different torus orbits can tie exactly (t = 1, 7 at q = 8):
     # name the smallest t within the solver's resolution of the maximum
     _, residual, block = min((r for r in results if r[0] >= (1.0 - 100.0 * tol) * top),
-                             key=lambda r: r[2] or 0)
+                             key=lambda r: r[2])
     norm_est = math.sqrt(top)
     l1 = op.measure.l1
     report = GapReport(
@@ -676,8 +617,10 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
     The norm is exact up to rounding; nothing iterates, so `iters` is 0 and
-    `seed` is unused (kept for the callers of the Lanczos path). Two facts
-    make it exact and cheap:
+    `seed` is unused. Both stay as long as their callers read them:
+    `verify-lemmas` and perfbench's eta-gaps workload and reference script
+    pass `seed=`, and the workload records `iters`. Two facts make it exact
+    and cheap:
 
     * Right translation is unitary on the mean-zero functions: convolution
       by eta * delta(g) is convolution by eta after left translation by g.
@@ -698,8 +641,9 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
-    length too small for flatness. Vanishing means below 100 * tol, the
-    resolution of the iterative solver, kept as the threshold.
+    length too small for flatness. Vanishing means below 100 * tol: the
+    resolution that acceptance check C07b states, kept until a rounding
+    bound of the batched eigen-solve replaces it.
     """
     m = eta.measure
     table = m.table

@@ -113,6 +113,18 @@ def test_opnorm_and_sweep_report_the_maximal_block(tmp_path, capsys):
     assert all(max_block[q] in range(int(q)) for q in max_block)
 
 
+def test_opnorm_names_the_block_of_a_sparse_measure(tmp_path, capsys):
+    # mu1 at R=2 has 15 points at q=5, fewer than the |G|/q = 24 cosets
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [5], "a": 0.5322, "measure": "mu1",
+                               "subspace": "mean_zero", "R_prime": 1}))
+    rpt = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "opnorm", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    (check,) = json.loads(rpt.read_text())["checks"]
+    assert check["block"] in range(1, 5) and f"block={check['block']}" in out
+
+
 def test_decouple_verify_report(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [3, 4], "a": 0.5322, "L": 2, "R_prime": 2}))

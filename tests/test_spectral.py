@@ -296,21 +296,7 @@ def test_lanczos_brackets_every_block(spec12, a12, q):
         assert exact - lam <= residual + 1e-12 * exact
 
 
-def test_support_rule_picks_the_representation(rng):
-    q = 8
-    t = get_group(q)
-    n = t.order // q
-    for size, blocked in ((n, True), (n - 1, False)):
-        c = np.zeros(t.order, dtype=complex)
-        idx = rng.choice(t.order, size, replace=False)
-        c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        mu = GroupMeasure(t, c)
-        rep = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13)
-        assert (rep.block is not None) == blocked
-        assert rep.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
-
-
-# -- stacked sparse blocks -------------------------------------------------------
+# -- sparse measures on the split blocks ----------------------------------------
 
 
 def _random_measure(table, size, rng):
@@ -322,33 +308,20 @@ def _random_measure(table, size, rng):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 9, 10, 12])
 def test_sparse_blocks_match_dense_oracle(spec12, a12, q, rng):
+    # every support size goes through the same split blocks: 1, 4, |G|/q - 1
+    # and |G|/q points, and a 4-point per-block measure
     t = get_group(q)
     n = t.order // q
-    measures = [_random_measure(t, size, rng) for size in sorted({1, min(4, n - 1), n - 1})]
-    # a 4-point per-block measure, where it is sparse (not at q=2, |G|/q = 3)
-    etas = list(enumerate_etas(spec12, q, a12, 2, base=0.0))[:1]
-    measures += [e.measure for e in etas if e.measure.n_support < n]
+    measures = [_random_measure(t, size, rng) for size in sorted({1, min(4, n - 1), n - 1, n})]
+    measures += [e.measure for e in list(enumerate_etas(spec12, q, a12, 2, base=0.0))[:1]]
     for mu in measures:
-        assert mu.n_support < n
         for sub in ("full", "mean_zero", "new_space"):
-            rep = operator_norm(ConvOperator(mu, sub), tol=1e-13, max_iter=50_000)
-            assert rep.block is None and rep.converged
-            assert rep.iters <= n * len(ConvOperator(mu, sub).orbits())
+            op = ConvOperator(mu, sub)
+            rep = operator_norm(op, tol=1e-13, max_iter=50_000)
+            assert rep.block in op.orbits() and rep.converged
+            assert rep.iters <= n * len(op.orbits())
             oracle = dense_operator_norm(mu, sub)
             assert rep.norm == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-
-
-def test_sparse_blocks_in_chunks(spec12, a12, rng, monkeypatch):
-    # one support point per chunk: the phases are rebuilt on every apply
-    import modgap.spectral as spectral
-
-    t = get_group(9)
-    mu = _random_measure(t, t.order // 9 - 1, rng)
-    whole = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13, max_iter=50_000)
-    monkeypatch.setattr(spectral, "_CHUNK", 1)
-    chunked = operator_norm(ConvOperator(mu, "new_space"), tol=1e-13, max_iter=50_000)
-    assert chunked.norm == pytest.approx(whole.norm, rel=1e-12)
-    assert chunked.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
 
 
 @pytest.mark.parametrize("q", [6, 8, 9, 12])
@@ -369,28 +342,6 @@ def test_coset_action_densifies_to_the_blocks(q, rng):
         assert np.abs(dense - blocks[char]).max() < 1e-12
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 1])
-@pytest.mark.parametrize("q", [8, 9, 12])
-def test_stacked_sparse_blocks_apply_each_block(q, chunk, rng, monkeypatch):
-    # column k of the stack is M_t F[:, k] with t = ts[k]; the conjugate
-    # weights at the inverses give M_t^H
-    import modgap.spectral as spectral
-
-    monkeypatch.setattr(spectral, "_CHUNK", chunk)
-    t = get_group(q)
-    cosets = t.cosets()
-    mu = _random_measure(t, 7, rng)
-    ts = cosets.torus_orbits()
-    blocks = unsplit_blocks(mu, ts)
-    f = rng.standard_normal((cosets.n, len(ts))) + 1j * rng.standard_normal((cosets.n, len(ts)))
-    w = mu.coeffs[mu.support]
-    fwd = spectral._sparse_blocks(t, mu.support, w, ts)(f)
-    adj = spectral._sparse_blocks(t, t.inverse[mu.support], w.conj(), ts)(f)
-    for k, m in enumerate(blocks):
-        assert np.abs(fwd[:, k] - m @ f[:, k]).max() < 1e-12
-        assert np.abs(adj[:, k] - m.conj().T @ f[:, k]).max() < 1e-12
-
-
 def test_sparse_gap_past_the_dense_guard(spec12, a12):
     # the q=16 minimiser of the per-block gap table, against the pinned
     # dense eigen-solve in perfbench/refs.json
@@ -405,34 +356,28 @@ def test_sparse_gap_past_the_dense_guard(spec12, a12):
 
 
 def test_sparse_gap_stops_within_tol(spec12, a12):
-    # the q=16 minimiser at q=32, past the moduli of the gap table: the one
-    # piece per character that eta_gap solves against a tight stacked
-    # Lanczos solve over every mean-zero block, within its residual
-    eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
-    rep = eta_gap(eta)
-    lanczos = operator_norm(ConvOperator(eta.measure, "mean_zero"), tol=1e-12, max_iter=50_000)
-    assert lanczos.converged
-    assert abs(rep.norm**2 - lanczos.norm**2) <= lanczos.residual + 1e-12 * rep.norm**2
-
-
-def test_stacked_lanczos_stops_within_tol(spec12, a12):
-    # the same minimiser through the stacked sparse Lanczos stop, which
-    # eta_gap no longer takes
+    # the q=16 minimiser at q=32, past the moduli of the gap table, against
+    # a reference independent of eta_gap's pieces: a tight Lanczos solve of
+    # every mean-zero split block. eta_gap meets it within its residual, and
+    # the default-tol solve's gap within 2e-8
     eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
     op = ConvOperator(eta.measure, "mean_zero")
     limit = operator_norm(op, tol=1e-12, max_iter=50_000)
-    rep = operator_norm(op)
-    assert rep.block is None
-    assert 1 - rep.norm / rep.l1 == pytest.approx(1 - limit.norm / limit.l1, abs=2e-8)
+    assert limit.converged and limit.block in op.orbits()
+    rep = eta_gap(eta)
+    assert abs(rep.norm**2 - limit.norm**2) <= limit.residual + 1e-12 * rep.norm**2
+    loose = operator_norm(op)
+    assert 1 - loose.norm / loose.l1 == pytest.approx(1 - limit.norm / limit.l1, abs=2e-8)
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
 def test_stacked_lanczos_brackets_the_eta_norm(spec12, a12, q):
-    # against the exact block norms, and the dense oracle where it fits
+    # the 4-point per-block measures on the split blocks, against the exact
+    # block norms, and the dense oracle where it fits
     for eta in enumerate_etas(spec12, q, a12, 2, base=0.0):
         op = ConvOperator(eta.measure, "mean_zero")
         rep = operator_norm(op)
-        assert rep.block is None and rep.converged
+        assert rep.block in op.orbits() and rep.converged
         assert rep.iters <= op.table.cosets().n * len(op.orbits())
         exacts = [max(_block_norms(eta.measure, op.orbits())) ** 2]
         if op.table.order <= 2500:
@@ -444,19 +389,21 @@ def test_stacked_lanczos_brackets_the_eta_norm(spec12, a12, q):
 
 
 def test_lanczos_stops_at_the_problem_dimension(spec12, a12):
-    # with a stop it can never meet, the 36-dimensional stacked problem at
-    # q=4 (12 cosets x 3 orbits) ends within 36 steps as invariant
+    # with a stop it can never meet, each split block ends as invariant
+    # within its dimension: at q=4, |S| = 2 splits each of the 3 mean-zero
+    # orbits' 12-dimensional blocks into 2 of dimension 6, 36 steps in all
     eta = next(enumerate_etas(spec12, 4, a12, 2, base=0.0))
     op = ConvOperator(eta.measure, "mean_zero")
-    assert op.table.cosets().n * len(op.orbits()) == 36
+    blocks = isotypic_blocks(eta.measure, op.orbits())
+    assert blocks.shape == (3, 2, 6, 6)
     rep = operator_norm(op, tol=0.0)
-    assert rep.converged and rep.iters <= 36
+    assert rep.converged and rep.iters <= 3 * 2 * 6
     assert rep.norm == pytest.approx(dense_operator_norm(eta.measure, "mean_zero"), rel=1e-12)
 
 
 def test_sparse_zero_and_dirac(t5):
     zero = operator_norm(ConvOperator(GroupMeasure(t5, np.zeros(t5.order)), "full"))
-    assert zero.norm == 0.0 and zero.block is None
+    assert zero.norm == 0.0 and zero.block == 0
     dirac = GroupMeasure.from_support(t5, [17], [2.0 - 1.5j])
     rep = operator_norm(ConvOperator(dirac, "full"))
     assert rep.norm == pytest.approx(dirac.l1, rel=1e-12)
@@ -598,9 +545,9 @@ def test_eta_gap_of_a_right_translate_is_bit_identical(spec12, a12, q, rng):
 
 def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
     # with complex weights the q=8 norm is the largest bare block over every
-    # mean-zero orbit, and the stacked Lanczos solve meets it within its
-    # residual. Both hold here even when partner orbits or conjugate
-    # characters are merged; the q=16 test below is the one that catches that
+    # mean-zero orbit, and the Lanczos solve of the split blocks meets it
+    # within its residual. Both hold here even when partner orbits or
+    # conjugate characters are merged; the q=16 test below catches that
     eta = build_eta(make_context(spec12, 8, 2, 2, ((1,), (0,)), a12, base=0.0), 2)
     supp = eta.measure.support
     phases = np.exp(2j * np.pi * rng.random(supp.size))
