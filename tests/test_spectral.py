@@ -296,6 +296,20 @@ def test_lanczos_brackets_every_block(spec12, a12, q):
         assert exact - lam <= residual + 1e-12 * exact
 
 
+def test_support_rule_picks_the_representation(rng):
+    # no support-size rule is left: a |G|/q-point and a (|G|/q - 1)-point
+    # measure both take the split blocks and name the character they solve
+    q = 8
+    t = get_group(q)
+    n = t.order // q
+    for size in (n, n - 1):
+        mu = _random_measure(t, size, rng)
+        op = ConvOperator(mu, "new_space")
+        rep = operator_norm(op, tol=1e-13)
+        assert rep.block in op.orbits()
+        assert rep.norm == pytest.approx(dense_operator_norm(mu, "new_space"), rel=1e-9)
+
+
 # -- sparse measures on the split blocks ----------------------------------------
 
 
@@ -308,11 +322,11 @@ def _random_measure(table, size, rng):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 6, 8, 9, 10, 12])
 def test_sparse_blocks_match_dense_oracle(spec12, a12, q, rng):
-    # every support size goes through the same split blocks: 1, 4, |G|/q - 1
-    # and |G|/q points, and a 4-point per-block measure
+    # every support size goes through the same split blocks: 1, 4 and
+    # |G|/q - 1 points, and a 4-point per-block measure
     t = get_group(q)
     n = t.order // q
-    measures = [_random_measure(t, size, rng) for size in sorted({1, min(4, n - 1), n - 1, n})]
+    measures = [_random_measure(t, size, rng) for size in sorted({1, min(4, n - 1), n - 1})]
     measures += [e.measure for e in list(enumerate_etas(spec12, q, a12, 2, base=0.0))[:1]]
     for mu in measures:
         for sub in ("full", "mean_zero", "new_space"):
@@ -358,16 +372,24 @@ def test_sparse_gap_past_the_dense_guard(spec12, a12):
 def test_sparse_gap_stops_within_tol(spec12, a12):
     # the q=16 minimiser at q=32, past the moduli of the gap table, against
     # a reference independent of eta_gap's pieces: a tight Lanczos solve of
-    # every mean-zero split block. eta_gap meets it within its residual, and
-    # the default-tol solve's gap within 2e-8
+    # every mean-zero split block. eta_gap meets it within its residual
     eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
     op = ConvOperator(eta.measure, "mean_zero")
     limit = operator_norm(op, tol=1e-12, max_iter=50_000)
     assert limit.converged and limit.block in op.orbits()
     rep = eta_gap(eta)
     assert abs(rep.norm**2 - limit.norm**2) <= limit.residual + 1e-12 * rep.norm**2
-    loose = operator_norm(op)
-    assert 1 - loose.norm / loose.l1 == pytest.approx(1 - limit.norm / limit.l1, abs=2e-8)
+
+
+def test_stacked_lanczos_stops_within_tol(spec12, a12):
+    # the same minimiser through operator_norm's default stop: its gap is
+    # within 2e-8 of the tight solve's
+    eta = build_eta(make_context(spec12, 32, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
+    op = ConvOperator(eta.measure, "mean_zero")
+    limit = operator_norm(op, tol=1e-12, max_iter=50_000)
+    rep = operator_norm(op)
+    assert rep.block in op.orbits()
+    assert 1 - rep.norm / rep.l1 == pytest.approx(1 - limit.norm / limit.l1, abs=2e-8)
 
 
 @pytest.mark.parametrize("q", [4, 8, 16])
