@@ -295,7 +295,7 @@ class UnipotentCosets:
         return tuple(reps)
 
     @cached_property
-    def stabiliser(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def stabiliser(self) -> tuple[np.ndarray, ...]:
         """The split of every V_t by the torus stabiliser S = {u : u^2 = 1 mod q}.
 
         For u in S, diag(u, u^-1) is the central element z = u I. It commutes
@@ -310,9 +310,10 @@ class UnipotentCosets:
         chi(z) e(-t gamma_z(r) / q) / sqrt|S|, and V_t is the orthogonal sum
         of the |S| eigenspaces, each of dimension n/|S|.
 
-        Returns (reps, perm, gamma, chars): reps, the least coset of each
-        S-orbit; perm[z, k] and gamma[z, k], the action of the z-th element
-        of S on the coset reps[k]; chars[x, z] = chi_x(z).
+        Returns (reps, perm, gamma, chars, where): reps, the least coset of
+        each S-orbit; perm[z, r] and gamma[z, r], the action of the z-th
+        element of S (the 0-th is 1) on reps[r]; chars[x, z] = chi_x(z); the
+        S-orbit coordinates where[c] = z m + r iff perm[z, r] = c, m = n/|S|.
         """
         q = self.q
         units, bits = [1], [0]  # S in F_2 coordinates: bits[k] of units[k]
@@ -324,7 +325,7 @@ class UnipotentCosets:
         chars = np.array([[(-1) ** bin(x & b).count("1") for b in bits] for x in range(len(bits))])
         perm, gamma = self.left_action([self.table.index_of([[u, 0], [0, u]]) for u in units])
         reps = np.flatnonzero(perm.min(axis=0) == np.arange(self.n))
-        out = (reps, perm[:, reps], gamma[:, reps], chars)
+        out = (reps, perm[:, reps], gamma[:, reps], chars, np.argsort(perm[:, reps], axis=None))
         for arr in out:
             arr.setflags(write=False)
         return out
@@ -439,7 +440,7 @@ class NewSpaceProjector:
             out -= _fiber_average(out, fid, nf)
         return out
 
-    apply_columns = apply
+    apply_columns = apply  # perfbench/regen_refs.py calls it by this name
 
     def __repr__(self):
         return f"NewSpaceProjector(q={self.q}, dim={self.dimension})"

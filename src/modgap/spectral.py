@@ -29,9 +29,10 @@ measure is unitary on the mean-zero functions, so a measure and its right
 translates have one norm, and the per-block measures of one modulus fall
 into a few right-translation classes. Each block V_t splits once into
 G-invariant pieces, by the characters of S and then into the eigenspaces
-of a Hermitian element of its commutant; left convolution preserves each
-piece and its complement, so the largest norm over the pieces, of small
-dense matrices, is exact.
+of a Hermitian element of its commutant. A piece keeps the |G|/(q|S|)
+coordinates of its chi-eigenspace of S, on which a group element acts as a
+monomial matrix. Left convolution preserves each piece and its complement,
+so the largest norm over the pieces, of small dense matrices, is exact.
 Isomorphic pieces have one norm, so only one piece per character,
 evaluated on the conjugacy classes, is solved.
 
@@ -158,7 +159,7 @@ def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
     """
     table = measure.table
     cosets = table.cosets()
-    reps, perm, gamma, chars = cosets.stabiliser
+    reps, perm, gamma, chars, _ = cosets.stabiliser
     q = table.q
     ts = np.asarray(ts, dtype=np.int64)
     dft = np.exp(-2j * np.pi * np.outer(ts, np.arange(q)) / q)
@@ -351,7 +352,7 @@ def dense_subspace_projector(table: GroupTable, subspace: str) -> np.ndarray:
         return np.eye(n)
     if subspace == "mean_zero":
         return np.eye(n) - np.full((n, n), 1.0 / n)
-    return NewSpaceProjector(table).apply_columns(np.eye(n))
+    return NewSpaceProjector(table).apply(np.eye(n))
 
 
 def dense_operator_norm(measure: GroupMeasure, subspace: str, guard: int = DENSE_GUARD) -> float:
@@ -491,8 +492,9 @@ def _conjugacy_classes(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return reps, sizes
 
 
-def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
-    """Orthonormal bases (n, d) of G-invariant pieces that split V_t.
+def _character_pieces(table: GroupTable, t: int) -> list[tuple[int, np.ndarray]]:
+    """Pairs (x, v) of G-invariant pieces that split V_t: v is an orthonormal
+    basis (n/|S|, d) of the piece in the coordinates of the chi_x-eigenspace of S.
 
     The pieces are the eigenspaces of a seeded Hermitian element of the
     commutant of left translation on V_t, H = sum_k (c_k T_k + conj(c_k) T_k^H)
@@ -507,36 +509,33 @@ def _character_pieces(table: GroupTable, t: int) -> list[np.ndarray]:
 
     H commutes with the torus stabiliser S too (`UnipotentCosets.stabiliser`),
     so it is folded into the chi-eigenspaces: only the rows of H at the
-    S-orbit representatives are built, n/|S| * q steps per term, and
-    H_chi = E_chi^H H E_chi has H_chi[r, r'] = sum_z chi(z) e(-t gamma_z(r') / q)
-    H[r, perm_z(r')]. Each H_chi, of size n/|S|, is diagonalised on its own,
-    its eigenvalues grouped by `_clusters`, and each piece lifted back
-    through the isometry E_chi. S is central and acts on an irreducible by
-    its central character; random g almost never fall in the centre, and
-    without this split pieces of two representations stay merged at q=16.
+    S-orbit representatives r are built, n/|S| * q steps per term, each term
+    binned by the S-orbit coordinates (z, r') of its coset into H_chi[r, r'] =
+    sum_z chi(z) e(-t gamma_z(r') / q) H[r, perm_z(r')] of E_chi^H H E_chi.
+    Each H_chi is diagonalised and its eigenvalues grouped by `_clusters`.
+    S is central and acts on an irreducible by its central character; random
+    g almost never fall in the centre, and without this split pieces of two
+    representations stay merged at q=16.
     """
     cosets = table.cosets()
-    reps, perm, gamma, chars = cosets.stabiliser
+    reps, _, gamma, chars, where = cosets.stabiliser
     q, n, m = table.q, cosets.n, reps.size
     rng = np.random.default_rng([q, t])
     gs = rng.integers(table.order, size=_HECKE_TERMS)
     coef = ([1, 1j] @ rng.standard_normal((2, gs.size))) / q
     gs, coef = np.concatenate([gs, table.inverse[gs]]), np.concatenate([coef, coef.conj()])
     idx = table.products(cosets.grid[reps][None], gs[:, None, None])  # s_r u_b g_k
-    cells = (np.arange(m)[:, None] * n + cosets.cid[idx]).reshape(-1)
+    c = where[cosets.cid[idx]]  # s_r u_b g_k = z s_r' u_(beta - gamma_z(r')) with c = z m + r'
+    beta = cosets.beta[idx] - gamma.flat[c]
+    cells = (np.arange(m)[:, None] * n + c).reshape(-1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    phase = (coef[:, None, None] * roots[t * (cosets.beta[idx] - np.arange(q)) % q]).reshape(-1)
+    phase = (coef[:, None, None] * roots[t * (beta - np.arange(q)) % q]).reshape(-1)
     h = np.bincount(cells, phase.real, m * n) + 1j * np.bincount(cells, phase.imag, m * n)
-    twist = roots[-t * gamma % q]  # e(-t gamma_z(r) / q), (z, r)
-    folded = np.einsum("xz,rzs->xrs", chars, h.reshape(m, n)[:, perm] * twist)
-    lift = chars[:, :, None] * twist / math.sqrt(len(chars))  # E_chi on each orbit, (x, z, r)
     pieces = []
-    for h_chi, e_chi in zip(folded, lift):
+    for x, h_chi in enumerate(np.einsum("xz,rzs->xrs", chars, h.reshape(m, -1, m))):
         w, v = np.linalg.eigh(h_chi)
-        lifted = np.empty((n, m), dtype=np.complex128)
-        lifted[perm] = e_chi[:, :, None] * v
         bounds = _clusters(w)
-        pieces += [lifted[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        pieces += [(x, v[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     return pieces
 
 
@@ -548,11 +547,12 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     Returns one (d, gens) pair per piece size d, with gens a read-only
     (len(key), pieces * d * d) array of the flattened compressions.
 
-    Each piece W is checked invariant under M_t of the generators
-    [[0,-1],[1,0]] and [[1,1],[0,1]] of SL2(Z/q): EstimationError if a column
-    of M_t W leaves span W by more than _INVARIANCE_TOL, relative to the
-    unit norm of M_t. A piece that merges two invariant pieces is harmless;
-    one that splits an invariant piece would give a wrong norm.
+    Each piece W is checked invariant under the generators [[0,-1],[1,0]]
+    and [[1,1],[0,1]] of SL2(Z/q), which act on its chi-eigenspace of S as
+    folded monomials of unit norm, f(r) -> chi(z) e(t b / q) f(r') with
+    g^-1 s_r = z s_r' u_b: EstimationError if a column of their image of W
+    leaves span W by more than _INVARIANCE_TOL. A piece that merges two
+    invariant pieces is harmless; one that splits one gives a wrong norm.
 
     Every piece is checked, but only one per character is kept: pieces
     with characters chi and chi' on the conjugacy classes C are isomorphic
@@ -573,15 +573,18 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     weight = sizes / table.order
     gens = [table.index_of(g) for g in _GENERATORS]
     k = len(key)
-    # M_t delta(g) f(c) = e(t b(c) / q) f(perm(c)), with g^-1 s_c = s_perm(c) u_b(c)
-    perm, beta = cosets.left_action(table.inverse[np.array([*key, *gens, *reps])])
-    heads = cosets.stabiliser[0]  # one coset per S-orbit
+    heads, _, gamma, signs, where = cosets.stabiliser
+    # g^-1 s_r = s_c u_b = z s_perm(r) u_(b - gamma_z(perm(r))) at the S-orbit heads r
+    idx = table.products(table.inverse[[*key, *gens, *reps]][:, None], cosets.section[heads])
+    z, perm = np.divmod(where[cosets.cid[idx]], heads.size)
+    beta = cosets.beta[idx] - gamma[z, perm]
     cols = np.arange(heads.size)
     comps, chars = [], []
     for t in ts:
         phase = np.exp(2j * np.pi * t * beta / q)
-        for w in _character_pieces(table, t):
-            mw = phase[: k + 2, :, None] * w[perm[: k + 2]]  # (elements, n, d)
+        for x, w in _character_pieces(table, t):
+            mono = signs[x, z] * phase  # the folded monomials, (elements, m)
+            mw = mono[: k + 2, :, None] * w[perm[: k + 2]]
             comp = w.conj().T @ mw
             off = np.linalg.norm(mw[k:] - w @ comp[k:], axis=1).max()
             if off > _INVARIANCE_TOL:
@@ -590,12 +593,8 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
                     f"invariant: {off:.2e} of a generator's image leaves it"
                 )
             comps.append(comp[:k])
-            # chi(g^-1) = tr(W^H M_t W) = sum_c e(t beta_c / q) P[perm(c), c], P = W W^H.
-            # W and M_t W lie in one chi-eigenspace of S, so the terms repeat
-            # along the S-orbits: only the columns of P at their representatives
-            p = w @ w[heads].conj().T
-            terms = phase[k + 2:, heads] * p[perm[k + 2:, heads], cols]
-            chars.append(cosets.n // heads.size * terms.sum(axis=1))
+            # chi(g^-1) = tr(W^H M_t W) = sum_r mono(r) P[perm(r), r], P = W W^H
+            chars.append((mono[k + 2:] * (w @ w.conj().T)[perm[k + 2:], cols]).sum(axis=1))
     # dist[i, j] = sum_C |C| |chi_i - chi_j|^2 / |G|, or to conj(chi_j) if smaller
     chi = np.array(chars)
     norms = np.abs(chi) ** 2 @ weight

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,14 @@ def unsplit_blocks(measure, ts) -> np.ndarray:
         rows = table.right_translation(int(table.inverse[s]))[cosets.grid]
         blocks[:, :, j] = (measure.coeffs[rows] @ dft).T
     return blocks
+
+
+def stabiliser_isometries(cosets, t) -> np.ndarray:
+    """The isometries E_chi onto the chi-eigenspaces of the torus stabiliser S
+    in V_t, one per character, an array (|S|, n, n/|S|):
+    E_chi[perm_z(r), r] = chi(z) e(-t gamma_z(r) / q) / sqrt|S|."""
+    _, perm, gamma, chars, _ = cosets.stabiliser
+    size, m = perm.shape
+    e = np.zeros((size, cosets.n, m), dtype=complex)
+    e[:, perm, np.arange(m)] = chars[:, :, None] * np.exp(-2j * np.pi * t * gamma / cosets.q)
+    return e / math.sqrt(size)

@@ -43,7 +43,6 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 KEEP = {
     "level_average": "the oracle of the NewSpaceProjector tests and of acceptance check C01",
     "mu1_decay": "acceptance check C08, the exponential decay of the positive majorant",
-    "NewSpaceProjector.apply": "perfbench's tracer patches it by name",
 }
 
 

@@ -219,7 +219,17 @@ def test_projector_invariants(q, rng):
         assert np.abs(p.apply(pb)).max() < 1e-10
     # trace equals the advertised dimension
     probe = np.eye(t.order)
-    assert round(float(np.trace(p.apply_columns(probe)))) == p.dimension
+    assert round(float(np.trace(p.apply(probe)))) == p.dimension
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 24, 32])
+def test_stabiliser_coordinates_cover_every_coset(q):
+    cosets = get_group(q).cosets()
+    reps, perm, _, _, where = cosets.stabiliser
+    m = reps.size
+    assert np.array_equal(np.sort(where), np.arange(cosets.n))  # a bijection onto the cosets
+    assert np.array_equal(perm[np.divmod(where, m)], np.arange(cosets.n))
+    assert np.array_equal(where[reps], np.arange(m))
 
 
 def test_new_space_is_convolution_invariant(rng):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import unsplit_blocks
+from conftest import stabiliser_isometries, unsplit_blocks
 from modgap import spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
@@ -143,7 +143,7 @@ def test_blocks_are_the_restrictions_to_each_character(q, rng):
         lifts = _lifts(cosets, char)
         assert np.abs(blocks[char] - (conv @ lifts)[cosets.section]).max() < 1e-12
         if math.gcd(char, q) == 1:
-            assert np.abs(proj.apply_columns(lifts) - lifts).max() < 1e-12
+            assert np.abs(proj.apply(lifts) - lifts).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [16, 18, 20, 24])
@@ -252,19 +252,37 @@ def test_split_blocks_keep_every_singular_value(q, rng):
     size = len(_stabiliser(q))
     m = n // size
     assert split.shape == (q, size, m, m)
-    reps, perm, gamma, chars = cosets.stabiliser
     for t, (blocks, block) in enumerate(zip(split, unsplit_blocks(mu, range(q)))):
         pooled = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
         exact = np.linalg.svd(block, compute_uv=False)[::-1]
         assert np.abs(pooled - exact).max() <= 1e-12 * exact[-1]
-        e = np.zeros((size, n, m), dtype=complex)
-        e[:, perm, np.arange(m)] = chars[:, :, None] * np.exp(-2j * np.pi * t * gamma / q)
-        e = e.transpose(1, 0, 2).reshape(n, n) / math.sqrt(size)
+        e = stabiliser_isometries(cosets, t).transpose(1, 0, 2).reshape(n, n)
         assert np.abs(e.conj().T @ e - np.eye(n)).max() < 1e-12
         diagonal = np.zeros((n, n), dtype=complex)
         for x, b in enumerate(blocks):
             diagonal[x * m:(x + 1) * m, x * m:(x + 1) * m] = b
         assert np.abs(e.conj().T @ block @ e - diagonal).max() <= 1e-12 * exact[-1]
+
+
+@pytest.mark.parametrize("q", [8, 12, 24, 25])
+def test_folded_monomials_are_the_compressed_translations(q, rng):
+    # on the chi-eigenspace of S, E_chi^H M_t(delta(g)) E_chi is the monomial
+    # f(r) -> chi(z) e(t b / q) f(r') with g^-1 s_r = s_c u_beta = z s_r' u_b,
+    # (z, r') read from the S-orbit coordinates of c and b = beta - gamma_z(r')
+    table = get_group(q)
+    cosets = table.cosets()
+    reps, _, gamma, chars, where = cosets.stabiliser
+    m = reps.size
+    for g in rng.integers(table.order, size=3):
+        idx = table.products(table.inverse[g], cosets.section[reps])
+        z, r2 = np.divmod(where[cosets.cid[idx]], m)
+        b = cosets.beta[idx] - gamma[z, r2]
+        delta = GroupMeasure.from_support(table, [g], [1.0])
+        for t, block in enumerate(unsplit_blocks(delta, range(q))):
+            for chi, e in zip(chars, stabiliser_isometries(cosets, t)):
+                folded = np.zeros((m, m), dtype=complex)
+                folded[np.arange(m), r2] = chi[z] * np.exp(2j * np.pi * t * b / q)
+                assert np.abs(e.conj().T @ block @ e - folded).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [9, 16, 25, 27, 32])
@@ -581,12 +599,14 @@ def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
     assert abs(rep.norm**2 - lanczos.norm**2) <= lanczos.residual + 1e-12 * rep.norm**2
 
 
-def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a12, rng):
+@pytest.mark.parametrize("q", [16, 24, 25])
+def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a12, q, rng):
     # with complex weights neither partner orbits nor conjugate characters
     # may be merged. The weights and their conjugates have one norm, reached
-    # on conjugate pieces, so one of the two would miss it after such a merge
+    # on conjugate pieces, so one of the two would miss it after such a merge.
+    # |S| = 4, 8 and 2 at q = 16, 24 and 25
     for j in (1, 2):
-        eta = build_eta(make_context(spec12, 16, 2, 2, ((1,), (0,)), a12, base=0.0), j)
+        eta = build_eta(make_context(spec12, q, 2, 2, ((1,), (0,)), a12, base=0.0), j)
         supp = eta.measure.support
         phases = np.exp(2j * np.pi * rng.random(supp.size))
         for ph in (phases, phases.conj()):
