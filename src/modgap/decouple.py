@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .symdyn import (
 
 DEFAULT_SAFETY = 1.25
 _SURVEY_CHUNK = 1 << 16  # (upper, lower) block pairs per chunk of the survey
+_WINDOW_CACHE = 1024  # windows whose q-free weights `_window_weights` keeps
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,6 @@ class BlockContext:
     a: float
     base: float
     base_interval: int | None = None
-
-    @property
-    def width(self) -> int:
-        return self.spec.block_width
 
 
 @dataclass(frozen=True)
@@ -156,14 +154,17 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     admissible, and is followed by block j-1's outer letters (or, for
     j = 1, by the base interval in subshift mode).
     """
-    spec = ctx.spec
-    if j >= 2:
-        right = ctx.outer[j - 2][0] if ctx.outer[j - 2] else None
-    else:
-        right = ctx.base_interval
-    slots = _admissible_id_matrix(spec, ctx.width)
-    if ctx.outer[j - 1]:
-        slots = slots[spec.follows[ctx.outer[j - 1][-1], slots[:, 0]]]
+    lower = ctx.outer[j - 2] if j >= 2 else ()
+    return _slots(ctx.spec, ctx.outer[j - 1], lower, j, ctx.base_interval)
+
+
+def _slots(spec: SystemSpec, outer, lower, j: int, base_interval):
+    """`inner_slots` from the words it reads: block j's outer word, the lower
+    word and, for block 1, the base interval."""
+    right = (lower[0] if lower else None) if j >= 2 else base_interval
+    slots = _admissible_id_matrix(spec, spec.block_width)
+    if outer:
+        slots = slots[spec.follows[outer[-1], slots[:, 0]]]
     if right is not None:
         slots = slots[spec.follows[slots[:, -1], right]]
     return tuple(map(tuple, slots.tolist()))
@@ -179,32 +180,52 @@ def _start_points(spec: SystemSpec, base: float, interval, innermost) -> np.ndar
     return np.array(points)[innermost]
 
 
+@lru_cache(maxsize=_WINDOW_CACHE)
+def _window_weights(spec: SystemSpec, L: int, a: float, base: float, base_interval,
+                    outer: tuple[int, ...], lower: tuple[int, ...], j: int):
+    """The q-free part of `build_eta`: (inners, blocks, betas) of one window.
+
+    Keyed on exactly what the walk reads: the system, L, a, the resolved
+    base point and its interval, block j's outer word, the lower word and
+    j. The modulus is not in the key: the weights never see it, so the
+    moduli of one run share each window's walk. `blocks` is read-only. A
+    full cache of _WINDOW_CACHE windows holds about 1 MB (README, guards).
+    """
+    inners = _slots(spec, outer, lower, j, base_interval)
+    if not inners:
+        raise AdmissibilityError(
+            f"no admissible inner choice for block {j}; malformed subshift context"
+        )
+    blocks = np.array([outer + inner for inner in inners], dtype=np.intp)
+    blocks.setflags(write=False)
+    innermost = lower[-1] if lower else blocks[:, -1]
+    x, _ = walk_words(spec, lower, _start_points(spec, base, base_interval, innermost))
+    incs = []
+    for col in reversed(range(L)):
+        x, inc = walk_words(spec, blocks[:, col : col + 1], x)
+        incs.append(inc)
+    betas = tuple(math.exp(a * math.fsum(row)) for row in np.transpose(incs).tolist())
+    return inners, blocks, betas
+
+
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> EtaMeasure:
     """The block-j measure: beta-weighted Diracs at the block cocycles.
 
     beta = exp(a * fsum of the block's log-derivative increments) along the
     window word, block j then block j-1's outer part (block 1 alone),
-    walked from `_start_points` of its innermost letter.
+    walked from `_start_points` of its innermost letter. The betas do not
+    depend on q, so they come from `_window_weights`, cached on the system,
+    L, a, base point and interval, the window's two outer words and j, but
+    not on the modulus; only the cocycles mod q are walked here.
     """
     table = get_group(ctx.q) if table is None else table
-    inners = inner_slots(ctx, j)
-    if not inners:
-        raise AdmissibilityError(
-            f"no admissible inner choice for block {j}; malformed subshift context"
-        )
-    spec = ctx.spec
-    blocks = np.array([ctx.outer[j - 1] + inner for inner in inners], dtype=np.intp)
     lower = ctx.outer[j - 2] if j >= 2 else ()
-    innermost = lower[-1] if lower else blocks[:, -1]
-    x, _ = walk_words(spec, lower, _start_points(spec, ctx.base, ctx.base_interval, innermost))
-    start, maps = _cocycle_track(spec, table)
+    inners, blocks, betas = _window_weights(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval,
+                                            ctx.outer[j - 1], lower, j)
+    start, maps = _cocycle_track(ctx.spec, table)
     idx = np.full(len(inners), start)
-    incs = []
     for col in reversed(range(ctx.L)):
-        x, inc = walk_words(spec, blocks[:, col : col + 1], x)
-        incs.append(inc)
         idx = maps[blocks[:, col], idx]
-    betas = tuple(math.exp(ctx.a * math.fsum(row)) for row in np.transpose(incs).tolist())
     return EtaMeasure(
         measure=_accumulate(table, idx, np.array(betas)),
         context=ctx,
@@ -457,7 +478,8 @@ def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards(
     These are the S + S^2 measures of `decoupled_upper_bound` (S alone at
     r_prime = 1): block j >= 2 of every context carries the measure of its
     window (o_j, o_{j-1}). `guards` bounds the modulus and the number of
-    contexts.
+    contexts. Each measure comes from `build_eta`, whose window weights are
+    cached without q, so a second modulus at the same L walks no window again.
     """
     table = get_group(q, guards.max_q)
     words = outer_words(spec, L, r_prime, guards.contexts)
@@ -466,4 +488,5 @@ def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards(
         windows += [(o, o2) for o2 in words for o in words]
     for outer in windows:
         j = len(outer)
+        # the module global, which perfbench's tracer wraps to count every eta
         yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table)

@@ -75,6 +75,7 @@ _SPLIT_GAP = 1e-5
 _INVARIANCE_TOL = 1e-10  # largest part of a generator's image allowed to leave a piece
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1))  # they generate SL2(Z/q)
 _CLASS_CACHE = 16  # right-translation classes whose compressed generators `eta_gap` keeps
+_SUPPORT_CACHE = 256  # supports whose canonical form `_translation_class` keeps
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -448,21 +449,42 @@ class EtaGapReport:
     gap_failure: bool
 
 
+@lru_cache(maxsize=_SUPPORT_CACHE)
+def _support_class(table: GroupTable, supp: tuple[int, ...]):
+    """The weight-free part of `_translation_class`: (key, orders).
+
+    Over x in supp, the support supp x^-1 is sorted; key is the least sorted
+    support, and the read-only (len(supp), ties) array orders holds, in
+    increasing x, the sorting permutation of every x that attains it. Ties
+    happen: on the unipotent subgroup every x gives the same support.
+    """
+    arr = np.array(supp)
+    shifted = table.products(arr[:, None], table.inverse[arr])  # [k, x] = supp_k x^-1
+    order = np.argsort(shifted, axis=0)
+    cols = np.take_along_axis(shifted, order, axis=0)
+    least = cols[:, np.lexsort(cols[::-1])[0]]  # lexsort's last key takes precedence
+    orders = order[:, (cols == least[:, None]).all(axis=0)]
+    orders.setflags(write=False)
+    return tuple(least.tolist()), orders
+
+
 def _translation_class(table: GroupTable, supp: np.ndarray, weights: np.ndarray):
     """Canonical form of sum_k weights[k] delta(supp[k]) up to right translation.
 
     Over x in supp, the support supp x^-1 is sorted and the weights reordered
     with it; the least (sorted support, weights) pair is kept, so every right
     translate of the measure has the same form. Returns (key, weights).
+
+    The sorted supports do not depend on the weights, so the least one and
+    the x that attain it come from `_support_class`, cached per support;
+    here only the weights are reordered, and ties are broken by the real
+    and then imaginary parts of the reordered weights, then by the least x.
     """
-    shifted = table.products(supp[:, None], table.inverse[supp])  # [k, x] = supp_k x^-1
-    order = np.argsort(shifted, axis=0)
-    cols = np.take_along_axis(shifted, order, axis=0)
-    ws = weights[order]
-    # rows in order of precedence: the support, then re and im of each weight
-    keys = np.concatenate([cols, np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])])
-    best = np.lexsort(keys[::-1])[0]  # lexsort's last key takes precedence
-    return tuple(cols[:, best].tolist()), ws[:, best]
+    key, orders = _support_class(table, tuple(supp.tolist()))
+    ws = weights[orders]
+    # rows in order of precedence: re and im of each weight
+    keys = np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])
+    return key, ws[:, np.lexsort(keys[::-1])[0]]
 
 
 def _clusters(w: np.ndarray) -> list[int]:
@@ -625,7 +647,11 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
       by eta * delta(g) is convolution by eta after left translation by g.
       So eta is first put in the canonical form of its right-translation
       class (`_translation_class`); on the C07 table one class per modulus
-      holds every eta.
+      holds every eta. The least sorted support is cached per (table,
+      support): the table carries q, since the support holds the block
+      cocycles mod q, but the weights are not in the key. A support depends
+      only on the block's outer word, so the C07 table meets 4 supports per
+      modulus at L=2 and 15-16 at L=3 and sorts each once, not once per eta.
     * Left convolution preserves every G-invariant subspace of a character
       block V_t, and the orthogonal complement of one too, so the norm is
       the largest over the invariant pieces of `_character_pieces`. On a
@@ -636,7 +662,9 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
 
     The blocks are those of the mean-zero orbits (`operator_norm`). The
     compressed generators of a class are cached; at q <= 16 no kept piece
-    exceeds 24 dimensions.
+    exceeds 24 dimensions. The weights themselves come from `build_eta`'s
+    window cache, which has no q in its key. What is left per eta depends
+    on its weights: their reordering, the matmuls and the eigen-solves.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block

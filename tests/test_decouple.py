@@ -20,7 +20,7 @@ from modgap.decouple import (
     verify_domination,
 )
 from modgap.errors import DomainError
-from modgap.measures import MeasureParams, build_mu1
+from modgap.measures import MeasureParams, _cocycle_track, build_mu1
 from modgap.modgroup import get_group
 from modgap.symdyn import (
     _admissible_id_matrix,
@@ -31,6 +31,7 @@ from modgap.symdyn import (
     letter_log_deriv,
     resolve_point,
     schottky_system,
+    walk_words,
     word,
     zaremba_system,
 )
@@ -368,6 +369,52 @@ def test_enumerate_etas_yields_each_distinct_measure_once(spec12_mod, a12_mod, s
     assert len(keys) == (S if r_prime == 1 else S + S * S)
     assert len(set(keys)) == len(keys)
     assert set(keys) == walked
+
+
+def _walk_window(ctx, j, table):
+    """The per-window walk with no cache, weights and cocycles in one loop:
+    (inners, betas, coefficients)."""
+    spec = ctx.spec
+    inners = inner_slots(ctx, j)
+    blocks = np.array([ctx.outer[j - 1] + inner for inner in inners], dtype=np.intp)
+    lower = ctx.outer[j - 2] if j >= 2 else ()
+    innermost = lower[-1] if lower else blocks[:, -1]
+    x, _ = walk_words(spec, lower,
+                      decouple._start_points(spec, ctx.base, ctx.base_interval, innermost))
+    start, maps = _cocycle_track(spec, table)
+    idx = np.full(len(inners), start)
+    incs = []
+    for col in reversed(range(ctx.L)):
+        x, inc = walk_words(spec, blocks[:, col : col + 1], x)
+        incs.append(inc)
+        idx = maps[blocks[:, col], idx]
+    betas = tuple(math.exp(ctx.a * math.fsum(row)) for row in np.transpose(incs).tolist())
+    coeffs = np.bincount(idx, weights=betas, minlength=table.order).astype(np.complex128)
+    return inners, betas, coeffs
+
+
+@pytest.mark.parametrize("system,L", [("zaremba", 2), ("zaremba", 3), ("schottky", 3),
+                                      ("schottky", 4)])
+def test_window_weights_do_not_depend_on_the_modulus(spec12_mod, a12_mod, schottky, system, L):
+    # the same inners and betas at q = 5 and 16, equal to the uncached walk;
+    # at q = 16 every window is a cache hit, so q is not in the cache key
+    spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
+    decouple._window_weights.cache_clear()
+    seen = {}
+    for q in (5, 16):
+        table = get_group(q)
+        for eta in enumerate_etas(spec, q, a, L, 2, base):
+            inners, betas, coeffs = _walk_window(eta.context, eta.j, table)
+            assert eta.inners == inners and eta.betas == betas
+            assert np.array_equal(eta.measure.coeffs, coeffs)
+            assert seen.setdefault(eta.context.outer, (inners, betas)) == (inners, betas)
+        if q == 5:
+            misses = decouple._window_weights.cache_info().misses
+    assert decouple._window_weights.cache_info().misses == misses == len(seen)
+    ctx = eta.context  # the last window, j = 2
+    _, blocks, _ = decouple._window_weights(spec, L, a, ctx.base, ctx.base_interval,
+                                            ctx.outer[1], ctx.outer[0], 2)
+    assert not blocks.flags.writeable
 
 
 def test_schottky_inner_slots_nonempty_everywhere(schottky):

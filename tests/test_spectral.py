@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import stabiliser_isometries, unsplit_blocks
-from modgap import spectral
+from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
 from modgap.measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
@@ -558,17 +558,42 @@ def _translation_class_loop(table, supp, weights):
 def test_translation_class_matches_the_loop(spec12, a12, q, rng):
     # the same key and weights, bit for bit, with real and with complex weights;
     # on the unipotent subgroup every x gives the same support, so the
-    # weights break the tie, by real parts and then imaginary ones
+    # weights break the tie, by real parts and then imaginary ones. Every
+    # case runs cold and then warm on the cached support; the warm pass
+    # gives the unipotent support new tied weights
+    spectral._support_class.cache_clear()
     t = get_group(q)
     cases = [(e.measure.support, e.measure.coeffs[e.measure.support])
              for L in (2, 3) for e in enumerate_etas(spec12, q, a12, L, base=0.0)]
     cases += [(s, w * np.exp(2j * np.pi * rng.random(w.size))) for s, w in cases[:40]]
     unipotent = np.sort([t.index_of([[1, b], [0, 1]]) for b in range(q)])
-    cases += [(unipotent, rng.integers(2, size=q) + 1j * rng.integers(3, size=q)) for _ in range(5)]
-    for supp, w in cases:
-        key, ws = spectral._translation_class(t, supp, w)
-        ref_key, ref_ws = _translation_class_loop(t, supp, w)
-        assert key == ref_key and np.array_equal(ws, ref_ws)
+    for _ in ("cold", "warm"):
+        tied = [(unipotent, rng.integers(2, size=q) + 1j * rng.integers(3, size=q))
+                for _ in range(5)]
+        for supp, w in cases + tied:
+            key, ws = spectral._translation_class(t, supp, w)
+            ref_key, ref_ws = _translation_class_loop(t, supp, w)
+            assert key == ref_key and np.array_equal(ws, ref_ws)
+        # one miss per distinct support, all of them in the cold pass
+        supports = {s.tobytes() for s, _ in cases} | {unipotent.tobytes()}
+        assert spectral._support_class.cache_info().misses == len(supports)
+    _, orders = spectral._support_class(t, tuple(unipotent.tolist()))
+    assert orders.shape == (q, q) and not orders.flags.writeable
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_eta_gap_does_not_depend_on_cache_state(spec12, a12, q):
+    # each c1 from warm window-weight and support caches equals the c1 of
+    # the same window rebuilt and solved with both caches cleared first
+    table = get_group(q)
+    etas = list(enumerate_etas(spec12, q, a12, 2, base=0.0))
+    for eta in etas:
+        eta_gap(eta)
+    warm = [eta_gap(build_eta(e.context, e.j, table)).c1 for e in etas]
+    for eta, c1 in zip(etas, warm):
+        decouple._window_weights.cache_clear()
+        spectral._support_class.cache_clear()
+        assert eta_gap(build_eta(eta.context, eta.j, table)).c1 == c1
 
 
 @pytest.mark.parametrize("q", [8, 16])
