@@ -15,7 +15,10 @@ j is. So the sum of eta_1 * ... * eta_R' over all S^R' outer-word
 tuples is exactly the transfer chain S_1[o] = eta_1(o),
 S_j[o'] = sum_o S_{j-1}[o] * eta(o', o), summed over o at j = R': the
 paper's transfer-operator recursion, applied to its own decoupled
-majorant (see `decoupled_upper_bound`).
+majorant (see `decoupled_upper_bound`). A step of the chain makes no
+convolution: per o' it is one product of the window weights W[h, o] =
+eta(o', o)(h) with the rows S_{j-1}[o], read back along the right
+translations by h^-1.
 
 The implied constant of the replacement error is not prescribed
 anywhere; it is fitted by exhaustive measurement at small L, frozen with
@@ -395,33 +398,52 @@ def decoupled_upper_bound(
         S_j[o'] = sum_o S_{j-1}[o] * eta(o', o),
         bound = scale * sum_o S_R'[o],
 
-    which builds S + S^2 measures and makes (R'-1) * S^2 convolutions
-    instead of R' measures and R'-1 convolutions per context. With
-    r_prime = 1 no replacement happens and the result is the measure
-    itself. `guards` bounds the modulus and the number of contexts.
+    which builds S + S^2 measures instead of R' measures and R'-1
+    convolutions per context. The chain is held as an (S, |G|) matrix of
+    real coefficients (every beta is positive). For each o' let H be the
+    union over o of the supports of eta(o', o), which differ where the
+    inner slots depend on the lower word, and W[h, o] = eta(o', o)(h);
+    since (mu * nu)(x) = sum_h mu(x h^-1) nu(h),
+
+        S_j[o'](x) = sum_{h in H} (W @ S_{j-1})[h, x h^-1],
+
+    one (|H|, S) @ (S, |G|) product and |H| right-translation gathers per
+    o' and step, (R'-1) * S products in all. The gather indices of a row
+    are built when the row is used, so no more than one row's |H| * |G|
+    indices are held at once. With r_prime = 1 no replacement happens and
+    the result is the measure itself. `guards` bounds the modulus and the
+    number of contexts.
     """
     table = get_group(q, guards.max_q)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
-    # each measure kept as (support, weights, spread), not as |G| coefficients
-    etas = [
-        (e.measure.support, e.measure.coeffs[e.measure.support], e.coefficient_spread)
-        for e in enumerate_etas(spec, q, a, L, r_prime, base, guards)
-    ]
     n_words = count_admissible(spec, L - spec.block_width)
-    firsts = etas[:n_words]
-    pairs = [etas[i : i + n_words] for i in range(n_words, len(etas), n_words)]
-    spread = max(e[2] for e in etas)
-    chain = [GroupMeasure.from_support(table, supp, wt) for supp, wt, _ in firsts]
+    chain = np.zeros((n_words, table.order))  # S_1, one row per outer word o
+    rows = []  # per o': the union H of the supports of eta(o', o) and W
+    row = []
+    spread = 0.0
+    for i, e in enumerate(enumerate_etas(spec, q, a, L, r_prime, base, guards)):
+        spread = max(spread, e.coefficient_spread)
+        m = e.measure
+        if i < n_words:
+            chain[i] = m.coeffs.real
+            continue
+        row.append((m.support, m.coeffs.real[m.support]))
+        if len(row) == n_words:
+            hs = np.unique(np.concatenate([supp for supp, _ in row]))
+            w = np.zeros((hs.size, n_words))
+            for k, (supp, wt) in enumerate(row):
+                w[np.searchsorted(hs, supp), k] = wt
+            rows.append((hs, w))
+            row = []
     for _ in range(r_prime - 1):
-        chain = [
-            GroupMeasure(table, sum(
-                s.convolve(GroupMeasure.from_support(table, supp, wt)).coeffs
-                for s, (supp, wt, _) in zip(chain, row)
-            ))
-            for row in pairs
-        ]
-    acc = sum(m.coeffs for m in chain)
-    bound = GroupMeasure(table, acc * scale)
+        step = np.empty_like(chain)
+        for i, (hs, w) in enumerate(rows):
+            # entry (k, x) is the flat index of (k, x h_k^-1) in W @ S_{j-1}
+            gather = np.stack([table.right_translation(h) for h in table.inverse[hs]])
+            gather = gather + table.order * np.arange(hs.size)[:, None]
+            step[i] = np.take(w @ chain, gather).sum(axis=0)
+        chain = step
+    bound = GroupMeasure(table, chain.sum(axis=0) * scale)
     report = BoundReport(
         L=L,
         r_prime=r_prime,

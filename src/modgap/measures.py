@@ -78,14 +78,6 @@ class GroupMeasure:
         self._l2 = None
         self._support = None
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_support(cls, table: GroupTable, support, weights) -> "GroupMeasure":
-        c = np.zeros(table.order, dtype=np.complex128)
-        c[support] = weights
-        return cls(table, c)
-
     # -- cached norms and support -----------------------------------------
 
     @property

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modgap.errors import Guards
+from modgap.measures import GroupMeasure
 from modgap.modgroup import get_group
 from modgap.symdyn import (
     SystemSpec,
@@ -52,6 +53,13 @@ def random_sl2z(rng, n_factors=6):
             f = np.array([[1, 0], [k, 1]], dtype=object)
         m = m @ f
     return m
+
+
+def measure_on(table, support, weights) -> GroupMeasure:
+    """The measure with the given weights at the given group indices, zero elsewhere."""
+    coeffs = np.zeros(table.order, dtype=np.complex128)
+    coeffs[support] = weights
+    return GroupMeasure(table, coeffs)
 
 
 def admissible_words(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> list[Word]:

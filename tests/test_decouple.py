@@ -300,21 +300,51 @@ def per_context_bound(spec, q, a, L, r_prime, fitted, base=None):
     return acc * scale, len(contexts), scale, spread
 
 
+def _assert_chain_matches(spec, q, a, L, r_prime, fit, base):
+    bound, rep = decoupled_upper_bound(spec, q, a, L, r_prime, fit, base=base)
+    ref, n_contexts, scale, spread = per_context_bound(spec, q, a, L, r_prime, fit, base)
+    assert np.abs(bound.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert (rep.n_contexts, rep.scale, rep.coefficient_spread) == (n_contexts, scale, spread)
+
+
+def _schottky_fit(schottky):
+    return FittedDecoupling(schottky, 0.3, 0.0, 2.0, (), 0.0, 0.5, 1.25)
+
+
 @pytest.mark.parametrize("system", ["zaremba", "schottky"])
 @pytest.mark.parametrize("q,L,r_prime", [(3, 2, 1), (3, 2, 2), (5, 2, 3), (4, 3, 2), (5, 2, 4)])
 def test_chain_matches_per_context_sum(spec12_mod, a12_mod, fitted, schottky, system,
                                        q, L, r_prime):
     if system == "zaremba":
-        spec, a, base, fit = spec12_mod, a12_mod, 0.0, fitted
+        _assert_chain_matches(spec12_mod, q, a12_mod, L, r_prime, fitted, 0.0)
     else:
         # subshift blocks need an outer letter beside the 2-letter inner slot;
         # base=None pins block 1's slot against the base interval
-        spec, a, base, L = schottky, 0.3, None, L + 1
-        fit = FittedDecoupling(spec, a, 0.0, 2.0, (), 0.0, 0.5, 1.25)
-    bound, rep = decoupled_upper_bound(spec, q, a, L, r_prime, fit, base=base)
-    ref, n_contexts, scale, spread = per_context_bound(spec, q, a, L, r_prime, fit, base)
-    assert np.abs(bound.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert (rep.n_contexts, rep.scale, rep.coefficient_spread) == (n_contexts, scale, spread)
+        _assert_chain_matches(schottky, q, 0.3, L + 1, r_prime, _schottky_fit(schottky), None)
+
+
+def _window_rows(spec, q, a, L, base):
+    """eta(o', o) of every window, one list over o per outer word o'."""
+    etas = list(enumerate_etas(spec, q, a, L, 2, base))
+    S = len(outer_words(spec, L, 2))
+    return [etas[S + i * S : S + (i + 1) * S] for i in range(S)]
+
+
+@pytest.mark.parametrize("q,L,r_prime", [(4, 3, 2), (4, 3, 3), (5, 3, 3), (4, 4, 2)])
+def test_chain_takes_the_union_of_supports_that_differ_across_a_row(schottky, q, L, r_prime):
+    # the inner slot depends on the lower word, so one o' row of eta(o', o)
+    # does not share one support
+    rows = _window_rows(schottky, q, 0.3, L, None)
+    assert any(len({e.measure.support.tobytes() for e in row}) > 1 for row in rows)
+    _assert_chain_matches(schottky, q, 0.3, L, r_prime, _schottky_fit(schottky), None)
+
+
+@pytest.mark.parametrize("q,L,r_prime", [(2, 3, 2), (3, 3, 2), (3, 3, 3), (3, 4, 2)])
+def test_chain_sums_blocks_that_share_a_cocycle(schottky, q, L, r_prime):
+    # at small q two inner choices of one window land on one group element
+    etas = [e for row in _window_rows(schottky, q, 0.3, L, None) for e in row]
+    assert any(e.measure.n_support < len(e.inners) for e in etas)
+    _assert_chain_matches(schottky, q, 0.3, L, r_prime, _schottky_fit(schottky), None)
 
 
 @pytest.mark.parametrize("L,r_prime,q", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 3, 5)])

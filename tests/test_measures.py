@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import admissible_words, branch_matrix
+from conftest import admissible_words, branch_matrix, measure_on
 from modgap.errors import (
     AdmissibilityError,
     DomainError,
@@ -217,14 +217,13 @@ def test_guard_exceeded(spec12):
 def test_dirac_convolution(t5, rng):
     for _ in range(20):
         i, j = (int(v) for v in rng.integers(t5.order, size=2))
-        d = GroupMeasure.from_support(t5, [i], [1.0]).convolve(
-            GroupMeasure.from_support(t5, [j], [1.0]))
+        d = measure_on(t5, [i], [1.0]).convolve(measure_on(t5, [j], [1.0]))
         assert d.n_support == 1
         assert d.support[0] == t5.products(i, j)
 
 
 def test_identity_is_two_sided_unit(t5, rng):
-    e = GroupMeasure.from_support(t5, [t5.identity_index], [1.0])
+    e = measure_on(t5, [t5.identity_index], [1.0])
     m = sparse_measure(t5, rng)
     assert np.allclose(e.convolve(m).coeffs, m.coeffs, atol=1e-12)
     assert np.allclose(m.convolve(e).coeffs, m.coeffs, atol=1e-12)
@@ -246,16 +245,16 @@ def test_convolution_mass_inequality(t5, rng):
 
 
 def test_modulus_mismatch(t5):
-    other = GroupMeasure.from_support(get_group(7), [0], [1.0])
+    other = measure_on(get_group(7), [0], [1.0])
     with pytest.raises(ModulusMismatch):
-        GroupMeasure.from_support(t5, [0], [1.0]).convolve(other)
+        measure_on(t5, [0], [1.0]).convolve(other)
 
 
 def test_reverse_involution_and_dirac(t5, rng):
     m = sparse_measure(t5, rng)
     assert np.allclose(m.reverse().reverse().coeffs, m.coeffs, atol=1e-12)
     i = int(rng.integers(t5.order))
-    d = GroupMeasure.from_support(t5, [i], [1j]).reverse()
+    d = measure_on(t5, [i], [1j]).reverse()
     assert d.support[0] == t5.inverse[i]
     assert d.coeffs[t5.inverse[i]] == -1j
 
@@ -278,7 +277,7 @@ def test_convolution_with_a_dirac_is_a_right_translation(t5, rng):
     # (mu * delta_g)(x g) = mu(x), one term per cell
     m = sparse_measure(t5, rng)
     g = int(rng.integers(t5.order))
-    out = m.convolve(GroupMeasure.from_support(t5, [g], [1.0])).coeffs
+    out = m.convolve(measure_on(t5, [g], [1.0])).coeffs
     assert np.array_equal(out[t5.right_translation(g)], m.coeffs)
 
 
@@ -308,12 +307,12 @@ def test_cocycle_splitting_identity(spec12):
         L = 2
         t = get_group(5)
         for w in admissible_words(spec12, L * r_prime):
-            target = GroupMeasure.from_support(t, [t.index_of(cocycle(w, 5))], [1.0])
+            target = measure_on(t, [t.index_of(cocycle(w, 5))], [1.0])
             n = len(w.letters)
             prod = None
             for j in range(1, r_prime + 1):
                 block = word(spec12, w.letters[n - j * L : n - (j - 1) * L])
-                d = GroupMeasure.from_support(t, [t.index_of(cocycle(block, 5))], [1.0])
+                d = measure_on(t, [t.index_of(cocycle(block, 5))], [1.0])
                 prod = d if prod is None else prod.convolve(d)
             assert np.allclose(prod.coeffs, target.coeffs, atol=1e-12)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import stabiliser_isometries, unsplit_blocks
+from conftest import measure_on, stabiliser_isometries, unsplit_blocks
 from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
@@ -33,7 +33,7 @@ from modgap.spectral import (
 
 
 def test_identity_dirac_norm(t5):
-    identity = GroupMeasure.from_support(t5, [t5.identity_index], [1.0])
+    identity = measure_on(t5, [t5.identity_index], [1.0])
     rep = operator_norm(ConvOperator(identity, "mean_zero"))
     assert rep.norm == pytest.approx(1.0, abs=1e-9)
 
@@ -277,7 +277,7 @@ def test_folded_monomials_are_the_compressed_translations(q, rng):
         idx = table.products(table.inverse[g], cosets.section[reps])
         z, r2 = np.divmod(where[cosets.cid[idx]], m)
         b = cosets.beta[idx] - gamma[z, r2]
-        delta = GroupMeasure.from_support(table, [g], [1.0])
+        delta = measure_on(table, [g], [1.0])
         for t, block in enumerate(unsplit_blocks(delta, range(q))):
             for chi, e in zip(chars, stabiliser_isometries(cosets, t)):
                 folded = np.zeros((m, m), dtype=complex)
@@ -444,7 +444,7 @@ def test_lanczos_stops_at_the_problem_dimension(spec12, a12):
 def test_sparse_zero_and_dirac(t5):
     zero = operator_norm(ConvOperator(GroupMeasure(t5, np.zeros(t5.order)), "full"))
     assert zero.norm == 0.0 and zero.block == 0
-    dirac = GroupMeasure.from_support(t5, [17], [2.0 - 1.5j])
+    dirac = measure_on(t5, [17], [2.0 - 1.5j])
     rep = operator_norm(ConvOperator(dirac, "full"))
     assert rep.norm == pytest.approx(dirac.l1, rel=1e-12)
 
@@ -603,8 +603,7 @@ def test_eta_gap_of_a_right_translate_is_bit_identical(spec12, a12, q, rng):
     supp = eta.measure.support
     c1 = eta_gap(eta).c1
     for g in rng.integers(table.order, size=5):
-        moved = GroupMeasure.from_support(table, table.products(supp, g),
-                                          eta.measure.coeffs[supp])
+        moved = measure_on(table, table.products(supp, g), eta.measure.coeffs[supp])
         assert eta_gap(replace(eta, measure=moved)).c1 == c1
 
 
@@ -616,7 +615,7 @@ def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
     eta = build_eta(make_context(spec12, 8, 2, 2, ((1,), (0,)), a12, base=0.0), 2)
     supp = eta.measure.support
     phases = np.exp(2j * np.pi * rng.random(supp.size))
-    m = GroupMeasure.from_support(eta.measure.table, supp, eta.measure.coeffs[supp] * phases)
+    m = measure_on(eta.measure.table, supp, eta.measure.coeffs[supp] * phases)
     rep = eta_gap(replace(eta, measure=m))
     op = ConvOperator(m, "mean_zero")
     assert rep.norm == pytest.approx(max(_block_norms(m, op.orbits())), rel=1e-12)
@@ -635,7 +634,7 @@ def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a
         supp = eta.measure.support
         phases = np.exp(2j * np.pi * rng.random(supp.size))
         for ph in (phases, phases.conj()):
-            m = GroupMeasure.from_support(eta.measure.table, supp, eta.measure.coeffs[supp] * ph)
+            m = measure_on(eta.measure.table, supp, eta.measure.coeffs[supp] * ph)
             rep = eta_gap(replace(eta, measure=m))
             ts = ConvOperator(m, "mean_zero").orbits()
             assert rep.norm == pytest.approx(max(_block_norms(m, ts)), rel=1e-12)
@@ -709,7 +708,7 @@ def test_mu1_decay_validates_lengths(spec12, a12):
 
 
 def test_trace_identity_dirac(t5):
-    d = GroupMeasure.from_support(t5, [17], [1.0])
+    d = measure_on(t5, [17], [1.0])
     rep = trace_identity_check(d)
     # reverse(d)*d is the identity Dirac: both sides equal |G|
     assert rep.trace_lhs == pytest.approx(t5.order)
