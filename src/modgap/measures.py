@@ -7,7 +7,7 @@ letter matrices with the most deeply nested letter leftmost (each letter
 contributes where its orbit segment sits), reduced mod q after every
 multiplication.
 
-Measure construction streams the word expansion level by level with a
+Measure construction streams the word expansion chunk by chunk in a
 fixed enumeration order, so coefficients are reproducible bit for bit.
 Coefficients are held in a dense complex vector (at the guarded group
 sizes this is under a megabyte); support indices are cached lazily and
@@ -95,7 +95,7 @@ class GroupMeasure:
     @property
     def support(self) -> np.ndarray:
         if self._support is None:
-            self._support = np.nonzero(self.coeffs)[0]
+            self._support = np.flatnonzero(self.coeffs != 0)
             self._support.setflags(write=False)
         return self._support
 
@@ -233,14 +233,18 @@ def build_mu1(p: MeasureParams) -> GroupMeasure:
 
     The oscillation parameter b plays no role. In subshift mode the sum
     runs over suffixes admissible after the prefix (and applicable at
-    the base point); the total mass does not depend on q.
+    the base point); the total mass does not depend on q. Each chunk of
+    the expansion is added into the coefficients with `np.add.at`, which
+    sums every bin in enumeration order, as one `bincount` would.
     """
     t = p.table()
     o, j0 = resolve_point(p.spec, p.base)
-    _, lds, outer, cidx = _expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
-                                        _cocycle_track(p.spec, t))
-    keep = _prefix_mask(p.spec, p.prefix, outer)
-    return _accumulate(t, cidx[keep], np.exp(p.a * lds[keep]))
+    coeffs = np.zeros(t.order, dtype=np.float64)  # np.add.at is ~50x slower with a cast
+    for _, lds, outer, cidx in _expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
+                                             _cocycle_track(p.spec, t)):
+        keep = _prefix_mask(p.spec, p.prefix, outer)
+        np.add.at(coeffs, cidx[keep], np.exp(p.a * lds[keep]))
+    return GroupMeasure(t, coeffs)
 
 
 def build_nu(p: MeasureParams) -> GroupMeasure:
@@ -267,9 +271,10 @@ def build_mu(p: MeasureParams) -> GroupMeasure:
     p.prefix_word()  # validate
     t = p.table()
     x0, j0 = resolve_point(p.spec, p.x)
-    xs, lds, outer, cidx = _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
-                                         _cocycle_track(p.spec, t))
-    keep = _prefix_mask(p.spec, p.prefix, outer)
-    _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
-    return _accumulate(t, cidx[keep], np.exp(complex(p.s) * lds))
-
+    coeffs = np.zeros(t.order, dtype=np.complex128)
+    for xs, lds, outer, cidx in _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
+                                              _cocycle_track(p.spec, t)):
+        keep = _prefix_mask(p.spec, p.prefix, outer)
+        _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
+        np.add.at(coeffs, cidx[keep], np.exp(complex(p.s) * lds))
+    return GroupMeasure(t, coeffs)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
 )
 
 DELTA_BRACKET = (0.01, 0.99)
+_EXPAND_CHUNK = 1 << 15  # most words in the inner level of `_expand_orbit`
 
 # disjoint-isometric-circle hyperbolic pair in SL2(Z); intervals
 # (2.2, 2.6), (-0.8, -0.4), (-2.6, -2.2), (0.4, 0.8) are pairwise disjoint
@@ -250,7 +251,9 @@ def word(spec: SystemSpec, letter_ids) -> Word:
     return Word(spec, ids)
 
 
-def count_admissible(spec: SystemSpec, n: int) -> int:
+def count_admissible(spec: SystemSpec, n: int, j0: int | None = None) -> int:
+    """Admissible n-letter words; with a base interval j0, only those whose
+    innermost letter may be applied there."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
@@ -259,7 +262,7 @@ def count_admissible(spec: SystemSpec, n: int) -> int:
     if spec.mode == "zaremba":
         return nl**n
     T = spec.follows.astype(np.int64)
-    vec = np.ones(nl, dtype=np.int64)
+    vec = np.array([j0 is None or spec.allowed(k, j0) for k in range(nl)], dtype=np.int64)
     for _ in range(n - 1):
         vec = T @ vec
     return int(vec.sum())
@@ -459,27 +462,36 @@ def estimate_contraction(spec: SystemSpec) -> ContractionEstimate:
 
 def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: int,
                   track=None):
-    """Vectorized breadth expansion over all admissible n-letter words.
+    """Walk all admissible n-letter words in chunks, in enumeration order.
 
-    Level m holds, for every admissible suffix of length m (the m most
-    deeply nested letters), the orbit point, the accumulated
-    log-derivative, and the current outermost letter. Extension prepends
-    an outer letter; admissibility constrains it against the previous
-    outermost letter (and against the base interval at the first step).
-    Enumeration order is fixed (letter-major), so reductions downstream
-    are bit-stable.
+    The innermost n - m letters are expanded once, breadth first: level l
+    holds, for every admissible suffix of length l (the l most deeply
+    nested letters), the orbit point, the accumulated log-derivative, and
+    the current outermost letter. Extension prepends an outer letter;
+    admissibility constrains it against the previous outermost letter (and
+    against the base interval at the first step). m is the least value that
+    leaves at most _EXPAND_CHUNK words in that inner level.
+
+    Each admissible outer m-letter prefix, in lexicographic stored order,
+    is then walked over the inner words it may precede, innermost prefix
+    letter first, by the same letter steps. Words come out in enumeration
+    order (letter-major, outermost letter first), so reductions downstream
+    are bit-stable, and an expansion holds the inner level plus one chunk.
 
     `track` = (start, maps) follows one integer per word as well, such as a
     group element's index: it starts at `start`, and prepending letter k
-    sends i to maps[k][i]. Returns (xs, lds, outer, track indices or None).
+    sends i to maps[k][i]. The word guard is checked and the inner level
+    built at the call; the returned iterator walks one chunk per prefix,
+    each (xs, lds, outer, track indices or None).
     """
     check_word_count(spec, n, guard)
+    m = next(m for m in range(n + 1) if count_admissible(spec, n - m) <= _EXPAND_CHUNK)
     xs = np.array([x0], dtype=np.float64)
     lds = np.zeros(1, dtype=np.float64)
     # the base interval stands in for the outermost letter before step 0
     outer = np.full(1, -1 if j0 is None else j0, dtype=np.int16)
     idx = None if track is None else np.array([track[0]], dtype=np.int64)
-    for _ in range(n):
+    for _ in range(n - m):
         xs_parts, ld_parts, outer_parts, idx_parts = [], [], [], []
         for k in range(spec.n_letters):
             inv = spec.inverse_of(k)
@@ -495,20 +507,40 @@ def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: in
         outer = np.concatenate(outer_parts)
         if idx is not None:
             idx = np.concatenate(idx_parts)
-    return xs, lds, outer, idx
+    if m == 0:
+        return iter([(xs, lds, outer, idx)])
+    return (_walk_prefix(spec, prefix, xs, lds, outer, idx, track)
+            for prefix in _admissible_id_matrix(spec, m).tolist())
 
 
-@lru_cache(maxsize=32)
-def _orbit_logs_cached(spec: SystemSpec, n: int, x0: float, j0, guard: int):
-    _, lds, _, _ = _expand_orbit(spec, n, x0, j0, guard)
-    lds.setflags(write=False)
-    return lds
+def _walk_prefix(spec: SystemSpec, prefix, xs, lds, outer, idx, track):
+    """One chunk of `_expand_orbit`: the outer letters `prefix` walked over the
+    inner words they may precede."""
+    inv = spec.inverse_of(prefix[-1])
+    sel = slice(None) if inv is None else outer != inv
+    x, ld = walk_words(spec, prefix, xs[sel], lds[sel])
+    i = None
+    if idx is not None:
+        i = idx[sel]
+        for k in reversed(prefix):
+            i = track[1][k][i]
+    return x, ld, np.full(x.size, prefix[0], dtype=np.int16), i
 
 
 def orbit_log_derivs(spec: SystemSpec, n: int, x=None, guard: int = Guards.max_words):
-    """log|w'(o)| for every admissible n-letter word, in enumeration order."""
+    """log|w'(o)| for every admissible n-letter word, in enumeration order.
+
+    The chunks of `_expand_orbit` are written into one preallocated array,
+    so the expansion holds the result plus one chunk.
+    """
     x0, j0 = resolve_point(spec, x)
-    return _orbit_logs_cached(spec, n, x0, j0, guard)
+    chunks = _expand_orbit(spec, n, x0, j0, guard)  # checks the guard first
+    out = np.empty(count_admissible(spec, n, j0), dtype=np.float64)
+    pos = 0
+    for _, lds, _, _ in chunks:
+        out[pos:pos + lds.size] = lds
+        pos += lds.size
+    return out
 
 
 def partition_sum(spec: SystemSpec, n: int, a: float, x=None,

@@ -1,17 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modgap.errors import Guards
-from modgap.measures import GroupMeasure
+from modgap.measures import GroupMeasure, _accumulate, _cocycle_track
 from modgap.modgroup import get_group
 from modgap.symdyn import (
     SystemSpec,
     Word,
     _admissible_id_matrix,
     check_word_count,
+    letter_image,
+    letter_log_deriv,
+    resolve_point,
     schottky_system,
+    walk_words,
     zaremba_system,
 )
 
@@ -114,3 +119,67 @@ def stabiliser_isometries(cosets, t) -> np.ndarray:
     e = np.zeros((size, cosets.n, m), dtype=complex)
     e[:, perm, np.arange(m)] = chars[:, :, None] * np.exp(-2j * np.pi * t * gamma / cosets.q)
     return e / math.sqrt(size)
+
+
+def traced_peak(f):
+    """(f(), the peak of traced allocations in bytes while f ran)."""
+    tracemalloc.start()
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def breadth_expand_orbit(spec, n, x0, j0, guard, track=None):
+    """The unchunked breadth expansion, the oracle of `symdyn._expand_orbit`:
+    (xs, lds, outer, track indices or None) over all admissible n-letter
+    words at once, in enumeration order."""
+    check_word_count(spec, n, guard)
+    xs = np.array([x0], dtype=np.float64)
+    lds = np.zeros(1, dtype=np.float64)
+    outer = np.full(1, -1 if j0 is None else j0, dtype=np.int16)
+    idx = None if track is None else np.array([track[0]], dtype=np.int64)
+    for _ in range(n):
+        xs_parts, ld_parts, outer_parts, idx_parts = [], [], [], []
+        for k in range(spec.n_letters):
+            inv = spec.inverse_of(k)
+            sel = slice(None) if inv is None else outer != inv
+            x_sel = xs[sel]
+            ld_parts.append(lds[sel] + letter_log_deriv(spec, k, x_sel))
+            xs_parts.append(letter_image(spec, k, x_sel))
+            if idx is not None:
+                idx_parts.append(track[1][k][idx[sel]])
+            outer_parts.append(np.full(x_sel.size, k, dtype=np.int16))
+        xs = np.concatenate(xs_parts)
+        lds = np.concatenate(ld_parts)
+        outer = np.concatenate(outer_parts)
+        if idx is not None:
+            idx = np.concatenate(idx_parts)
+    return xs, lds, outer, idx
+
+
+def _after_prefix(p, outer):
+    """The suffixes whose outermost letter may follow the prefix."""
+    return p.spec.follows[p.prefix[-1], outer] if p.prefix else slice(None)
+
+
+def breadth_mu1(p) -> GroupMeasure:
+    """`measures.build_mu1` on the breadth oracle, summed by one `bincount`."""
+    t = p.table()
+    o, j0 = resolve_point(p.spec, p.base)
+    _, lds, outer, cidx = breadth_expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
+                                               _cocycle_track(p.spec, t))
+    keep = _after_prefix(p, outer)
+    return _accumulate(t, cidx[keep], np.exp(p.a * lds[keep]))
+
+
+def breadth_mu(p) -> GroupMeasure:
+    """`measures.build_mu` on the breadth oracle, summed by one `bincount`."""
+    t = p.table()
+    x0, j0 = resolve_point(p.spec, p.x)
+    xs, lds, outer, cidx = breadth_expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
+                                                _cocycle_track(p.spec, t))
+    keep = _after_prefix(p, outer)
+    _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
+    return _accumulate(t, cidx[keep], np.exp(complex(p.s) * lds))

@@ -340,3 +340,13 @@ def test_norm_caches_consistent(t5, rng):
     m = sparse_measure(t5, rng)
     assert m.l1 == pytest.approx(np.abs(m.coeffs).sum(), abs=1e-12)
     assert m.l2 == pytest.approx(np.linalg.norm(m.coeffs), abs=1e-12)
+
+
+def test_support_matches_nonzero_on_edge_entries(t5):
+    coeffs = np.zeros(t5.order, dtype=complex)
+    coeffs[[3, 7, 11, 19, 23, 40]] = [-0.0, 1e-300j, np.nan, complex(0.0, -0.0),
+                                      complex(-1e-300, 0.0), complex(np.nan, np.nan)]
+    coeffs[50] = complex(-0.0, -0.0)
+    support = GroupMeasure(t5, coeffs).support
+    np.testing.assert_array_equal(support, [7, 11, 23, 40])
+    np.testing.assert_array_equal(support, np.nonzero(coeffs)[0])
