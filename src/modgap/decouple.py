@@ -31,16 +31,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, GuardExceeded, Guards
-from .measures import GroupMeasure, _accumulate, _cocycle_track
-from .modgroup import GroupTable, get_group
+from .measures import GroupMeasure, _cocycle_track
+from .modgroup import GroupTable, distinct, get_group
 from .symdyn import (
+    _EXPAND_CHUNK,
     SystemSpec,
     _admissible_id_matrix,
+    _expand_orbit,
     _window_point,
     count_admissible,
     estimate_contraction,
@@ -49,8 +51,6 @@ from .symdyn import (
 )
 
 DEFAULT_SAFETY = 1.25
-_SURVEY_CHUNK = 1 << 16  # (upper, lower) block pairs per chunk of the survey
-_WINDOW_CACHE = 1024  # windows whose q-free weights `_window_weights` keeps
 
 
 @dataclass(frozen=True)
@@ -74,25 +74,28 @@ class BlockContext:
     base_interval: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaMeasure:
-    """One per-block decoupled measure: a Dirac per admissible inner choice."""
+    """One per-block decoupled measure: a Dirac per admissible inner choice.
 
-    measure: GroupMeasure
+    Held sparse: `support` holds the sorted group indices of the block
+    cocycles and `weights` the betas summed on each. The dense `measure` is
+    built on its first read.
+    """
+
     context: BlockContext
     j: int
+    table: GroupTable
     inners: tuple[tuple[int, ...], ...]
     betas: tuple[float, ...]
+    support: np.ndarray
+    weights: np.ndarray
 
-    @property
-    def coefficient_spread(self) -> float:
-        """max/min over the inner-letter coefficients.
-
-        This stays O(1) in L (different letters have genuinely different
-        derivatives); the L-decaying flatness lives in flatness_ratio,
-        which compares weights across deep continuations of one window.
-        """
-        return max(self.betas) / min(self.betas)
+    @cached_property
+    def measure(self) -> GroupMeasure:
+        coeffs = np.zeros(self.table.order, dtype=np.complex128)
+        coeffs.real[self.support] = self.weights
+        return GroupMeasure(self.table, coeffs)
 
 
 @dataclass(frozen=True)
@@ -158,19 +161,25 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
     j = 1, by the base interval in subshift mode).
     """
     lower = ctx.outer[j - 2] if j >= 2 else ()
-    return _slots(ctx.spec, ctx.outer[j - 1], lower, j, ctx.base_interval)
+    slots = _admissible_id_matrix(ctx.spec, ctx.spec.block_width)
+    ok = _slot_mask(ctx.spec, slots, np.array([ctx.outer[j - 1]], dtype=np.intp),
+                    np.array([lower], dtype=np.intp), j, ctx.base_interval)
+    return tuple(map(tuple, slots[ok[0]].tolist()))
 
 
-def _slots(spec: SystemSpec, outer, lower, j: int, base_interval):
-    """`inner_slots` from the words it reads: block j's outer word, the lower
-    word and, for block 1, the base interval."""
-    right = (lower[0] if lower else None) if j >= 2 else base_interval
-    slots = _admissible_id_matrix(spec, spec.block_width)
-    if outer:
-        slots = slots[spec.follows[outer[-1], slots[:, 0]]]
-    if right is not None:
-        slots = slots[spec.follows[slots[:, -1], right]]
-    return tuple(map(tuple, slots.tolist()))
+def _slot_mask(spec: SystemSpec, slots, uppers, lowers, j: int, base_interval) -> np.ndarray:
+    """`inner_slots` of stacked windows: ok[w, z] when slot z may sit between
+    the upper word uppers[w] and the lower word lowers[w] (empty for block 1,
+    which the base interval bounds instead)."""
+    ok = np.ones((len(uppers), len(slots)), dtype=bool)
+    if uppers.shape[1]:
+        ok &= spec.follows[uppers[:, -1:], slots[:, 0]]
+    if j >= 2:
+        if lowers.shape[1]:
+            ok &= spec.follows[slots[:, -1], lowers[:, :1]]
+    elif base_interval is not None:
+        ok &= spec.follows[slots[:, -1], base_interval]
+    return ok
 
 
 def _start_points(spec: SystemSpec, base: float, interval, innermost) -> np.ndarray:
@@ -183,58 +192,119 @@ def _start_points(spec: SystemSpec, base: float, interval, innermost) -> np.ndar
     return np.array(points)[innermost]
 
 
-@lru_cache(maxsize=_WINDOW_CACHE)
-def _window_weights(spec: SystemSpec, L: int, a: float, base: float, base_interval,
-                    outer: tuple[int, ...], lower: tuple[int, ...], j: int):
-    """The q-free part of `build_eta`: (inners, blocks, betas) of one window.
+@dataclass(frozen=True)
+class _Windows:
+    """Stacked windows, walked: rows offsets[w]:offsets[w + 1] hold window w's
+    blocks (its upper word, then each admissible inner slot) and their betas.
+    The modulus is not in them: the moduli of one run share each walk."""
 
-    Keyed on exactly what the walk reads: the system, L, a, the resolved
-    base point and its interval, block j's outer word, the lower word and
-    j. The modulus is not in the key: the weights never see it, so the
-    moduli of one run share each window's walk. `blocks` is read-only. A
-    full cache of _WINDOW_CACHE windows holds about 1 MB (README, guards).
+    blocks: np.ndarray
+    betas: np.ndarray
+    offsets: np.ndarray
+
+
+def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval,
+                  uppers: np.ndarray, lowers: np.ndarray, j: int) -> _Windows:
+    """The q-free part of `build_eta` for stacked windows, in one walk.
+
+    Window w is block j's outer word uppers[w] over the lower word lowers[w]
+    (no columns for block 1). Each window's lower word is walked from
+    `_start_points` of its innermost letter, then every (window, inner)
+    block one letter column at a time from its window's point; a block with
+    no lower word starts at the point of its own innermost letter. Each
+    beta is exp(a * fsum of its block's increments), one row at a time.
     """
-    inners = _slots(spec, outer, lower, j, base_interval)
-    if not inners:
-        raise AdmissibilityError(
-            f"no admissible inner choice for block {j}; malformed subshift context"
-        )
-    blocks = np.array([outer + inner for inner in inners], dtype=np.intp)
-    blocks.setflags(write=False)
-    innermost = lower[-1] if lower else blocks[:, -1]
-    x, _ = walk_words(spec, lower, _start_points(spec, base, base_interval, innermost))
-    incs = []
-    for col in reversed(range(L)):
-        x, inc = walk_words(spec, blocks[:, col : col + 1], x)
-        incs.append(inc)
-    betas = tuple(math.exp(a * math.fsum(row)) for row in np.transpose(incs).tolist())
-    return inners, blocks, betas
+    slots = _admissible_id_matrix(spec, spec.block_width)
+    w, z = np.nonzero(_slot_mask(spec, slots, uppers, lowers, j, base_interval))
+    blocks = np.concatenate([uppers[w], slots[z]], axis=1).astype(np.int8)
+    if lowers.shape[1]:
+        start, _ = walk_words(spec, lowers,
+                              _start_points(spec, base, base_interval, lowers[:, -1]), None)
+        start = start[w]
+    else:
+        start = _start_points(spec, base, base_interval, blocks[:, -1])
+    betas = np.empty(len(blocks))
+    for lo in range(0, len(blocks), _EXPAND_CHUNK):  # rows a slice, as the expander's chunks
+        rows = slice(lo, lo + _EXPAND_CHUNK)
+        x = start[rows]
+        incs = np.empty((x.size, L))
+        for col in reversed(range(L)):
+            x, incs[:, L - 1 - col] = walk_words(spec, blocks[rows, col : col + 1], x)
+        betas[rows] = [math.exp(a * math.fsum(r)) for r in incs.tolist()]
+    for arr in (blocks, betas):
+        arr.setflags(write=False)
+    return _Windows(blocks, betas, np.searchsorted(w, np.arange(len(uppers) + 1)))
 
 
-def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None) -> EtaMeasure:
+@lru_cache(maxsize=None)
+def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval,
+                  j: int) -> _Windows:
+    """Every window of `enumerate_etas` for block 1 (j = 1: the S words o) or
+    for the blocks above it (j = 2: the S^2 pairs (o', o), o' major), as one
+    walk, cached on what the walk reads: the system, L, a, the resolved base
+    point and its interval. The modulus is not in the key."""
+    words = _admissible_id_matrix(spec, L - spec.block_width)
+    if j == 1:
+        return _walk_windows(spec, L, a, base, base_interval, words, words[:, :0], j)
+    n = len(words)
+    return _walk_windows(spec, L, a, base, base_interval, np.repeat(words, n, axis=0),
+                         np.tile(words, (n, 1)), j)
+
+
+def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows):
+    """The stacked windows at one modulus: (support, weights, bounds), where
+    window w's sorted support and summed betas are entries bounds[w]:bounds[w+1].
+
+    The block cocycles are one gather per letter column; each window's betas
+    are summed per group element in row order, as `np.bincount` sums."""
+    start, maps = _cocycle_track(spec, table)
+    idx = np.full(len(windows.blocks), start)
+    for col in reversed(range(windows.blocks.shape[1])):
+        idx = maps[windows.blocks[:, col], idx]
+    window = np.repeat(np.arange(len(windows.offsets) - 1), np.diff(windows.offsets))
+    keys, inverse = np.unique(window * table.order + idx, return_inverse=True)
+    bounds = np.searchsorted(keys, np.arange(len(windows.offsets)) * table.order)
+    return keys % table.order, np.bincount(inverse, windows.betas), bounds
+
+
+def _no_inner(j: int) -> AdmissibilityError:
+    return AdmissibilityError(
+        f"no admissible inner choice for block {j}; malformed subshift context"
+    )
+
+
+def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
+              stacked=None) -> EtaMeasure:
     """The block-j measure: beta-weighted Diracs at the block cocycles.
 
     beta = exp(a * fsum of the block's log-derivative increments) along the
     window word, block j then block j-1's outer part (block 1 alone),
-    walked from `_start_points` of its innermost letter. The betas do not
-    depend on q, so they come from `_window_weights`, cached on the system,
-    L, a, base point and interval, the window's two outer words and j, but
-    not on the modulus; only the cocycles mod q are walked here.
+    walked from `_start_points` of its innermost letter. `enumerate_etas`
+    passes `stacked` = (windows, their supports at this modulus, the
+    window's place): its windows are walked once per system, L, a and base
+    point, whatever the modulus, and their cocycles once per modulus.
+    Without it the window is walked alone, by the same steps.
     """
     table = get_group(ctx.q) if table is None else table
-    lower = ctx.outer[j - 2] if j >= 2 else ()
-    inners, blocks, betas = _window_weights(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval,
-                                            ctx.outer[j - 1], lower, j)
-    start, maps = _cocycle_track(ctx.spec, table)
-    idx = np.full(len(inners), start)
-    for col in reversed(range(ctx.L)):
-        idx = maps[blocks[:, col], idx]
+    if stacked is None:
+        lower = ctx.outer[j - 2] if j >= 2 else ()
+        windows = _walk_windows(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval,
+                                np.array([ctx.outer[j - 1]], dtype=np.intp),
+                                np.array([lower], dtype=np.intp), j)
+        stacked = windows, _window_supports(ctx.spec, table, windows), 0
+    windows, (support, weights, bounds), i = stacked
+    rows = slice(windows.offsets[i], windows.offsets[i + 1])
+    if rows.start == rows.stop:
+        raise _no_inner(j)
+    entries = slice(bounds[i], bounds[i + 1])
     return EtaMeasure(
-        measure=_accumulate(table, idx, np.array(betas)),
         context=ctx,
         j=j,
-        inners=inners,
-        betas=betas,
+        table=table,
+        inners=tuple(map(tuple, windows.blocks[rows, ctx.L - ctx.spec.block_width :].tolist())),
+        betas=tuple(windows.betas[rows].tolist()),
+        support=support[entries],
+        weights=weights[entries],
     )
 
 
@@ -262,54 +332,78 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     spread of true weights including beta). The second quantity is the
     flatness constant: all deep continuations that one replacement window
     stands in for carry weights within that log range of each other.
-    Raises DomainError, naming L and the upper block, where a
+    Raises DomainError, naming L and the first upper block, where a
     log-derivative is not finite.
 
     True weights start at the base point, replacement windows where
     `build_eta`'s do (`_start_points`), so the error is that of the weights
-    the bound uses. Walks (upper, lower) block pairs about _SURVEY_CHUNK at
-    a time. The blocks are lexicographic, so the lower blocks that share an
-    outer word, and so a replacement window, are contiguous.
+    the bound uses. An upper block may sit on a lower block when its
+    innermost letter may precede the lower block's first letter.
+
+    The upper blocks are walked by `symdyn._expand_orbit` from every lower
+    block's image of the base point and every window's point at once, so
+    the walks of a shared suffix are made once. The lower blocks are
+    lexicographic, so those that share an outer word, and so a window, are
+    contiguous; they are laid out as (member, window) points, a short
+    group repeating its first member, so each window's least and greatest
+    true log-derivative are reductions over the member axis. a (t - beta)
+    is monotone in t, so its largest modulus over a window is reached at
+    one of the two, and so is the spread.
     """
     o, j0 = resolve_point(spec, base)
-    blocks = _admissible_id_matrix(spec, L).astype(np.intp)
-    if j0 is not None:
-        blocks = blocks[spec.follows[blocks[:, -1], j0]]
-    n_blocks = len(blocks)
+    words = _admissible_id_matrix(spec, L)
+    use = np.ones(spec.n_letters, dtype=bool) if j0 is None else spec.follows[:, j0]
+    blocks = words if j0 is None else words[use[words[:, -1]]]
     outer = blocks[:, : L - spec.block_width]
-    first = np.ones(n_blocks, dtype=bool)
-    first[1:] = (outer[1:] != outer[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)  # one outer-word group per start
-    group = np.cumsum(first) - 1
-    pts_true, _ = walk_words(spec, blocks, np.full(n_blocks, o))
+    cut = np.ones(len(blocks) + 1, dtype=bool)
+    cut[1:-1] = (outer[1:] != outer[:-1]).any(axis=1)
+    bounds = np.flatnonzero(cut)  # of the outer-word groups
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    member = starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)  # (member, window)
+    pts_true, _ = walk_words(spec, blocks, np.full(len(blocks), o), None)
     windows = outer[starts]
+    # ok[k, p, g]: an upper block with innermost letter k may sit on member p of
+    # window g; a window with an outer word admits it on all its members or none
+    if windows.size:
+        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]), None)
+        seen = spec.follows[:, windows[:, 0]] & use[:, None]  # k, g: on some member
+    else:  # no outer word: a window starts where its upper block's innermost letter does
+        pts_beta = _start_points(spec, o, j0, np.arange(spec.n_letters))
+        ok = spec.follows[:, blocks[member, 0]]
+        seen = ok.any(axis=1) & use[:, None]
+    n_true = member.size
+    points = np.concatenate([pts_true[member].ravel(), pts_beta])
 
     worst = 0.0
     worst_spread = 0.0
-    step = max(1, _SURVEY_CHUNK // n_blocks)
-    for lo in range(0, n_blocks, step):
-        upper = blocks[lo : lo + step, None, :]
-        ok = spec.follows[upper[:, :, -1], blocks[:, 0]]  # (upper, lower)
-        _, ld_true = walk_words(spec, upper, pts_true)
-        # a window's innermost letter ends its outer word, or the upper block
-        tail = windows[:, -1] if windows.size else upper[:, :, -1]
-        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, tail))
-        _, ld_beta = walk_words(spec, upper, pts_beta)
-        errs = np.abs(a * (ld_true - ld_beta[:, group]))
-        bad = ok & ~np.isfinite(errs)
-        if bad.any():
-            row = tuple(int(v) for v in upper[bad.any(axis=1).argmax(), 0])
+    done = 0
+    for _, lds, _, _ in _expand_orbit(spec, L, points, None, Guards.max_words):
+        lds = lds.reshape(-1, points.size)
+        inner = words[done : done + len(lds), -1]
+        true = lds[:, :n_true].reshape(len(lds), *member.shape)
+        beta = lds[:, n_true:]
+        if windows.size:
+            lo, hi = true.min(axis=1), true.max(axis=1)
+        else:
+            beta = beta[np.arange(len(lds)), inner][:, None]
+            lo = np.where(ok[inner], true, np.inf).min(axis=1)
+            hi = np.where(ok[inner], true, -np.inf).max(axis=1)
+        errs = np.maximum(np.abs(a * (lo - beta)), np.abs(a * (hi - beta)))
+        # within-window spread of true weights, beta included
+        spread = a * (np.maximum(hi, beta) - np.minimum(lo, beta))
+        if not seen.all():
+            on = seen[inner]
+            errs, spread = np.where(on, errs, 0.0), np.where(on, spread, -np.inf)
+        top = float(errs.max())  # nan or inf where a window image lies on a pole
+        if not math.isfinite(top):
+            row = tuple(int(v) for v in words[done + (~np.isfinite(errs)).any(axis=1).argmax()])
             raise DomainError(
                 f"non-finite log-derivative at L={L}, upper block {row}: a window "
                 "image lies on a pole of a letter"
             )
-        worst = max(worst, float(np.where(ok, errs, 0.0).max()))
-        # within-window spread of true weights, beta included
-        lo_w = np.minimum.reduceat(np.where(ok, ld_true, np.inf), starts, axis=1)
-        hi_w = np.maximum.reduceat(np.where(ok, ld_true, -np.inf), starts, axis=1)
-        seen = np.isfinite(lo_w)
-        spread = a * (np.maximum(hi_w, ld_beta) - np.minimum(lo_w, ld_beta))
-        worst_spread = max(worst_spread, float(np.where(seen, spread, -np.inf).max()))
+        worst = max(worst, top)
+        worst_spread = max(worst_spread, float(spread.max()))
+        done += len(lds)
     return worst, worst_spread
 
 
@@ -370,6 +464,9 @@ class BoundReport:
     n_contexts: int
     scale: float
     fitted_c: float
+    # the largest max/min of one eta's betas: O(1) in L, as different letters
+    # have genuinely different derivatives; the L-decaying flatness is
+    # flatness_ratio's, across deep continuations of one window
     coefficient_spread: float
 
 
@@ -398,52 +495,41 @@ def decoupled_upper_bound(
         S_j[o'] = sum_o S_{j-1}[o] * eta(o', o),
         bound = scale * sum_o S_R'[o],
 
-    which builds S + S^2 measures instead of R' measures and R'-1
-    convolutions per context. The chain is held as an (S, |G|) matrix of
-    real coefficients (every beta is positive). For each o' let H be the
-    union over o of the supports of eta(o', o), which differ where the
-    inner slots depend on the lower word, and W[h, o] = eta(o', o)(h);
-    since (mu * nu)(x) = sum_h mu(x h^-1) nu(h),
+    which needs S + S^2 measures instead of R' measures and R'-1
+    convolutions per context. They are read straight from the stacked
+    windows of `enumerate_etas` and their supports at q, with no measure
+    object. The chain is held as an (S, |G|) matrix of real coefficients
+    (every beta is positive). For each o' let H be the union over o of the
+    supports of eta(o', o), which differ where the inner slots depend on
+    the lower word, and W[h, o] = eta(o', o)(h); since
+    (mu * nu)(x) = sum_h mu(x h^-1) nu(h),
 
         S_j[o'](x) = sum_{h in H} (W @ S_{j-1})[h, x h^-1],
 
-    one (|H|, S) @ (S, |G|) product and |H| right-translation gathers per
-    o' and step, (R'-1) * S products in all. The gather indices of a row
-    are built when the row is used, so no more than one row's |H| * |G|
-    indices are held at once. With r_prime = 1 no replacement happens and
-    the result is the measure itself. `guards` bounds the modulus and the
-    number of contexts.
+    one (|H|, S) @ (S, |G|) product and one call of the |H| right
+    translations by h^-1 per o' and step, (R'-1) * S products in all. The
+    gather indices of a row are built when the row is used, so no more than
+    one row's |H| * |G| indices are held at once. With r_prime = 1 no
+    replacement happens and the result is the measure itself. `guards`
+    bounds the modulus and the number of contexts.
     """
     table = get_group(q, guards.max_q)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
-    n_words = count_admissible(spec, L - spec.block_width)
-    chain = np.zeros((n_words, table.order))  # S_1, one row per outer word o
-    rows = []  # per o': the union H of the supports of eta(o', o) and W
-    row = []
-    spread = 0.0
-    for i, e in enumerate(enumerate_etas(spec, q, a, L, r_prime, base, guards)):
-        spread = max(spread, e.coefficient_spread)
-        m = e.measure
-        if i < n_words:
-            chain[i] = m.coeffs.real
-            continue
-        row.append((m.support, m.coeffs.real[m.support]))
-        if len(row) == n_words:
-            hs = np.unique(np.concatenate([supp for supp, _ in row]))
-            w = np.zeros((hs.size, n_words))
-            for k, (supp, wt) in enumerate(row):
-                w[np.searchsorted(hs, supp), k] = wt
-            rows.append((hs, w))
-            row = []
-    for _ in range(r_prime - 1):
+    n_words = len(outer_words(spec, L, r_prime, guards.contexts))
+    chain, rows, spread = _chain_terms(spec, table, L, a, base, n_words, r_prime)
+    for _ in range(r_prime - 2):
         step = np.empty_like(chain)
-        for i, (hs, w) in enumerate(rows):
-            # entry (k, x) is the flat index of (k, x h_k^-1) in W @ S_{j-1}
-            gather = np.stack([table.right_translation(h) for h in table.inverse[hs]])
-            gather = gather + table.order * np.arange(hs.size)[:, None]
-            step[i] = np.take(w @ chain, gather).sum(axis=0)
+        for i, row in enumerate(_chain_step(table, rows, chain)):
+            step[i] = row
         chain = step
-    bound = GroupMeasure(table, chain.sum(axis=0) * scale)
+    if r_prime == 1:
+        total = chain.sum(axis=0)
+    else:  # the last step is summed over o' as it goes: S_R' is never held
+        last = _chain_step(table, rows, chain)
+        total = next(last)
+        for row in last:
+            total += row
+    bound = GroupMeasure(table, total * scale)
     report = BoundReport(
         L=L,
         r_prime=r_prime,
@@ -454,6 +540,46 @@ def decoupled_upper_bound(
         coefficient_spread=spread,
     )
     return bound, report
+
+
+def _chain_terms(spec: SystemSpec, table: GroupTable, L: int, a: float, base, n_words: int,
+                 r_prime: int):
+    """What `decoupled_upper_bound` reads of the S + S^2 windows: the chain's
+    first matrix S_1, the (H, W) of every o' row and the largest spread of
+    one window's betas."""
+    o, j0 = resolve_point(spec, base)
+    chain = np.zeros((n_words, table.order))  # S_1, one row per outer word o
+    spread = 0.0
+    rows = []  # per o': the union H of the supports of eta(o', o) and W
+    for j in (1, 2) if r_prime > 1 else (1,):
+        windows = _window_stack(spec, L, a, o, j0, j)
+        if not np.diff(windows.offsets).all():
+            raise _no_inner(j)
+        starts, betas = windows.offsets[:-1], windows.betas
+        spread = max(spread, float((np.maximum.reduceat(betas, starts)
+                                    / np.minimum.reduceat(betas, starts)).max()))
+        support, weights, bounds = _window_supports(spec, table, windows)
+        window = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        if j == 1:
+            chain[window, support] = weights
+            continue
+        for i in range(n_words):  # the windows (o', o) of o' = i, o minor
+            e = slice(bounds[i * n_words], bounds[(i + 1) * n_words])
+            hs = distinct(support[e])
+            w = np.zeros((hs.size, n_words))
+            w[np.searchsorted(hs, support[e]), window[e] - i * n_words] = weights[e]
+            rows.append((hs, w))
+    return chain, rows, spread
+
+
+def _chain_step(table: GroupTable, rows, chain: np.ndarray):
+    """S_j[o'] = sum_{h in H} (W @ S_{j-1})[h, x h^-1], one o' row at a time,
+    from the (H, W) of each row and S_{j-1} = chain."""
+    for hs, w in rows:
+        # entry (k, x) is the flat index of (k, x h_k^-1) in W @ S_{j-1}
+        gather = table.right_translation(table.inverse[hs])
+        gather = gather + table.order * np.arange(hs.size)[:, None]
+        yield np.take(w @ chain, gather).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -500,15 +626,23 @@ def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards(
     These are the S + S^2 measures of `decoupled_upper_bound` (S alone at
     r_prime = 1): block j >= 2 of every context carries the measure of its
     window (o_j, o_{j-1}). `guards` bounds the modulus and the number of
-    contexts. Each measure comes from `build_eta`, whose window weights are
-    cached without q, so a second modulus at the same L walks no window again.
+    contexts. The windows of each kind are walked as one stack, cached
+    without q, so a second modulus at the same L walks no window again; their
+    cocycles at q are one gather per letter column, and each measure is cut
+    from them by `build_eta`.
     """
     table = get_group(q, guards.max_q)
     words = outer_words(spec, L, r_prime, guards.contexts)
-    windows = [(o,) for o in words]
+    o, j0 = resolve_point(spec, base)
+    windows = [(w,) for w in words]
     if r_prime > 1:
-        windows += [(o, o2) for o2 in words for o in words]
-    for outer in windows:
+        windows += [(w, w2) for w2 in words for w in words]
+    stacks = {}
+    for i, outer in enumerate(windows):
         j = len(outer)
+        if j not in stacks:
+            stack = _window_stack(spec, L, a, o, j0, j)
+            stacks[j] = stack, _window_supports(spec, table, stack)
         # the module global, which perfbench's tracer wraps to count every eta
-        yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table)
+        yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table,
+                        (*stacks[j], i if j == 1 else i - len(words)))

@@ -207,17 +207,9 @@ def _cocycle_track(spec: SystemSpec, table: GroupTable):
     elems[i] @ M_k mod q, which matches the first-applied-leftmost product
     convention. The maps are stacked, so `maps[ks, idx]` walks a column of
     letters at once."""
-    maps = np.stack([table.right_translation(table.index_of(letter.matrix))
-                     for letter in spec.letters])
+    maps = table.right_translation([table.index_of(letter.matrix) for letter in spec.letters])
     maps.setflags(write=False)
     return table.identity_index, maps
-
-
-def _prefix_mask(spec: SystemSpec, prefix, outer: np.ndarray):
-    """Keep suffixes whose outermost letter may follow the prefix."""
-    if not prefix:
-        return slice(None)
-    return spec.follows[prefix[-1], outer]
 
 
 def _accumulate(table: GroupTable, cidx: np.ndarray, weights: np.ndarray) -> GroupMeasure:
@@ -240,10 +232,10 @@ def build_mu1(p: MeasureParams) -> GroupMeasure:
     t = p.table()
     o, j0 = resolve_point(p.spec, p.base)
     coeffs = np.zeros(t.order, dtype=np.float64)  # np.add.at is ~50x slower with a cast
-    for _, lds, outer, cidx in _expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
-                                             _cocycle_track(p.spec, t)):
-        keep = _prefix_mask(p.spec, p.prefix, outer)
-        np.add.at(coeffs, cidx[keep], np.exp(p.a * lds[keep]))
+    after = p.prefix[-1] if p.prefix else None  # what a suffix's outermost letter follows
+    for _, lds, _, cidx in _expand_orbit(p.spec, p.r_len, o, j0, p.guards.max_words,
+                                         _cocycle_track(p.spec, t), after):
+        np.add.at(coeffs, cidx, np.exp(p.a * lds))
     return GroupMeasure(t, coeffs)
 
 
@@ -272,9 +264,9 @@ def build_mu(p: MeasureParams) -> GroupMeasure:
     t = p.table()
     x0, j0 = resolve_point(p.spec, p.x)
     coeffs = np.zeros(t.order, dtype=np.complex128)
-    for xs, lds, outer, cidx in _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
-                                              _cocycle_track(p.spec, t)):
-        keep = _prefix_mask(p.spec, p.prefix, outer)
-        _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
-        np.add.at(coeffs, cidx[keep], np.exp(complex(p.s) * lds))
+    after = p.prefix[-1] if p.prefix else None
+    for xs, lds, _, cidx in _expand_orbit(p.spec, p.r_len, x0, j0, p.guards.max_words,
+                                          _cocycle_track(p.spec, t), after):
+        _, lds = walk_words(p.spec, p.prefix, xs, lds)
+        np.add.at(coeffs, cidx, np.exp(complex(p.s) * lds))
     return GroupMeasure(t, coeffs)

@@ -185,8 +185,9 @@ class GroupTable:
         """t[k] = index(elems[i] @ elems[k]); one row of the Cayley table."""
         return self.products(i, slice(None))
 
-    def right_translation(self, i: int) -> np.ndarray:
-        """t[k] = index(elems[k] @ elems[i]).
+    def right_translation(self, i) -> np.ndarray:
+        """t[k] = index(elems[k] @ elems[i]); for an index array i, one such
+        row per entry.
 
         Each row of elems[k] @ h is a row of elems[k] times h, so the key of
         the product is read from one table of the q^2 row images under h,
@@ -196,10 +197,10 @@ class GroupTable:
         q = 13 to 49, x86_64). The block builder makes one per column.
         """
         q = self.q
-        ha, hb, hc, hd = (int(v) for v in self.elems[i])
+        ha, hb, hc, hd = self._columns[:, i, None].astype(np.int64)
         x, y = np.divmod(np.arange(q * q), q)  # the row (x, y), packed as x q + y
         image = (x * ha + y * hc) % q * q + (x * hb + y * hd) % q
-        return self.key_to_index[image[self._rows[0]] * (q * q) + image[self._rows[1]]]
+        return self.key_to_index[image[..., self._rows[0]] * (q * q) + image[..., self._rows[1]]]
 
     # -- reduction fibers -------------------------------------------------
 
@@ -343,6 +344,13 @@ class UnipotentCosets:
 
     def __repr__(self):
         return f"UnipotentCosets(q={self.q}, n={self.n})"
+
+
+def distinct(idx) -> np.ndarray:
+    """The sorted distinct entries of an index array: `np.unique` without the
+    `numpy.ma` import that its plain form makes on first use (numpy 2.4)."""
+    idx = np.sort(idx, axis=None)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))] if idx.size else idx
 
 
 def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:

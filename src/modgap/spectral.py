@@ -60,6 +60,7 @@ from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
 from .modgroup import (
     GroupTable,
     NewSpaceProjector,
+    distinct,
     get_group,
     group_order,
     new_space_dimension,
@@ -662,9 +663,11 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
 
     The blocks are those of the mean-zero orbits (`operator_norm`). The
     compressed generators of a class are cached; at q <= 16 no kept piece
-    exceeds 24 dimensions. The weights themselves come from `build_eta`'s
-    window cache, which has no q in its key. What is left per eta depends
-    on its weights: their reordering, the matmuls and the eigen-solves.
+    exceeds 24 dimensions. The weights are read sparse, as the eta's sorted
+    support and summed betas; its window was walked in a stack with no q in
+    its key (`decouple._window_stack`), and no dense |G| vector is built.
+    What is left per eta depends on its weights: their reordering, the
+    matmuls and the eigen-solves.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
@@ -672,10 +675,8 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     resolution that acceptance check C07b states, kept until a rounding
     bound of the batched eigen-solve replaces it.
     """
-    m = eta.measure
-    table = m.table
-    supp = m.support
-    key, weights = _translation_class(table, supp, m.coeffs[supp])
+    table = eta.table
+    key, weights = _translation_class(table, eta.support, eta.weights.astype(np.complex128))
     top = 0.0
     for d, gens in _class_generators(table, key, not weights.imag.any()):
         b = (weights @ gens).reshape(-1, d, d)
@@ -860,14 +861,14 @@ def zariski_check(table: GroupTable, generator_indices) -> tuple[bool, int]:
     visited = np.zeros(table.order, dtype=bool)
     visited[table.identity_index] = True
     frontier = np.array([table.identity_index], dtype=np.int64)
-    rts = [table.right_translation(g) for g in gens]
+    rts = table.right_translation(gens)
     while frontier.size:
         nxt = []
         for rt in rts:
             cand = rt[frontier]
             fresh = cand[~visited[cand]]
             if fresh.size:
-                fresh = np.unique(fresh)
+                fresh = distinct(fresh)
                 visited[fresh] = True
                 nxt.append(fresh)
         frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
@@ -879,7 +880,7 @@ def letter_pair_quotients(spec: SystemSpec, table: GroupTable) -> list[int]:
     """Indices of cocycle(k) * cocycle(k')^-1 over all letter pairs."""
     letters = np.array([table.index_of(cocycle(word(spec, (k,)), table.q))
                         for k in range(spec.n_letters)])
-    return np.unique(table.products(letters[:, None], table.inverse[letters])).tolist()
+    return distinct(table.products(letters[:, None], table.inverse[letters])).tolist()
 
 
 def digit_difference_quotients(digits, q: int, table: GroupTable) -> list[int]:

@@ -261,21 +261,22 @@ def count_admissible(spec: SystemSpec, n: int, j0: int | None = None) -> int:
     nl = spec.n_letters
     if spec.mode == "zaremba":
         return nl**n
-    T = spec.follows.astype(np.int64)
-    vec = np.array([j0 is None or spec.allowed(k, j0) for k in range(nl)], dtype=np.int64)
+    vec = np.ones(nl, dtype=np.int64) if j0 is None else spec.follows[:, j0].astype(np.int64)
     for _ in range(n - 1):
-        vec = T @ vec
+        vec = spec.follows @ vec
     return int(vec.sum())
 
 
-def check_word_count(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> None:
-    """GuardExceeded if more than `guard` words of length n are admissible.
+def check_word_count(spec: SystemSpec, n: int, guard: int = Guards.max_words) -> int:
+    """The number of admissible words of length n; GuardExceeded if it is
+    more than `guard`.
 
     The only check of the word limit: every expansion calls it first.
     """
     cnt = count_admissible(spec, n)
     if cnt > guard:
         raise GuardExceeded(f"{cnt} words of length {n} exceed guards.max_words={guard}")
+    return cnt
 
 
 def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
@@ -312,14 +313,16 @@ def walk_words(spec: SystemSpec, ids, x, ld=0.0):
     `ids` is an (..., n) array of letter ids, most recent letter first,
     whose leading axes broadcast against x. The innermost letter is
     applied first, and each letter's log-derivative is added to `ld` in
-    turn, so a caller's running sum keeps its order.
+    turn, so a caller's running sum keeps its order; ld=None walks the
+    points alone and returns None for it.
     """
     ids = np.asarray(ids, dtype=np.intp)
     for i in reversed(range(ids.shape[-1])):
         # the steps of `letter_log_deriv` and `letter_image`, for a column of ids
-        a, b, c, d = spec.entries[:, ids[..., i]]
+        a, b, c, d = np.take(spec.entries, ids[..., i], axis=1)  # 3-5x faster than [:, ids]
         den = c * x + d
-        ld = ld + -2.0 * np.log(np.abs(den))
+        if ld is not None:
+            ld = ld + -2.0 * np.log(np.abs(den))
         x = (a * x + b) / den
     return x, ld
 
@@ -460,57 +463,78 @@ def estimate_contraction(spec: SystemSpec) -> ContractionEstimate:
     )
 
 
-def _expand_orbit(spec: SystemSpec, n: int, x0: float, j0: int | None, guard: int,
-                  track=None):
+def _expand_orbit(spec: SystemSpec, n: int, x0, j0: int | None, guard: int,
+                  track=None, after: int | None = None):
     """Walk all admissible n-letter words in chunks, in enumeration order.
 
-    The innermost n - m letters are expanded once, breadth first: level l
-    holds, for every admissible suffix of length l (the l most deeply
-    nested letters), the orbit point, the accumulated log-derivative, and
-    the current outermost letter. Extension prepends an outer letter;
-    admissibility constrains it against the previous outermost letter (and
-    against the base interval at the first step). m is the least value that
-    leaves at most _EXPAND_CHUNK words in that inner level.
+    x0 is one start point or a vector of them; every word is walked from
+    each. The innermost n - m letters are expanded once, breadth first:
+    level l holds, for every admissible suffix of length l (the l most
+    deeply nested letters) and every start point, the orbit point, the
+    accumulated log-derivative, and the current outermost letter. Extension
+    prepends an outer letter; admissibility constrains it against the
+    previous outermost letter (and against the base interval at the first
+    step). m is the least value that leaves at most _EXPAND_CHUNK words
+    times start points in that inner level, or n.
 
     Each admissible outer m-letter prefix, in lexicographic stored order,
     is then walked over the inner words it may precede, innermost prefix
     letter first, by the same letter steps. Words come out in enumeration
-    order (letter-major, outermost letter first), so reductions downstream
-    are bit-stable, and an expansion holds the inner level plus one chunk.
+    order (letter-major, outermost letter first), each with its start points
+    in their order, so reductions downstream are bit-stable, and an
+    expansion holds the inner level plus one chunk.
 
     `track` = (start, maps) follows one integer per word as well, such as a
     group element's index: it starts at `start`, and prepending letter k
-    sends i to maps[k][i]. The word guard is checked and the inner level
-    built at the call; the returned iterator walks one chunk per prefix,
-    each (xs, lds, outer, track indices or None).
+    sends i to maps[k][i]. `after` keeps only the words whose outermost
+    letter may follow that letter (a fixed prefix's innermost letter): outer
+    prefixes that may not are skipped before their walk. The word guard is
+    checked and the inner level built at the call; the returned iterator
+    walks one chunk per prefix, each (xs, lds, outer, track indices or None).
     """
-    check_word_count(spec, n, guard)
-    m = next(m for m in range(n + 1) if count_admissible(spec, n - m) <= _EXPAND_CHUNK)
-    xs = np.array([x0], dtype=np.float64)
-    lds = np.zeros(1, dtype=np.float64)
+    words = check_word_count(spec, n, guard)
+    xs = np.array(x0, dtype=np.float64, ndmin=1)
+    points = xs.size
+    m = 0 if words * points <= _EXPAND_CHUNK else next(
+        (m for m in range(1, n + 1) if count_admissible(spec, n - m) * points <= _EXPAND_CHUNK), n)
+    lds = np.zeros(points, dtype=np.float64)
     # the base interval stands in for the outermost letter before step 0
-    outer = np.full(1, -1 if j0 is None else j0, dtype=np.int16)
-    idx = None if track is None else np.array([track[0]], dtype=np.int64)
+    outer = np.full(points, -1 if j0 is None else j0, dtype=np.int16)
+    idx = None if track is None else np.full(points, track[0], dtype=np.int64)
+    # every letter at once, over the (letter, entry) pairs that are admissible:
+    # letter-major, so the new level is in enumeration order
+    inverse = np.array([-2 if v.inverse is None else v.inverse for v in spec.letters])[:, None]
+    free = all(v.inverse is None for v in spec.letters)  # any letter follows any entry
+    letters = np.arange(spec.n_letters, dtype=np.int16)
     for _ in range(n - m):
-        xs_parts, ld_parts, outer_parts, idx_parts = [], [], [], []
-        for k in range(spec.n_letters):
-            inv = spec.inverse_of(k)
-            sel = slice(None) if inv is None else outer != inv
-            x_sel = xs[sel]
-            ld_parts.append(lds[sel] + letter_log_deriv(spec, k, x_sel))
-            xs_parts.append(letter_image(spec, k, x_sel))
-            if idx is not None:
-                idx_parts.append(track[1][k][idx[sel]])
-            outer_parts.append(np.full(x_sel.size, k, dtype=np.int16))
-        xs = np.concatenate(xs_parts)
-        lds = np.concatenate(ld_parts)
-        outer = np.concatenate(outer_parts)
-        if idx is not None:
-            idx = np.concatenate(idx_parts)
+        if free:
+            a, b, c, d = spec.entries[:, :, None]
+            x, ld = xs, lds
+            outer = np.repeat(letters, xs.size)
+            idx = None if idx is None else np.take(track[1], idx, axis=1).ravel()
+        else:
+            keep = outer != inverse
+            counts = keep.sum(axis=1)
+            a, b, c, d = np.repeat(spec.entries, counts, axis=1)
+            x = xs[None].repeat(len(keep), axis=0)[keep]
+            ld = lds[None].repeat(len(keep), axis=0)[keep]
+            outer = np.repeat(letters, counts)
+            idx = None if idx is None else np.take(track[1], idx, axis=1)[keep]
+        # the steps of `letter_log_deriv` and `letter_image`
+        den = c * x + d
+        lds = (ld + -2.0 * np.log(np.abs(den))).ravel()
+        xs = ((a * x + b) / den).ravel()
     if m == 0:
+        if after is not None:
+            keep = spec.follows[after, outer]
+            xs, lds, outer = xs[keep], lds[keep], outer[keep]
+            idx = None if idx is None else idx[keep]
         return iter([(xs, lds, outer, idx)])
+    prefixes = _admissible_id_matrix(spec, m)
+    if after is not None:
+        prefixes = prefixes[spec.follows[after, prefixes[:, 0]]]
     return (_walk_prefix(spec, prefix, xs, lds, outer, idx, track)
-            for prefix in _admissible_id_matrix(spec, m).tolist())
+            for prefix in prefixes.tolist())
 
 
 def _walk_prefix(spec: SystemSpec, prefix, xs, lds, outer, idx, track):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modgap import decouple
+from modgap import decouple, symdyn
 from modgap.decouple import (
     FittedDecoupling,
     _replacement_survey,
@@ -138,14 +138,23 @@ def test_schottky_needs_separating_outer(schottky):
 def test_replacement_survey_rejects_a_pole(monkeypatch, schottky):
     # windows that start on the pole -d/c of their innermost letter have an
     # infinite log-derivative, which once turned into nan and dropped out of
-    # the max
-    def pole(spec, k, x, j):
+    # the max; the error names the first upper block that sits on such a window
+    window_point = decouple._window_point
+
+    def pole(spec, k, x, j, letters=range(4)):
+        if k not in letters:
+            return window_point(spec, k, x, j)
         _, _, c, d = spec.letters[k].matrix
         return -d / c
 
     monkeypatch.setattr(decouple, "_window_point", pole)
-    with pytest.raises(DomainError, match=r"L=3, upper block \("):
+    with pytest.raises(DomainError, match=r"L=3, upper block \(0, 0, 0\): a window"):
         fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
+    # only the windows that end in letter 1 start on a pole
+    monkeypatch.setattr(decouple, "_window_point",
+                        lambda spec, k, x, j: pole(spec, k, x, j, letters=(1,)))
+    with pytest.raises(DomainError, match=r"L=3, upper block \(0, 0, 2\): a window"):
+        _replacement_survey(schottky, 0.3, None, 3)
 
 
 def test_default_schottky_system_decouples(schottky):
@@ -222,6 +231,7 @@ SURVEY_CASES = (
     + [("zaremba123", 0.0, L) for L in (2, 3)]
     + [("schottky", 2.45, L) for L in (3, 4, 5)]
     + [("schottky", None, L) for L in (3, 4)]  # some windows start off the base point
+    + [("zaremba12", 0.0, 5), ("schottky", 2.45, 6)]
 )
 SURVEY_SYSTEMS = {
     "zaremba12": lambda: zaremba_system([1, 2]),
@@ -243,13 +253,9 @@ def test_replacement_survey_matches_the_per_block_loop(monkeypatch, system, base
                                                        chunked):
     spec = SURVEY_SYSTEMS[system]()
     if chunked:
-        # five upper blocks a chunk: chunks split outer-word groups, and no
-        # block count here is a multiple of five, so the last chunk is ragged
-        _, j0 = resolve_point(spec, base)
-        n = sum(j0 is None or spec.allowed(int(b[-1]), j0)
-                for b in _admissible_id_matrix(spec, L))
-        assert n % 5
-        monkeypatch.setattr(decouple, "_SURVEY_CHUNK", 5 * n)
+        # one upper block a chunk of the expansion: chunk edges split the
+        # upper blocks that share a window
+        monkeypatch.setattr(symdyn, "_EXPAND_CHUNK", 1)
     got = _outcome(_replacement_survey, spec, 0.5322, base, L)
     ref = _outcome(reference_survey, spec, 0.5322, base, L)
     assert got == ref
@@ -270,7 +276,7 @@ def test_coefficient_spread_is_order_one(spec12, a12):
     # decaying flatness lives across deep continuations of one window
     ctx = make_context(spec12, 5, 3, 2, [(0, 0), (1, 2)], a12, base=0.0)
     eta = build_eta(ctx, 2)
-    assert eta.coefficient_spread > 1.5
+    assert max(eta.betas) / min(eta.betas) > 1.5
 
 
 def test_bound_equals_mu1_for_single_block(spec12_mod, a12_mod, fitted):
@@ -295,7 +301,7 @@ def per_context_bound(spec, q, a, L, r_prime, fitted, base=None):
         for e in etas[1:]:
             prod = prod.convolve(e.measure)
         acc += prod.coeffs
-        spread = max(spread, *(e.coefficient_spread for e in etas))
+        spread = max(spread, *(max(e.betas) / min(e.betas) for e in etas))
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
     return acc * scale, len(contexts), scale, spread
 
@@ -425,26 +431,32 @@ def _walk_window(ctx, j, table):
 
 @pytest.mark.parametrize("system,L", [("zaremba", 2), ("zaremba", 3), ("schottky", 3),
                                       ("schottky", 4)])
-def test_window_weights_do_not_depend_on_the_modulus(spec12_mod, a12_mod, schottky, system, L):
-    # the same inners and betas at q = 5 and 16, equal to the uncached walk;
-    # at q = 16 every window is a cache hit, so q is not in the cache key
+def test_window_weights_do_not_depend_on_the_modulus(monkeypatch, spec12_mod, a12_mod, schottky,
+                                                     system, L):
+    # the same inners, betas, supports and weights at q = 5 and 16, equal to
+    # the uncached walk; the windows are walked as one stack per block kind
+    # at q = 5 and not again at q = 16, so q is not in the cache key
     spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
-    decouple._window_weights.cache_clear()
+    decouple._window_stack.cache_clear()
+    walked = []
+    walk = decouple._walk_windows
+    monkeypatch.setattr(decouple, "_walk_windows",
+                        lambda *args: walked.append((len(args[5]), args[-1])) or walk(*args))
     seen = {}
+    S = len(outer_words(spec, L, 2))
     for q in (5, 16):
         table = get_group(q)
         for eta in enumerate_etas(spec, q, a, L, 2, base):
             inners, betas, coeffs = _walk_window(eta.context, eta.j, table)
             assert eta.inners == inners and eta.betas == betas
             assert np.array_equal(eta.measure.coeffs, coeffs)
+            assert np.array_equal(eta.support, np.flatnonzero(coeffs))
+            assert np.array_equal(eta.weights, coeffs.real[eta.support])
             assert seen.setdefault(eta.context.outer, (inners, betas)) == (inners, betas)
-        if q == 5:
-            misses = decouple._window_weights.cache_info().misses
-    assert decouple._window_weights.cache_info().misses == misses == len(seen)
+        assert walked == [(S, 1), (S * S, 2)]  # (windows, j) of each stacked walk
     ctx = eta.context  # the last window, j = 2
-    _, blocks, _ = decouple._window_weights(spec, L, a, ctx.base, ctx.base_interval,
-                                            ctx.outer[1], ctx.outer[0], 2)
-    assert not blocks.flags.writeable
+    windows = decouple._window_stack(spec, L, a, ctx.base, ctx.base_interval, 2)
+    assert not windows.blocks.flags.writeable and not windows.betas.flags.writeable
 
 
 def test_schottky_inner_slots_nonempty_everywhere(schottky):

@@ -81,6 +81,38 @@ def test_measures_match_the_oracle(case, prefix, budget):
     np.testing.assert_array_equal(build_mu(p).coeffs, breadth_mu(p).coeffs)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_start_points_are_walked_as_one_expansion(case, budget):
+    # each word comes out with every start point in turn, each walked as
+    # that point's own expansion walks it; chunks count words times points
+    spec, x, n = CASES[case]
+    x0, j0 = resolve_point(spec, x)
+    points = x0 + np.array([0.0, 1e-3, -2e-3])
+    chunks = list(symdyn._expand_orbit(spec, n, points, j0, Guards.max_words))
+    assert all(c[0].size <= max(budget, points.size) for c in chunks)
+    for got, want in zip(zip(*chunks), zip(*(breadth_expand_orbit(spec, n, p, j0, Guards.max_words)
+                                             for p in points))):
+        if want[0] is not None:
+            got = np.concatenate(got).reshape(-1, points.size)
+            np.testing.assert_array_equal(got, np.stack(want, axis=1))
+
+
+@pytest.mark.parametrize("case, after", [("schottky-midpoints", 2), ("schottky-x2.3", 2),
+                                         ("schottky-x2.3", 3), ("zaremba12", 1)])
+def test_words_after_a_letter_skip_their_chunks_before_the_walk(case, after, budget):
+    # no chunk holds a word whose outermost letter may not follow `after`,
+    # so the prefix mask once applied after the walk drops nothing
+    spec, x, n = CASES[case]
+    x0, j0 = resolve_point(spec, x)
+    track = _cocycle_track(spec, get_group(5))
+    chunks = list(symdyn._expand_orbit(spec, n, x0, j0, Guards.max_words, track, after))
+    assert all(spec.follows[after, c[2]].all() for c in chunks)
+    oracle = breadth_expand_orbit(spec, n, x0, j0, Guards.max_words, track)
+    keep = spec.follows[after, oracle[2]]
+    for got, want in zip(zip(*chunks), oracle):
+        np.testing.assert_array_equal(np.concatenate(got), want[keep])
+
+
 def test_word_guard_fires_before_any_allocation(spec12):
     with pytest.raises(GuardExceeded, match=rf"^{4**40} words of length 40 exceed "
                        r"guards.max_words=1000000$"):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,24 @@ def test_every_definition_is_read():
     sources = [p.read_text() for p in MODULES]
     readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
     assert unread_definitions(sources, readers) == sorted(KEEP)
+
+
+def test_a_sweep_and_a_decoupled_bound_leave_numpy_ma_unimported():
+    # the plain form of np.unique imports numpy.ma on its first call (numpy
+    # 2.4), 11-13 ms of every process that reaches it
+    code = "\n".join([
+        "import sys",
+        "from modgap.decouple import decoupled_upper_bound, fit_decoupling_constant",
+        "from modgap.spectral import main_sweep",
+        "from modgap.symdyn import zaremba_system",
+        "spec = zaremba_system([1, 2])",
+        "main_sweep(spec, [8], 0.5322, b=1.0, L=2, c_log=2.2, r_prime_min=2)",
+        "fitted = fit_decoupling_constant(spec, 0.5322, base=0.0)",
+        "decoupled_upper_bound(spec, 8, 0.5322, 3, 2, fitted, base=0.0)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
