@@ -202,6 +202,12 @@ class _Windows:
     betas: np.ndarray
     offsets: np.ndarray
 
+    def spread(self) -> float:
+        """The largest max/min of one window's betas; no window is empty."""
+        starts = self.offsets[:-1]
+        return float((np.maximum.reduceat(self.betas, starts)
+                      / np.minimum.reduceat(self.betas, starts)).max())
+
 
 def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval,
                   uppers: np.ndarray, lowers: np.ndarray, j: int) -> _Windows:
@@ -218,8 +224,7 @@ def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval
     w, z = np.nonzero(_slot_mask(spec, slots, uppers, lowers, j, base_interval))
     blocks = np.concatenate([uppers[w], slots[z]], axis=1).astype(np.int8)
     if lowers.shape[1]:
-        start, _ = walk_words(spec, lowers,
-                              _start_points(spec, base, base_interval, lowers[:, -1]), None)
+        start, _ = walk_words(spec, lowers, _start_points(spec, base, base_interval, lowers[:, -1]))
         start = start[w]
     else:
         start = _start_points(spec, base, base_interval, blocks[:, -1])
@@ -236,13 +241,14 @@ def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval
     return _Windows(blocks, betas, np.searchsorted(w, np.arange(len(uppers) + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval,
                   j: int) -> _Windows:
     """Every window of `enumerate_etas` for block 1 (j = 1: the S words o) or
     for the blocks above it (j = 2: the S^2 pairs (o', o), o' major), as one
     walk, cached on what the walk reads: the system, L, a, the resolved base
-    point and its interval. The modulus is not in the key."""
+    point and its interval. The modulus is not in the key. Four stacks are
+    kept, both kinds at two block lengths (README, guards)."""
     words = _admissible_id_matrix(spec, L - spec.block_width)
     if j == 1:
         return _walk_windows(spec, L, a, base, base_interval, words, words[:, :0], j)
@@ -267,10 +273,20 @@ def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows):
     return keys % table.order, np.bincount(inverse, windows.betas), bounds
 
 
-def _no_inner(j: int) -> AdmissibilityError:
-    return AdmissibilityError(
-        f"no admissible inner choice for block {j}; malformed subshift context"
-    )
+def _cut(windows: _Windows, supports, lo: int, hi: int, j: int):
+    """Windows lo:hi of a stack, with `_window_supports` at one modulus:
+    (their block rows, the group indices and summed betas of their entries,
+    and the window of each entry, counted from lo). AdmissibilityError when
+    one of them has no inner slot."""
+    if not np.diff(windows.offsets[lo : hi + 1]).all():
+        raise AdmissibilityError(
+            f"no admissible inner choice for block {j}; malformed subshift context"
+        )
+    support, weights, bounds = supports
+    entries = slice(bounds[lo], bounds[hi])
+    window = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
+    rows = slice(windows.offsets[lo], windows.offsets[hi])
+    return rows, support[entries], weights[entries], window
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
@@ -292,19 +308,16 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
                                 np.array([ctx.outer[j - 1]], dtype=np.intp),
                                 np.array([lower], dtype=np.intp), j)
         stacked = windows, _window_supports(ctx.spec, table, windows), 0
-    windows, (support, weights, bounds), i = stacked
-    rows = slice(windows.offsets[i], windows.offsets[i + 1])
-    if rows.start == rows.stop:
-        raise _no_inner(j)
-    entries = slice(bounds[i], bounds[i + 1])
+    windows, supports, i = stacked
+    rows, support, weights, _ = _cut(windows, supports, i, i + 1, j)
     return EtaMeasure(
         context=ctx,
         j=j,
         table=table,
         inners=tuple(map(tuple, windows.blocks[rows, ctx.L - ctx.spec.block_width :].tolist())),
         betas=tuple(windows.betas[rows].tolist()),
-        support=support[entries],
-        weights=weights[entries],
+        support=support,
+        weights=weights,
     )
 
 
@@ -360,12 +373,12 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     bounds = np.flatnonzero(cut)  # of the outer-word groups
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     member = starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)  # (member, window)
-    pts_true, _ = walk_words(spec, blocks, np.full(len(blocks), o), None)
+    pts_true, _ = walk_words(spec, blocks, np.full(len(blocks), o))
     windows = outer[starts]
     # ok[k, p, g]: an upper block with innermost letter k may sit on member p of
     # window g; a window with an outer word admits it on all its members or none
     if windows.size:
-        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]), None)
+        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]))
         seen = spec.follows[:, windows[:, 0]] & use[:, None]  # k, g: on some member
     else:  # no outer word: a window starts where its upper block's innermost letter does
         pts_beta = _start_points(spec, o, j0, np.arange(spec.n_letters))
@@ -522,13 +535,8 @@ def decoupled_upper_bound(
         for i, row in enumerate(_chain_step(table, rows, chain)):
             step[i] = row
         chain = step
-    if r_prime == 1:
-        total = chain.sum(axis=0)
-    else:  # the last step is summed over o' as it goes: S_R' is never held
-        last = _chain_step(table, rows, chain)
-        total = next(last)
-        for row in last:
-            total += row
+    # the last step is summed over o' as it goes, in row order: S_R' is never held
+    total = sum(_chain_step(table, rows, chain)) if r_prime > 1 else chain.sum(axis=0)
     bound = GroupMeasure(table, total * scale)
     report = BoundReport(
         L=L,
@@ -553,22 +561,19 @@ def _chain_terms(spec: SystemSpec, table: GroupTable, L: int, a: float, base, n_
     rows = []  # per o': the union H of the supports of eta(o', o) and W
     for j in (1, 2) if r_prime > 1 else (1,):
         windows = _window_stack(spec, L, a, o, j0, j)
-        if not np.diff(windows.offsets).all():
-            raise _no_inner(j)
-        starts, betas = windows.offsets[:-1], windows.betas
-        spread = max(spread, float((np.maximum.reduceat(betas, starts)
-                                    / np.minimum.reduceat(betas, starts)).max()))
-        support, weights, bounds = _window_supports(spec, table, windows)
-        window = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        supports = _window_supports(spec, table, windows)
         if j == 1:
+            _, support, weights, window = _cut(windows, supports, 0, n_words, j)
             chain[window, support] = weights
-            continue
-        for i in range(n_words):  # the windows (o', o) of o' = i, o minor
-            e = slice(bounds[i * n_words], bounds[(i + 1) * n_words])
-            hs = distinct(support[e])
-            w = np.zeros((hs.size, n_words))
-            w[np.searchsorted(hs, support[e]), window[e] - i * n_words] = weights[e]
-            rows.append((hs, w))
+        else:
+            for i in range(n_words):  # the windows (o', o) of o' = i, o minor
+                _, support, weights, window = _cut(windows, supports, i * n_words,
+                                                   (i + 1) * n_words, j)
+                hs = distinct(support)
+                w = np.zeros((hs.size, n_words))
+                w[np.searchsorted(hs, support), window] = weights
+                rows.append((hs, w))
+        spread = max(spread, windows.spread())
     return chain, rows, spread
 
 
@@ -634,15 +639,10 @@ def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards(
     table = get_group(q, guards.max_q)
     words = outer_words(spec, L, r_prime, guards.contexts)
     o, j0 = resolve_point(spec, base)
-    windows = [(w,) for w in words]
-    if r_prime > 1:
-        windows += [(w, w2) for w2 in words for w in words]
-    stacks = {}
-    for i, outer in enumerate(windows):
-        j = len(outer)
-        if j not in stacks:
-            stack = _window_stack(spec, L, a, o, j0, j)
-            stacks[j] = stack, _window_supports(spec, table, stack)
-        # the module global, which perfbench's tracer wraps to count every eta
-        yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table,
-                        (*stacks[j], i if j == 1 else i - len(words)))
+    for j in (1, 2) if r_prime > 1 else (1,):
+        stack = _window_stack(spec, L, a, o, j0, j)
+        stacked = stack, _window_supports(spec, table, stack)
+        windows = [(w,) for w in words] if j == 1 else [(w, w2) for w2 in words for w in words]
+        for i, outer in enumerate(windows):
+            # the module global, which perfbench's tracer wraps to count every eta
+            yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table, (*stacked, i))

@@ -261,9 +261,10 @@ def count_admissible(spec: SystemSpec, n: int, j0: int | None = None) -> int:
     nl = spec.n_letters
     if spec.mode == "zaremba":
         return nl**n
-    vec = np.ones(nl, dtype=np.int64) if j0 is None else spec.follows[:, j0].astype(np.int64)
+    T = spec.follows.astype(np.int64)
+    vec = np.array([j0 is None or spec.allowed(k, j0) for k in range(nl)], dtype=np.int64)
     for _ in range(n - 1):
-        vec = spec.follows @ vec
+        vec = T @ vec
     return int(vec.sum())
 
 
@@ -313,16 +314,14 @@ def walk_words(spec: SystemSpec, ids, x, ld=0.0):
     `ids` is an (..., n) array of letter ids, most recent letter first,
     whose leading axes broadcast against x. The innermost letter is
     applied first, and each letter's log-derivative is added to `ld` in
-    turn, so a caller's running sum keeps its order; ld=None walks the
-    points alone and returns None for it.
+    turn, so a caller's running sum keeps its order.
     """
     ids = np.asarray(ids, dtype=np.intp)
     for i in reversed(range(ids.shape[-1])):
         # the steps of `letter_log_deriv` and `letter_image`, for a column of ids
         a, b, c, d = np.take(spec.entries, ids[..., i], axis=1)  # 3-5x faster than [:, ids]
         den = c * x + d
-        if ld is not None:
-            ld = ld + -2.0 * np.log(np.abs(den))
+        ld = ld + -2.0 * np.log(np.abs(den))
         x = (a * x + b) / den
     return x, ld
 
@@ -504,26 +503,19 @@ def _expand_orbit(spec: SystemSpec, n: int, x0, j0: int | None, guard: int,
     # every letter at once, over the (letter, entry) pairs that are admissible:
     # letter-major, so the new level is in enumeration order
     inverse = np.array([-2 if v.inverse is None else v.inverse for v in spec.letters])[:, None]
-    free = all(v.inverse is None for v in spec.letters)  # any letter follows any entry
     letters = np.arange(spec.n_letters, dtype=np.int16)
     for _ in range(n - m):
-        if free:
-            a, b, c, d = spec.entries[:, :, None]
-            x, ld = xs, lds
-            outer = np.repeat(letters, xs.size)
-            idx = None if idx is None else np.take(track[1], idx, axis=1).ravel()
-        else:
-            keep = outer != inverse
-            counts = keep.sum(axis=1)
-            a, b, c, d = np.repeat(spec.entries, counts, axis=1)
-            x = xs[None].repeat(len(keep), axis=0)[keep]
-            ld = lds[None].repeat(len(keep), axis=0)[keep]
-            outer = np.repeat(letters, counts)
-            idx = None if idx is None else np.take(track[1], idx, axis=1)[keep]
+        keep = outer != inverse
+        counts = keep.sum(axis=1)
+        a, b, c, d = np.repeat(spec.entries, counts, axis=1)
+        x = xs[None].repeat(len(keep), axis=0)[keep]
+        ld = lds[None].repeat(len(keep), axis=0)[keep]
+        outer = np.repeat(letters, counts)
+        idx = None if idx is None else np.take(track[1], idx, axis=1)[keep]
         # the steps of `letter_log_deriv` and `letter_image`
         den = c * x + d
-        lds = (ld + -2.0 * np.log(np.abs(den))).ravel()
-        xs = ((a * x + b) / den).ravel()
+        lds = ld + -2.0 * np.log(np.abs(den))
+        xs = (a * x + b) / den
     if m == 0:
         if after is not None:
             keep = spec.follows[after, outer]
