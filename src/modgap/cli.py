@@ -136,8 +136,10 @@ def validate_config(raw: dict) -> RunConfig:
             raise ConfigError(f"guards.{g} must be a positive integer", field="guards")
     cfg = RunConfig(**{**default_config(), **raw, "guards": Guards(**guards)})
 
-    if cfg.system.get("mode", "zaremba") not in ("zaremba", "schottky"):
-        raise ConfigError(f"system.mode must be zaremba or schottky", field="system")
+    try:
+        build_system(cfg.system)
+    except ValueError as e:
+        raise ConfigError(str(e), field="system") from None
     if cfg.a != "auto":
         if not isinstance(cfg.a, (int, float)) or not 0.0 < float(cfg.a) < 1.0:
             raise ConfigError("a must be 'auto' or a number in (0, 1)", field="a")

@@ -51,6 +51,9 @@ from .symdyn import (
 )
 
 DEFAULT_SAFETY = 1.25
+# `verify_domination` counts b(x) < mu1(x) as a violation only beyond rounding
+DOMINATION_RTOL = 1e-9
+DOMINATION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class BlockContext:
     spec: SystemSpec
     q: int
     L: int
-    r_prime: int
     outer: tuple[tuple[int, ...], ...]
     a: float
     base: float
@@ -122,14 +124,23 @@ class FittedDecoupling:
         return math.exp(self.c_scale * self.gamma_per_letter ** (-L))
 
 
-def make_context(spec, q, L, r_prime, outer, a, base=None) -> BlockContext:
-    o, j0 = resolve_point(spec, base)
-    if spec.mode != "zaremba" and L < spec.block_width + 1:
-        raise ValueError(
-            f"subshift decoupling needs L >= {spec.block_width + 1} "
+def _outer_length(spec: SystemSpec, L: int) -> int:
+    """L minus the inner slot width; AdmissibilityError unless positive, as a
+    window is its block plus the outer part of the block below. The only
+    check of the block length."""
+    if L <= spec.block_width:
+        raise AdmissibilityError(
+            f"decoupling needs L >= {spec.block_width + 1} (got L={L}) "
             "so inner slots are separated by outer letters"
         )
-    return BlockContext(spec, q, L, r_prime, tuple(tuple(w) for w in outer), a, o, j0)
+    return L - spec.block_width
+
+
+# r_prime is not read: regen_refs.py passes it positionally, so it goes with a benchmark change
+def make_context(spec, q, L, r_prime, outer, a, base=None) -> BlockContext:
+    _outer_length(spec, L)
+    o, j0 = resolve_point(spec, base)
+    return BlockContext(spec, q, L, tuple(tuple(w) for w in outer), a, o, j0)
 
 
 def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):
@@ -138,9 +149,7 @@ def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.cont
     GuardExceeded when the S^r_prime contexts they make exceed `guard`;
     the only check of that limit.
     """
-    outer_len = L - spec.block_width
-    if outer_len < 0:
-        raise ValueError(f"L={L} shorter than the inner slot width")
+    outer_len = _outer_length(spec, L)
     total = count_admissible(spec, outer_len) ** r_prime
     if total > guard:
         raise GuardExceeded(f"{total} contexts exceed guards.contexts={guard}")
@@ -169,14 +178,11 @@ def inner_slots(ctx: BlockContext, j: int) -> tuple[tuple[int, ...], ...]:
 
 def _slot_mask(spec: SystemSpec, slots, uppers, lowers, j: int, base_interval) -> np.ndarray:
     """`inner_slots` of stacked windows: ok[w, z] when slot z may sit between
-    the upper word uppers[w] and the lower word lowers[w] (empty for block 1,
-    which the base interval bounds instead)."""
-    ok = np.ones((len(uppers), len(slots)), dtype=bool)
-    if uppers.shape[1]:
-        ok &= spec.follows[uppers[:, -1:], slots[:, 0]]
+    the upper word uppers[w] and the lower word lowers[w] (not read for
+    block 1, which the base interval bounds instead)."""
+    ok = spec.follows[uppers[:, -1:], slots[:, 0]]
     if j >= 2:
-        if lowers.shape[1]:
-            ok &= spec.follows[slots[:, -1], lowers[:, :1]]
+        ok &= spec.follows[slots[:, -1], lowers[:, :1]]
     elif base_interval is not None:
         ok &= spec.follows[slots[:, -1], base_interval]
     return ok
@@ -209,25 +215,32 @@ class _Windows:
                       / np.minimum.reduceat(self.betas, starts)).max())
 
 
-def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval,
-                  uppers: np.ndarray, lowers: np.ndarray, j: int) -> _Windows:
-    """The q-free part of `build_eta` for stacked windows, in one walk.
+@lru_cache(maxsize=4)
+def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval,
+                  j: int) -> _Windows:
+    """Every window of `enumerate_etas` for block 1 (j = 1: the S words o) or
+    for the blocks above it (j = 2: the S^2 pairs (o', o), o' major), as one
+    walk, cached on what the walk reads: the system, L, a, the resolved base
+    point and its interval. The modulus is not in the key. Four stacks are
+    kept, both kinds at two block lengths (README, guards).
 
-    Window w is block j's outer word uppers[w] over the lower word lowers[w]
-    (no columns for block 1). Each window's lower word is walked from
-    `_start_points` of its innermost letter, then every (window, inner)
-    block one letter column at a time from its window's point; a block with
-    no lower word starts at the point of its own innermost letter. Each
-    beta is exp(a * fsum of its block's increments), one row at a time.
+    Each lower word is walked from `_start_points` of its innermost letter,
+    then every (window, inner) block one letter column at a time from its
+    window's point; a block-1 block starts at the point of its own innermost
+    letter. Each beta is exp(a * fsum of its block's increments), row by row.
     """
+    words = _admissible_id_matrix(spec, _outer_length(spec, L))
+    uppers, lowers = words, None
+    if j >= 2:  # the pairs (o', o), o' major
+        uppers, lowers = np.repeat(words, len(words), axis=0), np.tile(words, (len(words), 1))
     slots = _admissible_id_matrix(spec, spec.block_width)
     w, z = np.nonzero(_slot_mask(spec, slots, uppers, lowers, j, base_interval))
     blocks = np.concatenate([uppers[w], slots[z]], axis=1).astype(np.int8)
-    if lowers.shape[1]:
+    if j == 1:
+        start = _start_points(spec, base, base_interval, blocks[:, -1])
+    else:
         start, _ = walk_words(spec, lowers, _start_points(spec, base, base_interval, lowers[:, -1]))
         start = start[w]
-    else:
-        start = _start_points(spec, base, base_interval, blocks[:, -1])
     betas = np.empty(len(blocks))
     for lo in range(0, len(blocks), _EXPAND_CHUNK):  # rows a slice, as the expander's chunks
         rows = slice(lo, lo + _EXPAND_CHUNK)
@@ -239,22 +252,6 @@ def _walk_windows(spec: SystemSpec, L: int, a: float, base: float, base_interval
     for arr in (blocks, betas):
         arr.setflags(write=False)
     return _Windows(blocks, betas, np.searchsorted(w, np.arange(len(uppers) + 1)))
-
-
-@lru_cache(maxsize=4)
-def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval,
-                  j: int) -> _Windows:
-    """Every window of `enumerate_etas` for block 1 (j = 1: the S words o) or
-    for the blocks above it (j = 2: the S^2 pairs (o', o), o' major), as one
-    walk, cached on what the walk reads: the system, L, a, the resolved base
-    point and its interval. The modulus is not in the key. Four stacks are
-    kept, both kinds at two block lengths (README, guards)."""
-    words = _admissible_id_matrix(spec, L - spec.block_width)
-    if j == 1:
-        return _walk_windows(spec, L, a, base, base_interval, words, words[:, :0], j)
-    n = len(words)
-    return _walk_windows(spec, L, a, base, base_interval, np.repeat(words, n, axis=0),
-                         np.tile(words, (n, 1)), j)
 
 
 def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows):
@@ -295,18 +292,22 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
 
     beta = exp(a * fsum of the block's log-derivative increments) along the
     window word, block j then block j-1's outer part (block 1 alone),
-    walked from `_start_points` of its innermost letter. `enumerate_etas`
-    passes `stacked` = (windows, their supports at this modulus, the
-    window's place): its windows are walked once per system, L, a and base
-    point, whatever the modulus, and their cocycles once per modulus.
-    Without it the window is walked alone, by the same steps.
+    walked from `_start_points` of its innermost letter. It is cut from
+    `_window_stack` at window o (block 1) or o' * S + o (block j >= 2 with
+    outer word o' over the lower block's o), in `outer_words` order.
+    `enumerate_etas` passes `stacked` = (the stack, its supports at this
+    modulus, the window's place); without it only the window's rows are
+    gathered mod q.
     """
     table = get_group(ctx.q) if table is None else table
     if stacked is None:
-        lower = ctx.outer[j - 2] if j >= 2 else ()
-        windows = _walk_windows(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval,
-                                np.array([ctx.outer[j - 1]], dtype=np.intp),
-                                np.array([lower], dtype=np.intp), j)
+        words = outer_words(ctx.spec, ctx.L, 1)
+        i = words.index(ctx.outer[j - 1])
+        if j >= 2:
+            i = i * len(words) + words.index(ctx.outer[j - 2])
+        stack = _window_stack(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval, min(j, 2))
+        lo, hi = stack.offsets[i : i + 2]
+        windows = _Windows(stack.blocks[lo:hi], stack.betas[lo:hi], np.array([0, hi - lo]))
         stacked = windows, _window_supports(ctx.spec, table, windows), 0
     windows, supports, i = stacked
     rows, support, weights, _ = _cut(windows, supports, i, i + 1, j)
@@ -363,11 +364,12 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     is monotone in t, so its largest modulus over a window is reached at
     one of the two, and so is the spread.
     """
+    outer_len = _outer_length(spec, L)
     o, j0 = resolve_point(spec, base)
     words = _admissible_id_matrix(spec, L)
     use = np.ones(spec.n_letters, dtype=bool) if j0 is None else spec.follows[:, j0]
     blocks = words if j0 is None else words[use[words[:, -1]]]
-    outer = blocks[:, : L - spec.block_width]
+    outer = blocks[:, :outer_len]
     cut = np.ones(len(blocks) + 1, dtype=bool)
     cut[1:-1] = (outer[1:] != outer[:-1]).any(axis=1)
     bounds = np.flatnonzero(cut)  # of the outer-word groups
@@ -375,15 +377,10 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     member = starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)  # (member, window)
     pts_true, _ = walk_words(spec, blocks, np.full(len(blocks), o))
     windows = outer[starts]
-    # ok[k, p, g]: an upper block with innermost letter k may sit on member p of
-    # window g; a window with an outer word admits it on all its members or none
-    if windows.size:
-        pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]))
-        seen = spec.follows[:, windows[:, 0]] & use[:, None]  # k, g: on some member
-    else:  # no outer word: a window starts where its upper block's innermost letter does
-        pts_beta = _start_points(spec, o, j0, np.arange(spec.n_letters))
-        ok = spec.follows[:, blocks[member, 0]]
-        seen = ok.any(axis=1) & use[:, None]
+    pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]))
+    # seen[k, g]: an upper block with innermost letter k may sit on window g, on
+    # all its members, since they share the outer word and so its first letter
+    seen = spec.follows[:, windows[:, 0]] & use[:, None]
     n_true = member.size
     points = np.concatenate([pts_true[member].ravel(), pts_beta])
 
@@ -395,12 +392,7 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
         inner = words[done : done + len(lds), -1]
         true = lds[:, :n_true].reshape(len(lds), *member.shape)
         beta = lds[:, n_true:]
-        if windows.size:
-            lo, hi = true.min(axis=1), true.max(axis=1)
-        else:
-            beta = beta[np.arange(len(lds)), inner][:, None]
-            lo = np.where(ok[inner], true, np.inf).min(axis=1)
-            hi = np.where(ok[inner], true, -np.inf).max(axis=1)
+        lo, hi = true.min(axis=1), true.max(axis=1)
         errs = np.maximum(np.abs(a * (lo - beta)), np.abs(a * (hi - beta)))
         # within-window spread of true weights, beta included
         spread = a * (np.maximum(hi, beta) - np.minimum(lo, beta))
@@ -433,21 +425,17 @@ def flatness_ratio(spec: SystemSpec, a: float, L: int, base=None) -> float:
     return math.exp(worst_spread)
 
 
-def fit_decoupling_constant(
-    spec: SystemSpec, a: float, base=None, L_values=None
-) -> FittedDecoupling:
+def fit_decoupling_constant(spec: SystemSpec, a: float, base=None) -> FittedDecoupling:
     """Freeze the replacement-error constant from exhaustive surveys at the
-    block lengths L_values. By default these are the two shortest a bound
-    can use, L = width + 1 and width + 2: L = 2, 3 in Zaremba mode, where
-    the width is 1; a subshift's `make_context` rejects L <= width."""
-    if L_values is None:
-        L_values = (spec.block_width + 1, spec.block_width + 2)
+    two shortest block lengths a bound can use, L = width + 1 and width + 2:
+    2 and 3 in Zaremba mode and 3 and 4 for the Schottky pair, since a
+    block needs an outer letter beside its inner slot (`_outer_length`)."""
     gamma = estimate_contraction(spec).per_letter
     o, _ = resolve_point(spec, base)
     err_by_L = []
     c_scale = 0.0
     c_impl = 0.0
-    for L in L_values:
+    for L in (spec.block_width + 1, spec.block_width + 2):
         err = measure_replacement_errors(spec, a, o, L)
         err_by_L.append((L, err))
         c_scale = max(c_scale, err * gamma**L)
@@ -597,17 +585,17 @@ class DominationReport:
     slack_histogram: tuple[tuple[float, int], ...]
 
 
-def verify_domination(mu1: GroupMeasure, bound: GroupMeasure, rtol=1e-9, atol=1e-12):
+def verify_domination(mu1: GroupMeasure, bound: GroupMeasure):
     """Pointwise comparison over the full group; violations are reported,
     never raised."""
     mu1._check_same_group(bound)
     m = mu1.coeffs.real
     b = bound.coeffs.real
     gap = m - b
-    viol = gap > atol + rtol * np.maximum(b, 0.0)
+    viol = gap > DOMINATION_ATOL + DOMINATION_RTOL * np.maximum(b, 0.0)
     n_viol = int(viol.sum())
     max_viol = float(gap[viol].max()) if n_viol else 0.0
-    on_supp = m > atol
+    on_supp = m > DOMINATION_ATOL
     slack = b[on_supp] / m[on_supp]
     hist_counts, hist_edges = np.histogram(slack, bins=10)
     histogram = tuple(

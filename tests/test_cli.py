@@ -41,6 +41,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "group-info", "--config", str(cfg))
     assert code == 2
     assert "L" in err
+    code, _, err = run_cli(capsys, "delta-estimate", "--digits", "0")
+    assert code == 2
+    assert err.startswith("config error: field 'system': digits must lie in 1..9")
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -76,6 +79,12 @@ def test_config_validation_errors():
         validate_config({"guards": {"max_q": -1}})
     with pytest.raises(ConfigError):
         validate_config({"guards": {"bogus": 3}})
+    # systems that do not build: no digits, digit 0, a generator with no inverse, no such mode
+    for system in ({"mode": "zaremba"}, {"mode": "zaremba", "digits": [0]},
+                   {"mode": "schottky", "generators": [[2, 1, 1, 1]]}, {"mode": "hyperbolic"}):
+        with pytest.raises(ConfigError) as e:
+            validate_config({"system": system})
+        assert e.value.field == "system"
 
 
 def test_build_measure_deterministic_bytes(tmp_path, capsys):
@@ -159,6 +168,20 @@ def test_a_pole_in_the_replacement_survey_ends_in_an_error_line(tmp_path, capsys
     code, _, err = run_cli(capsys, "decouple-verify", "--config", str(cfg))
     assert code == 1
     assert err.startswith("error: non-finite log-derivative at L=3, upper block (")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decouple-verify", "verify-lemmas"])
+def test_a_block_with_no_outer_letter_ends_in_an_error_line(tmp_path, capsys, command):
+    # the Schottky inner slot is two letters wide, so L=2 leaves no outer
+    # letter: decouple-verify once passed there with mass ratio 2.17, and
+    # verify-lemmas ended in a traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**SCHOTTKY_VERIFY, "L": 2}))
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: decoupling needs L >= 3 (got L=2)")
     assert "Traceback" not in err
 
 

@@ -19,7 +19,7 @@ from modgap.decouple import (
     outer_words,
     verify_domination,
 )
-from modgap.errors import DomainError
+from modgap.errors import AdmissibilityError, DomainError
 from modgap.measures import MeasureParams, _cocycle_track, build_mu1
 from modgap.modgroup import get_group
 from modgap.symdyn import (
@@ -60,8 +60,10 @@ def _beta(ctx, j, inner):
 
 
 def test_beta_frozen_value(spec12):
-    ctx = make_context(spec12, 2, 1, 1, [()], 0.5, base=0.0)
-    assert _beta(ctx, 1, (0,)) == pytest.approx(0.5)
+    # block 1 is its outer letter then its inner one, walked from the base point
+    ctx = make_context(spec12, 2, 2, 1, [(0,)], 0.5, base=0.0)
+    ev = evaluate_branch(word(spec12, (0, 0)), x=0.0)[0]
+    assert _beta(ctx, 1, (0,)) == pytest.approx(math.exp(0.5 * ev.log_deriv))
 
 
 def test_beta_zeroth_power(spec12):
@@ -149,7 +151,7 @@ def test_replacement_survey_rejects_a_pole(monkeypatch, schottky):
 
     monkeypatch.setattr(decouple, "_window_point", pole)
     with pytest.raises(DomainError, match=r"L=3, upper block \(0, 0, 0\): a window"):
-        fit_decoupling_constant(schottky, 0.3, base=None, L_values=(3, 4))
+        fit_decoupling_constant(schottky, 0.3, base=None)
     # only the windows that end in letter 1 start on a pole
     monkeypatch.setattr(decouple, "_window_point",
                         lambda spec, k, x, j: pole(spec, k, x, j, letters=(1,)))
@@ -168,6 +170,29 @@ def test_default_schottky_system_decouples(schottky):
     bound, _ = decoupled_upper_bound(schottky, 5, 0.3, 3, 2, fitted)
     dom = verify_domination(build_mu1(p), bound)
     assert dom.passed and dom.n_violations == 0
+
+
+SHORT_BLOCK_CALLS = {
+    "decoupled_upper_bound": lambda spec, a, base, L: decoupled_upper_bound(
+        spec, 5, a, L, 2, FittedDecoupling(spec, a, 0.0, 2.0, (), 0.0, 0.5, 1.25), base),
+    "flatness_ratio": lambda spec, a, base, L: flatness_ratio(spec, a, L, base),
+    "measure_replacement_errors": lambda spec, a, base, L: measure_replacement_errors(
+        spec, a, base, L),
+    "enumerate_etas": lambda spec, a, base, L: next(enumerate_etas(spec, 5, a, L, 2, base)),
+    "make_context": lambda spec, a, base, L: make_context(spec, 5, L, 1, [()], a, base),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SHORT_BLOCK_CALLS))
+@pytest.mark.parametrize("system,L", [("zaremba", 1), ("schottky", 2)])
+def test_a_block_with_no_outer_letter_is_rejected(spec12_mod, a12_mod, schottky, call, system,
+                                                  L):
+    # a window is its block plus the outer part of the block below, so L must
+    # exceed the inner slot width; the bound once summed Schottky L=2 inner
+    # slots that no outer letter separates
+    spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
+    with pytest.raises(AdmissibilityError, match=rf"needs L >= {L + 1} \(got L={L}\)"):
+        SHORT_BLOCK_CALLS[call](spec, a, base, L)
 
 
 def _walk_block(spec, block, pts):
@@ -431,17 +456,12 @@ def _walk_window(ctx, j, table):
 
 @pytest.mark.parametrize("system,L", [("zaremba", 2), ("zaremba", 3), ("schottky", 3),
                                       ("schottky", 4)])
-def test_window_weights_do_not_depend_on_the_modulus(monkeypatch, spec12_mod, a12_mod, schottky,
-                                                     system, L):
+def test_window_weights_do_not_depend_on_the_modulus(spec12_mod, a12_mod, schottky, system, L):
     # the same inners, betas, supports and weights at q = 5 and 16, equal to
     # the uncached walk; the windows are walked as one stack per block kind
     # at q = 5 and not again at q = 16, so q is not in the cache key
     spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
     decouple._window_stack.cache_clear()
-    walked = []
-    walk = decouple._walk_windows
-    monkeypatch.setattr(decouple, "_walk_windows",
-                        lambda *args: walked.append((len(args[5]), args[-1])) or walk(*args))
     seen = {}
     S = len(outer_words(spec, L, 2))
     for q in (5, 16):
@@ -453,10 +473,13 @@ def test_window_weights_do_not_depend_on_the_modulus(monkeypatch, spec12_mod, a1
             assert np.array_equal(eta.support, np.flatnonzero(coeffs))
             assert np.array_equal(eta.weights, coeffs.real[eta.support])
             assert seen.setdefault(eta.context.outer, (inners, betas)) == (inners, betas)
-        assert walked == [(S, 1), (S * S, 2)]  # (windows, j) of each stacked walk
+        assert decouple._window_stack.cache_info().misses == 2  # one walk per block kind
     ctx = eta.context  # the last window, j = 2
-    windows = decouple._window_stack(spec, L, a, ctx.base, ctx.base_interval, 2)
-    assert not windows.blocks.flags.writeable and not windows.betas.flags.writeable
+    for j, n_windows in ((1, S), (2, S * S)):
+        windows = decouple._window_stack(spec, L, a, ctx.base, ctx.base_interval, j)
+        assert len(windows.offsets) == n_windows + 1
+        assert not windows.blocks.flags.writeable and not windows.betas.flags.writeable
+    assert decouple._window_stack.cache_info().misses == 2
 
 
 def test_schottky_inner_slots_nonempty_everywhere(schottky):
