@@ -138,9 +138,21 @@ def _outer_length(spec: SystemSpec, L: int) -> int:
 
 # r_prime is not read: regen_refs.py passes it positionally, so it goes with a benchmark change
 def make_context(spec, q, L, r_prime, outer, a, base=None) -> BlockContext:
-    _outer_length(spec, L)
+    outer = tuple(tuple(w) for w in outer)
+    admissible = _outer_set(spec, L)
+    for w in outer:
+        if w not in admissible:
+            raise AdmissibilityError(f"outer word {w} is not among the admissible outer "
+                                     f"words of L={L} (length {L - spec.block_width})")
     o, j0 = resolve_point(spec, base)
-    return BlockContext(spec, q, L, tuple(tuple(w) for w in outer), a, o, j0)
+    return BlockContext(spec, q, L, outer, a, o, j0)
+
+
+@lru_cache(maxsize=8)
+def _outer_set(spec: SystemSpec, L: int) -> frozenset:
+    """The admissible outer words of a block of L letters, as id tuples; no
+    contexts guard, unlike `outer_words`."""
+    return frozenset(map(tuple, _admissible_id_matrix(spec, _outer_length(spec, L)).tolist()))
 
 
 def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.contexts):

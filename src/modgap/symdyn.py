@@ -44,6 +44,7 @@ from .errors import (
 
 DELTA_BRACKET = (0.01, 0.99)
 _EXPAND_CHUNK = 1 << 15  # most words in the inner level of `_expand_orbit`
+_ROOT_MARGIN = 1e-9  # |log Z_n| within which `estimate_delta` evaluates a midpoint
 
 # disjoint-isometric-circle hyperbolic pair in SL2(Z); intervals
 # (2.2, 2.6), (-0.8, -0.4), (-2.6, -2.2), (0.4, 0.8) are pairwise disjoint
@@ -559,50 +560,91 @@ def orbit_log_derivs(spec: SystemSpec, n: int, x=None, guard: int = Guards.max_w
     return out
 
 
+def _partition_terms(logs: np.ndarray, a: float) -> tuple[float, float]:
+    """Z(a) = sum of exp(a * l) and dZ/da = sum of l * exp(a * l) over `logs`.
+
+    One pass, one _EXPAND_CHUNK slice of `logs` at a time, in a buffer of
+    one chunk; Z adds the chunk sums in order.
+    """
+    buf = np.empty(min(logs.size, _EXPAND_CHUNK), dtype=np.float64)
+    z = dz = 0.0
+    for i in range(0, logs.size, _EXPAND_CHUNK):
+        c = logs[i:i + _EXPAND_CHUNK]
+        e = np.exp(np.multiply(c, a, out=buf[:c.size]), out=buf[:c.size])
+        z += float(e.sum())
+        dz += float(np.dot(c, e))
+    return z, dz
+
+
 def partition_sum(spec: SystemSpec, n: int, a: float, x=None,
                   guard: int = Guards.max_words) -> float:
     """Z_n(a) = sum over admissible n-letter words of |w'(o)|^a."""
-    logs = orbit_log_derivs(spec, n, x, guard)
-    return float(np.exp(a * logs).sum())
+    return _partition_terms(orbit_log_derivs(spec, n, x, guard), a)[0]
 
 
 def estimate_delta(spec: SystemSpec, n: int, tol: float = 1e-4, x=None,
                    guard: int = Guards.max_words) -> float:
-    """Critical exponent estimate: the root of Z_n(a)^(1/n) - 1.
+    """Critical exponent estimate: the root of Z_n(a)^(1/n) - 1, bisected to tol.
 
-    Z_n is strictly decreasing in a whenever every word contracts
-    (all log-derivatives negative), which is verified up front; bisection
-    then brackets the root to tol. A single-word system has its root at
-    a = 0 exactly and returns 0.
+    Every word must contract (all log-derivatives l < 0), which is verified
+    up front; a single-word system has its root at a = 0 exactly and
+    returns 0. Then g = log Z_n is decreasing and convex in a: g' is the
+    Gibbs mean of l, so g' <= max l = -m < 0, and g'' is its variance.
+
+    Newton on g starts from the bracket's left end, whose pass over the
+    log-derivatives is also the bracket check, and rises monotonically to
+    the root r without overshooting while g > 0. As |g'| >= m everywhere, r
+    lies within |g(a)|/m of any point a, on the side of the sign of g(a):
+    after a step s_k from a_k, r - a_k <= s_k |g'(a_k)| / |g'(r)| <= s_k
+    |g'(a_k)| / m. Newton stops once |g| <= _ROOT_MARGIN.
+
+    The bisection over the bracket is then replayed with tol unchanged, so
+    it ends at the same dyadic midpoint, and each midpoint p is decided by
+    where it lies against r. Farther than _ROOT_MARGIN/m from the interval
+    that holds r, |g(p)| >= m * dist(p, r) > _ROOT_MARGIN, far above the
+    rounding error of log Z_n (a few ulps per term and log2 of the word
+    count from the sum, about 1e-14 at n = 10), so Z_n(p)^(1/n) - 1
+    evaluated has that sign too. Only the midpoints nearer are evaluated.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     logs = orbit_log_derivs(spec, n, x, guard)
     if logs.size == 0:
         raise EstimationError("no admissible words; empty system")
-    if float(logs.max()) >= 0.0:
+    m = -float(logs.max())
+    if m <= 0.0:
         raise EstimationError(
             "a word fails contraction; partition sum is not monotone in a"
         )
 
-    buf = np.empty_like(logs)
-
-    def froot(a):  # Z_n(a) in one buffer: the operations of np.exp(a * logs).sum()
-        np.multiply(logs, a, out=buf)
-        return float(np.exp(buf, out=buf).sum()) ** (1.0 / n) - 1.0
-
     lo, hi = DELTA_BRACKET
-    if froot(lo) < 0.0:
+    a = lo
+    z, dz = _partition_terms(logs, a)
+    if z ** (1.0 / n) < 1.0:  # Z_n^(1/n) - 1 < 0
         if logs.size == 1:
             return 0.0
         lo = 0.0  # Z_n(0) = count > 1, so the root sits in (0, 0.01)
-    if froot(hi) > 0.0:
+    g = math.log(z)
+    while abs(g) > _ROOT_MARGIN:
+        a -= g * z / dz
+        z, dz = _partition_terms(logs, a)
+        g = math.log(z)
+    r_lo, r_hi = a + min(g, 0.0) / m, a + max(g, 0.0) / m
+
+    def positive(p):  # Z_n(p)^(1/n) - 1 > 0
+        if p < r_lo - _ROOT_MARGIN / m:
+            return True
+        if p > r_hi + _ROOT_MARGIN / m:
+            return False
+        return _partition_terms(logs, p)[0] ** (1.0 / n) > 1.0
+
+    if positive(hi):
         raise EstimationError(
             f"no sign change in [{lo}, {hi}]; critical exponent out of bracket"
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if froot(mid) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid

@@ -8,12 +8,14 @@ from modgap.errors import Guards
 from modgap.measures import GroupMeasure, _accumulate, _cocycle_track
 from modgap.modgroup import get_group
 from modgap.symdyn import (
+    DELTA_BRACKET,
     SystemSpec,
     Word,
     _admissible_id_matrix,
     check_word_count,
     letter_image,
     letter_log_deriv,
+    orbit_log_derivs,
     resolve_point,
     schottky_system,
     walk_words,
@@ -129,6 +131,31 @@ def traced_peak(f):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bisect_delta(spec, n, tol=1e-4, x=None):
+    """Plain bisection on Z_n(a)^(1/n) - 1, one exp pass over every
+    log-derivative a step: the oracle of `symdyn.estimate_delta`."""
+    logs = orbit_log_derivs(spec, n, x)
+    buf = np.empty_like(logs)
+
+    def froot(a):
+        np.multiply(logs, a, out=buf)
+        return float(np.exp(buf, out=buf).sum()) ** (1.0 / n) - 1.0
+
+    lo, hi = DELTA_BRACKET
+    if froot(lo) < 0.0:
+        if logs.size == 1:
+            return 0.0
+        lo = 0.0
+    assert froot(hi) <= 0.0, "root out of bracket"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if froot(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def breadth_expand_orbit(spec, n, x0, j0, guard, track=None):

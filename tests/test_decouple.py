@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_schottky_degenerate_pair_list(schottky):
 def test_schottky_needs_separating_outer(schottky):
     with pytest.raises(ValueError):
         make_context(schottky, 5, 2, 2, [(), ()], 0.3)
+
+
+@pytest.mark.parametrize("system, L, outer, bad", [
+    ("zaremba12", 2, [(0, 1)], "(0, 1)"),  # two letters where L=2 leaves one
+    ("zaremba12", 3, [(0, 1), (4, 0)], "(4, 0)"),  # no letter 4
+    ("schottky", 4, [(1, 3), (0, 1)], "(0, 1)"),  # g, then its inverse
+])
+def test_outer_words_are_checked(system, L, outer, bad, spec12, schottky):
+    # a standalone build_eta once ended in "ValueError: (0, 1) is not in list"
+    spec = spec12 if system == "zaremba12" else schottky
+    base = 0.0 if spec is spec12 else None
+    message = rf"^outer word {re.escape(bad)} .* of L={L} \(length {L - spec.block_width}\)$"
+    with pytest.raises(AdmissibilityError, match=message):
+        build_eta(make_context(spec, 5, L, 1, outer, 0.5, base), 1)
 
 
 def test_replacement_survey_rejects_a_pole(monkeypatch, schottky):

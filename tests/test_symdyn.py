@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import admissible_words, branch_matrix
+from conftest import admissible_words, bisect_delta, branch_matrix, traced_peak
+from modgap import symdyn
 from modgap.errors import (
     AdmissibilityError,
     DomainError,
@@ -202,6 +203,16 @@ def test_partition_sum_small_cases(spec12):
     assert partition_sum(spec12, 0, 0.7) == 1.0
 
 
+@pytest.mark.parametrize("a", [0.0, 0.01, 0.5, 0.99])
+def test_partition_terms_chunk_by_chunk(spec12, a):
+    # 32 chunks at n=10 against one pass over the whole array; the sums differ in order only
+    logs = orbit_log_derivs(spec12, 10)
+    z, dz = symdyn._partition_terms(logs, a)
+    assert z == pytest.approx(np.exp(a * logs).sum(), rel=1e-13)
+    assert dz == pytest.approx((logs * np.exp(a * logs)).sum(), rel=1e-13)
+    assert partition_sum(spec12, 10, a) == z
+
+
 def test_delta_estimates_frozen(spec12):
     d10 = estimate_delta(spec12, 10, 1e-4)
     d5 = estimate_delta(spec12, 5, 1e-4)
@@ -211,6 +222,65 @@ def test_delta_estimates_frozen(spec12):
     assert estimate_delta(zaremba_system([1]), 8, 1e-4) < 0.02
     # monotone in the alphabet
     assert d5 < estimate_delta(zaremba_system([1, 2, 3]), 5, 1e-4)
+
+
+# a pair of generators with huge entries: its root at n=1 lies below the
+# bracket's left end, 0.01, so the bisection starts from 0
+_N = 10**13
+DEEP_SCHOTTKY = schottky_system([("g", (_N, _N * _N - 1, 1, _N)), ("G", (_N, 1 - _N * _N, -1, _N)),
+                                 ("h", (_N, 1, _N * _N - 1, _N)), ("H", (_N, -1, 1 - _N * _N, _N))])
+DELTA_CASES = [
+    *[(zaremba_system([1, 2]), n, tol, x) for n in (1, 2, 3, 5, 8, 10)
+      for tol in (1e-3, 1e-4, 1e-5, 1e-8) for x in (None, 0.1)],
+    *[(zaremba_system([1, 2, 3]), n, tol, None) for n in (3, 5) for tol in (1e-4, 1e-8)],
+    *[(zaremba_system([1]), n, 1e-4, None) for n in (1, 8)],
+    *[(schottky_system(), n, tol, None) for n in (4, 6, 8) for tol in (1e-4, 1e-8)],
+    *[(DEEP_SCHOTTKY, n, tol, None) for n in (1, 3) for tol in (1e-4, 1e-8)],
+]
+
+
+def _case_id(case):
+    spec, n, tol, x = case
+    name = spec.mode + "".join(map(str, spec.digits)) + ("-deep" if spec is DEEP_SCHOTTKY else "")
+    return f"{name}-n{n}-tol{tol:g}" + ("" if x is None else f"-x{x}")
+
+
+@pytest.mark.parametrize("case", DELTA_CASES, ids=map(_case_id, DELTA_CASES))
+def test_delta_is_the_bisection_midpoint(case):
+    # the Newton replay ends at the bisection's own dyadic midpoint, bit for bit
+    assert estimate_delta(*case) == bisect_delta(*case)
+
+
+@pytest.mark.parametrize("case", DELTA_CASES[::5], ids=map(_case_id, DELTA_CASES[::5]))
+def test_delta_with_every_midpoint_evaluated(case, monkeypatch):
+    # a margin so wide that no midpoint is decided from the Newton root
+    monkeypatch.setattr(symdyn, "_ROOT_MARGIN", math.inf)
+    assert estimate_delta(*case) == bisect_delta(*case)
+
+
+@pytest.mark.parametrize("margin", [1e-9, math.inf])
+def test_delta_out_of_bracket_is_reported(spec12, margin, monkeypatch):
+    monkeypatch.setattr(symdyn, "_ROOT_MARGIN", margin)
+    monkeypatch.setattr(symdyn, "DELTA_BRACKET", (0.01, 0.3))
+    with pytest.raises(EstimationError, match=r"no sign change in \[0.01, 0.3\]"):
+        estimate_delta(spec12, 6)
+
+
+def test_delta_peak_below_one_and_a_half_log_arrays(spec12):
+    estimate_delta(spec12, 3)
+    d, peak = traced_peak(lambda: estimate_delta(spec12, 10))
+    assert d == 0.5321502685546874  # perfbench's pinned set-up value
+    assert peak < 1.5 * (8 << 20)  # the log array plus one buffer as large peaked at 16 MiB
+
+
+def test_delta_makes_few_passes_over_the_log_array(spec12, monkeypatch):
+    passes = []
+    kernel = symdyn._partition_terms
+    monkeypatch.setattr(symdyn, "_partition_terms",
+                        lambda logs, a: passes.append(logs.size) or kernel(logs, a))
+    assert estimate_delta(spec12, 10) == 0.5321502685546874
+    assert passes and set(passes) == {4**10}
+    assert len(passes) <= 8  # bisection alone made 16
 
 
 def test_delta_root_property(spec12):
