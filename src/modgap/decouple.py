@@ -247,7 +247,7 @@ def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval
         uppers, lowers = np.repeat(words, len(words), axis=0), np.tile(words, (len(words), 1))
     slots = _admissible_id_matrix(spec, spec.block_width)
     w, z = np.nonzero(_slot_mask(spec, slots, uppers, lowers, j, base_interval))
-    blocks = np.concatenate([uppers[w], slots[z]], axis=1).astype(np.int8)
+    blocks = np.concatenate([uppers[w], slots[z]], axis=1)
     if j == 1:
         start = _start_points(spec, base, base_interval, blocks[:, -1])
     else:

@@ -18,9 +18,11 @@ Right translation by one element, the dense block builder's hot path,
 reads the same keys from the q^2 row images of that element
 (`GroupTable.right_translation`).
 
-Enumeration vectorizes over all q^4 entry tuples, cheap in the guarded
-range (q <= `Guards.max_q`, set by the config's `guards.max_q`). Tables are
-immutable after construction and safe to share between readers.
+Enumeration scans the q^3 entry tuples (b, c, d) once per top-left entry
+a and fills the q^4 int32 key table slice by slice; no q^4 array but that
+table is ever held. The guarded range is q <= `Guards.max_q`, set by the
+config's `guards.max_q`. Tables are immutable after construction and safe
+to share between readers.
 """
 
 from __future__ import annotations
@@ -356,8 +358,9 @@ def distinct(idx) -> np.ndarray:
 def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
     """Enumerate SL2(Z/q) completely, once per q whatever the guard.
 
-    Scans all q^4 entry tuples and keeps those with det = 1 mod q, in
-    lexicographic order, so downstream indexing is reproducible. Raises
+    For each top-left entry a in turn, keeps the tuples (b, c, d) of one
+    precomputed q^3 grid with a d - b c = 1 mod q, so elements come out in
+    lexicographic order and downstream indexing is reproducible. Raises
     GuardExceeded for q outside [2, max_q]; the only check of that limit.
     """
     if q < 2 or q > max_q:
@@ -367,23 +370,21 @@ def get_group(q: int, max_q: int = Guards.max_q) -> GroupTable:
 
 @lru_cache(maxsize=None)
 def _enumerate(q: int) -> GroupTable:
-    grids = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)
-    a, b, c, d = grids
-    mask = (a * d - b * c) % q == 1
-    elems = grids[:, mask].T.copy()
-
-    keys = ((elems[:, 0] * q + elems[:, 1]) * q + elems[:, 2]) * q + elems[:, 3]
+    q3 = q**3
+    bcd = np.indices((q, q, q), dtype=np.int64).reshape(3, -1)
+    # b c + 1 mod q on the (b, c) x d grid: det 1 when a d equals it
+    target = ((bcd[0] * bcd[1] + 1) % q).reshape(q * q, q)
+    times = np.arange(q) * np.arange(q)[:, None] % q  # times[a, d] = a d mod q
+    # the flat (b, c, d) positions of slice a are its packed keys minus a q^3,
+    # increasing, so the keys come out in lexicographic order
+    keys = np.concatenate([a * q3 + np.flatnonzero(target == times[a]) for a in range(q)])
     key_to_index = np.full(q**4, -1, dtype=np.int32)
-    key_to_index[keys] = np.arange(elems.shape[0], dtype=np.int32)
+    key_to_index[keys] = np.arange(keys.size, dtype=np.int32)
+    elems = np.stack([keys // q3, *bcd[:, keys % q3]], axis=1)
 
     # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
-    inv = np.empty_like(elems)
-    inv[:, 0] = elems[:, 3] % q
-    inv[:, 1] = (-elems[:, 1]) % q
-    inv[:, 2] = (-elems[:, 2]) % q
-    inv[:, 3] = elems[:, 0] % q
-    inv_keys = ((inv[:, 0] * q + inv[:, 1]) * q + inv[:, 2]) * q + inv[:, 3]
-    inverse = key_to_index[inv_keys].copy()
+    a, b, c, d = elems.T
+    inverse = key_to_index[((d * q + (-b % q)) * q + (-c % q)) * q + a]
 
     table = GroupTable(q, elems, key_to_index, inverse)
     if table.order != group_order(q):

@@ -73,9 +73,29 @@ class SystemSpec:
     base_point: float | None  # None: a subshift at its interval midpoints
     digits: tuple[int, ...] = ()
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        # str hashes are salted per process, so a pickled hash would be stale
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass fields' hash, once: every lru_cache keyed on a spec
+        hashes it on each lookup, and hashing the letters is slow."""
+        return hash((self.mode, self.letters, self.block_width, self.symbols_per_letter,
+                     self.base_point, self.digits))
+
     @property
     def n_letters(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def id_dtype(self) -> np.dtype:
+        """The smallest signed integer type of letter-id arrays: it holds
+        every id and the -1 that marks no letter."""
+        return np.min_scalar_type(-self.n_letters)
 
     @cached_property
     def follows(self) -> np.ndarray:
@@ -282,13 +302,12 @@ def check_word_count(spec: SystemSpec, n: int, guard: int = Guards.max_words) ->
 
 
 def _admissible_id_matrix(spec: SystemSpec, n: int) -> np.ndarray:
-    nl = spec.n_letters
     if n == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    arr = np.arange(nl, dtype=np.int8).reshape(-1, 1)
+        return np.zeros((1, 0), dtype=spec.id_dtype)
+    arr = np.arange(spec.n_letters, dtype=spec.id_dtype).reshape(-1, 1)
     for _ in range(n - 1):
         ridx, js = np.nonzero(spec.follows[arr[:, -1]])
-        arr = np.concatenate([arr[ridx], js[:, None].astype(np.int8)], axis=1)
+        arr = np.concatenate([arr[ridx], js[:, None].astype(spec.id_dtype)], axis=1)
     return arr
 
 
@@ -499,12 +518,12 @@ def _expand_orbit(spec: SystemSpec, n: int, x0, j0: int | None, guard: int,
         (m for m in range(1, n + 1) if count_admissible(spec, n - m) * points <= _EXPAND_CHUNK), n)
     lds = np.zeros(points, dtype=np.float64)
     # the base interval stands in for the outermost letter before step 0
-    outer = np.full(points, -1 if j0 is None else j0, dtype=np.int16)
+    outer = np.full(points, -1 if j0 is None else j0, dtype=spec.id_dtype)
     idx = None if track is None else np.full(points, track[0], dtype=np.int64)
     # every letter at once, over the (letter, entry) pairs that are admissible:
     # letter-major, so the new level is in enumeration order
     inverse = np.array([-2 if v.inverse is None else v.inverse for v in spec.letters])[:, None]
-    letters = np.arange(spec.n_letters, dtype=np.int16)
+    letters = np.arange(spec.n_letters, dtype=spec.id_dtype)
     for _ in range(n - m):
         keep = outer != inverse
         counts = keep.sum(axis=1)
@@ -541,7 +560,7 @@ def _walk_prefix(spec: SystemSpec, prefix, xs, lds, outer, idx, track):
         i = idx[sel]
         for k in reversed(prefix):
             i = track[1][k][i]
-    return x, ld, np.full(x.size, prefix[0], dtype=np.int16), i
+    return x, ld, np.full(x.size, prefix[0], dtype=spec.id_dtype), i
 
 
 def orbit_log_derivs(spec: SystemSpec, n: int, x=None, guard: int = Guards.max_words):

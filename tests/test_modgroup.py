@@ -1,7 +1,15 @@
+import itertools
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import random_sl2z
+from conftest import random_sl2z, traced_peak
+from modgap import modgroup
 from modgap.errors import GuardExceeded, InvalidElement
 from modgap.modgroup import (
     GroupTable,
@@ -35,6 +43,51 @@ def test_enumeration_matches_brute_force(q, expected):
 def test_order_formula_against_brute_force():
     for q in range(2, 13):
         assert group_order(q) == brute_force_count(q)
+
+
+@pytest.mark.parametrize("q", [*range(2, 13), 16, 25, 27])
+def test_enumeration_is_the_lexicographic_det_one_list(q):
+    brute = [t for t in itertools.product(range(q), repeat=4)
+             if (t[0] * t[3] - t[1] * t[2]) % q == 1]
+    table = get_group(q)
+    assert table.elems.tolist() == [list(t) for t in brute]
+    # the key table is -1 exactly off the group
+    keys = [((a * q + b) * q + c) * q + d for a, b, c, d in brute]
+    expected = np.full(q**4, -1)
+    expected[keys] = np.arange(len(keys))
+    assert np.array_equal(table.key_to_index, expected)
+
+
+@pytest.mark.parametrize("q", [*range(2, 13), 16, 25, 27])
+def test_inverse_is_the_adjugate(q):
+    table = get_group(q)
+    a, b, c, d = table.elems.T
+    assert np.array_equal(table.elems[table.inverse], np.stack([d, -b % q, -c % q, a], axis=1))
+
+
+def _retained_bytes(table):
+    return sum(arr.nbytes for arr in (table.elems, table.key_to_index, table.inverse,
+                                      table._columns, table._rows))
+
+
+def test_enumeration_peak_is_near_the_table_it_keeps(monkeypatch):
+    # a q^4 int64 grid, eight bytes an entry, would be 8x the int32 key table
+    table, peak = traced_peak(lambda: modgroup._enumerate.__wrapped__(32))
+    assert peak < 2 * _retained_bytes(table)
+    # a fresh cache, so get_group builds q=49 here whatever ran before
+    monkeypatch.setattr(modgroup, "_enumerate", lru_cache(modgroup._enumerate.__wrapped__))
+    table, peak = traced_peak(lambda: get_group(49, max_q=49))
+    assert peak < 2 * _retained_bytes(table)
+
+
+def test_q81_group_table_stays_under_400_mb_of_process_rss():
+    code = ("import resource; from modgap.modgroup import get_group; get_group(81, max_q=81); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": str(Path(modgroup.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 400 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_guard_range():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ def test_word_counts(spec12, schottky):
     assert count_admissible(schottky, 1) == 4
     assert count_admissible(schottky, 2) == 12
     assert len(admissible_words(schottky, 2)) == 12
+
+
+def test_letter_ids_hold_every_letter_of_a_wide_alphabet():
+    # 99 parabolic pairs make 198 letters, more than an int8 id holds
+    spec = schottky_system([m for k in range(1, 100) for m in ((1, 2 * k, 0, 1), (1, -2 * k, 0, 1))])
+    ids = symdyn._admissible_id_matrix(spec, 2)
+    assert len(ids) == count_admissible(spec, 2) == 198 * 197
+    assert ids.min() == 0 and ids.max() == spec.n_letters - 1
+    assert spec.follows[ids[:, 0], ids[:, 1]].all()
+
+
+@pytest.mark.parametrize("make", [lambda: zaremba_system([1, 2]), lambda: schottky_system()])
+def test_equal_specs_hash_equal(make):
+    first, second = make(), make()
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    # the cached hash stays behind: str hashes are salted per process
+    copy = pickle.loads(pickle.dumps(first))
+    assert "_hash" not in copy.__dict__
+    assert copy == first and hash(copy) == hash(first)
 
 
 def test_admissible_words_guard(spec12):
