@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -83,6 +83,12 @@ class EtaMeasure:
     Held sparse: `support` holds the sorted group indices of the block
     cocycles and `weights` the betas summed on each. The dense `measure` is
     built on its first read.
+
+    `stacked` is (windows, supports at q, place) of the stack the measure
+    was cut from, set by `build_eta` alone: `spectral.eta_gap` solves the
+    stack's windows around it together. A measure built directly or by
+    `dataclasses.replace` has none and is solved from its own support and
+    weights.
     """
 
     context: BlockContext
@@ -92,6 +98,7 @@ class EtaMeasure:
     betas: tuple[float, ...]
     support: np.ndarray
     weights: np.ndarray
+    stacked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def measure(self) -> GroupMeasure:
@@ -266,9 +273,19 @@ def _window_stack(spec: SystemSpec, L: int, a: float, base: float, base_interval
     return _Windows(blocks, betas, np.searchsorted(w, np.arange(len(uppers) + 1)))
 
 
-def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows):
-    """The stacked windows at one modulus: (support, weights, bounds), where
-    window w's sorted support and summed betas are entries bounds[w]:bounds[w+1].
+@dataclass(frozen=True, eq=False)
+class _Supports:
+    """Stacked windows at one modulus: window w's sorted support and summed
+    betas are entries bounds[w]:bounds[w+1]. Equal only to itself, so a cache
+    keys on it by identity."""
+
+    support: np.ndarray
+    weights: np.ndarray
+    bounds: np.ndarray
+
+
+def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows) -> _Supports:
+    """The stacked windows at one modulus, as `_Supports`.
 
     The block cocycles are one gather per letter column; each window's betas
     are summed per group element in row order, as `np.bincount` sums."""
@@ -279,10 +296,10 @@ def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows):
     window = np.repeat(np.arange(len(windows.offsets) - 1), np.diff(windows.offsets))
     keys, inverse = np.unique(window * table.order + idx, return_inverse=True)
     bounds = np.searchsorted(keys, np.arange(len(windows.offsets)) * table.order)
-    return keys % table.order, np.bincount(inverse, windows.betas), bounds
+    return _Supports(keys % table.order, np.bincount(inverse, windows.betas), bounds)
 
 
-def _cut(windows: _Windows, supports, lo: int, hi: int, j: int):
+def _cut(windows: _Windows, supports: _Supports, lo: int, hi: int, j: int):
     """Windows lo:hi of a stack, with `_window_supports` at one modulus:
     (their block rows, the group indices and summed betas of their entries,
     and the window of each entry, counted from lo). AdmissibilityError when
@@ -291,11 +308,11 @@ def _cut(windows: _Windows, supports, lo: int, hi: int, j: int):
         raise AdmissibilityError(
             f"no admissible inner choice for block {j}; malformed subshift context"
         )
-    support, weights, bounds = supports
+    bounds = supports.bounds
     entries = slice(bounds[lo], bounds[hi])
     window = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
     rows = slice(windows.offsets[lo], windows.offsets[hi])
-    return rows, support[entries], weights[entries], window
+    return rows, supports.support[entries], supports.weights[entries], window
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
@@ -309,7 +326,8 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
     outer word o' over the lower block's o), in `outer_words` order.
     `enumerate_etas` passes `stacked` = (the stack, its supports at this
     modulus, the window's place); without it only the window's rows are
-    gathered mod q.
+    gathered mod q, as a stack of one window. Either way the measure keeps
+    `stacked` (`EtaMeasure`).
     """
     table = get_group(ctx.q) if table is None else table
     if stacked is None:
@@ -323,7 +341,7 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
         stacked = windows, _window_supports(ctx.spec, table, windows), 0
     windows, supports, i = stacked
     rows, support, weights, _ = _cut(windows, supports, i, i + 1, j)
-    return EtaMeasure(
+    eta = EtaMeasure(
         context=ctx,
         j=j,
         table=table,
@@ -332,6 +350,8 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
         support=support,
         weights=weights,
     )
+    object.__setattr__(eta, "stacked", stacked)  # frozen, and not an init field
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ coordinates of its chi-eigenspace of S, on which a group element acts as a
 monomial matrix. Left convolution preserves each piece and its complement,
 so the largest norm over the pieces, of small dense matrices, is exact.
 Isomorphic pieces have one norm, so only one piece per character,
-evaluated on the conjugacy classes, is solved.
+evaluated on the conjugacy classes, is solved. The measures cut from one
+window stack share their class and differ only in their weights, so up to
+256 of them are solved together, with one matmul and one batched
+eigen-solve per piece size and chunk.
 
 The module also hosts the verification routines built on that engine:
 the weighted-expansion lemma, the per-block flat-expansion gap, the
@@ -76,7 +79,10 @@ _SPLIT_GAP = 1e-5
 _INVARIANCE_TOL = 1e-10  # largest part of a generator's image allowed to leave a piece
 _GENERATORS = ((0, -1, 1, 0), (1, 1, 0, 1))  # they generate SL2(Z/q)
 _CLASS_CACHE = 16  # right-translation classes whose compressed generators `eta_gap` keeps
-_SUPPORT_CACHE = 256  # supports whose canonical form `_translation_class` keeps
+_SUPPORT_CACHE = 256  # supports whose least sorted form `_support_class` keeps
+_GAP_BLOCK = 256  # windows of a stack that `eta_gap` solves together
+_GAP_CACHE = 4  # solved blocks of windows that `eta_gap` keeps
+_B_ENTRIES = 2**14  # complex entries of B per batched eigen-solve in `_gaps`
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -452,7 +458,7 @@ class EtaGapReport:
 
 @lru_cache(maxsize=_SUPPORT_CACHE)
 def _support_class(table: GroupTable, supp: tuple[int, ...]):
-    """The weight-free part of `_translation_class`: (key, orders).
+    """The weight-free part of `_canonical_forms`: (key, orders).
 
     Over x in supp, the support supp x^-1 is sorted; key is the least sorted
     support, and the read-only (len(supp), ties) array orders holds, in
@@ -469,23 +475,46 @@ def _support_class(table: GroupTable, supp: tuple[int, ...]):
     return tuple(least.tolist()), orders
 
 
-def _translation_class(table: GroupTable, supp: np.ndarray, weights: np.ndarray):
-    """Canonical form of sum_k weights[k] delta(supp[k]) up to right translation.
+def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray,
+                     bounds: np.ndarray) -> dict:
+    """Canonical forms up to right translation of the measures
+    sum_k weights[k] delta(support[k]) over the entries bounds[w]:bounds[w+1]
+    of each window w.
 
-    Over x in supp, the support supp x^-1 is sorted and the weights reordered
-    with it; the least (sorted support, weights) pair is kept, so every right
-    translate of the measure has the same form. Returns (key, weights).
+    Over x in a window's support, the support supp x^-1 is sorted and the
+    weights reordered with it; the least (sorted support, weights) pair is
+    kept, so every right translate of a measure has the same form. The
+    sorted supports do not depend on the weights, so the least one and the
+    x that attain it come from `_support_class`, once per distinct support.
+    Where one x attains it, the weights of every window on that support are
+    reordered by one gather; where several do, each window's tie is broken
+    by the real and then imaginary parts of its reordered weights, then by
+    the least x. Empty windows are left out.
 
-    The sorted supports do not depend on the weights, so the least one and
-    the x that attain it come from `_support_class`, cached per support;
-    here only the weights are reordered, and ties are broken by the real
-    and then imaginary parts of the reordered weights, then by the least x.
+    Returns {(key, real): (windows, weights)}: the windows of one class
+    whose weights are all real (or not), and their reordered complex
+    weights, one row each.
     """
-    key, orders = _support_class(table, tuple(supp.tolist()))
-    ws = weights[orders]
-    # rows in order of precedence: re and im of each weight
-    keys = np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])
-    return key, ws[:, np.lexsort(keys[::-1])[0]]
+    weights = weights.astype(np.complex128)
+    by_support: dict[tuple[int, ...], list[int]] = {}
+    for w in np.flatnonzero(np.diff(bounds)).tolist():
+        by_support.setdefault(tuple(support[bounds[w] : bounds[w + 1]].tolist()), []).append(w)
+    groups: dict[tuple, list] = {}
+    for supp, ws in by_support.items():
+        key, orders = _support_class(table, supp)
+        ws = np.array(ws)
+        cand = weights[bounds[ws][:, None, None] + orders]  # (windows, k, ties)
+        if orders.shape[1] == 1:
+            canon = cand[:, :, 0]
+        else:  # rows in order of precedence: re and im of each weight
+            canon = np.array([c[:, np.lexsort(np.stack([c.real, c.imag], axis=1)
+                                              .reshape(-1, c.shape[1])[::-1])[0]]
+                              for c in cand])
+        real = ~canon.imag.any(axis=1)
+        for r, sel in ((True, real), (False, ~real)):
+            if sel.any():
+                groups.setdefault((key, r), []).append((ws[sel], canon[sel]))
+    return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in groups.items()}
 
 
 def _clusters(w: np.ndarray) -> list[int]:
@@ -635,6 +664,39 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     return tuple(out)
 
 
+def _gaps(table: GroupTable, support: np.ndarray, weights: np.ndarray,
+          bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(norm, l1) of the mean-zero action of each window's measure, in the
+    layout of `_canonical_forms`: one class's windows at a time, one
+    (windows, k) @ (k, pieces * d * d) product, one batched B^H B and one
+    `eigvalsh` per piece size and chunk of at most _B_ENTRIES complex
+    entries of B (a piece alone if larger), and the largest top eigenvalue
+    over the pieces."""
+    top = np.zeros(bounds.size - 1)
+    for (key, real), (ws, canon) in _canonical_forms(table, support, weights, bounds).items():
+        for d, gens in _class_generators(table, key, real):
+            pieces = gens.shape[1] // (d * d)
+            per = max(1, _B_ENTRIES // (d * d))  # matrices per eigen-solve
+            rows, cols = max(1, per // pieces), min(pieces, per) * d * d
+            for lo in range(0, ws.size, rows):
+                at = ws[lo : lo + rows]
+                for c in range(0, gens.shape[1], cols):
+                    b = (canon[lo : lo + rows] @ gens[:, c : c + cols]).reshape(-1, d, d)
+                    lam = np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1]
+                    top[at] = np.maximum(top[at], lam.reshape(at.size, -1).max(axis=1))
+    l1 = [math.fsum(np.abs(weights[lo:hi]).tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    return np.sqrt(top), np.array(l1)
+
+
+@lru_cache(maxsize=_GAP_CACHE)
+def _stack_gaps(table: GroupTable, supports, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_gaps` of windows block * _GAP_BLOCK up to (block + 1) * _GAP_BLOCK of
+    a window stack's supports at q (`decouple._Supports`, keyed by identity)."""
+    bounds = supports.bounds[block * _GAP_BLOCK : (block + 1) * _GAP_BLOCK + 1]
+    entries = slice(bounds[0], bounds[-1])
+    return _gaps(table, supports.support[entries], supports.weights[entries], bounds - bounds[0])
+
+
 def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
@@ -647,7 +709,7 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     * Right translation is unitary on the mean-zero functions: convolution
       by eta * delta(g) is convolution by eta after left translation by g.
       So eta is first put in the canonical form of its right-translation
-      class (`_translation_class`); on the C07 table one class per modulus
+      class (`_canonical_forms`); on the C07 table one class per modulus
       holds every eta. The least sorted support is cached per (table,
       support): the table carries q, since the support holds the block
       cocycles mod q, but the weights are not in the key. A support depends
@@ -658,16 +720,18 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
       the largest over the invariant pieces of `_character_pieces`. On a
       piece W it is that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top
       eigenvalue of B^H B. Isomorphic pieces give the same norm, so one
-      piece per character is solved (`_class_generators`), with one matmul
-      and one batched `eigvalsh` per piece size.
+      piece per character is solved (`_class_generators`).
 
-    The blocks are those of the mean-zero orbits (`operator_norm`). The
-    compressed generators of a class are cached; at q <= 16 no kept piece
-    exceeds 24 dimensions. The weights are read sparse, as the eta's sorted
-    support and summed betas; its window was walked in a stack with no q in
-    its key (`decouple._window_stack`), and no dense |G| vector is built.
-    What is left per eta depends on its weights: their reordering, the
-    matmuls and the eigen-solves.
+    The measures of one window stack share their class and differ only in
+    their weights, so they are solved together (`_gaps`): an eta cut from a
+    stack (`EtaMeasure.stacked`) reads its norm and mass from the block of
+    _GAP_BLOCK windows of the stack that holds it, solved on the first read
+    and cached for _GAP_CACHE blocks (`_stack_gaps`), with one matmul and
+    one batched `eigvalsh` per piece size and chunk of at most _B_ENTRIES
+    entries of B. Any other eta, such as one made by `dataclasses.replace`,
+    is solved alone by the same kernel. The compressed generators of a
+    class are cached; at q <= 16 no kept piece exceeds 24 dimensions. The
+    weights are read sparse, and no dense |G| vector is built.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block
@@ -676,13 +740,14 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     bound of the batched eigen-solve replaces it.
     """
     table = eta.table
-    key, weights = _translation_class(table, eta.support, eta.weights.astype(np.complex128))
-    top = 0.0
-    for d, gens in _class_generators(table, key, not weights.imag.any()):
-        b = (weights @ gens).reshape(-1, d, d)
-        top = max(top, float(np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1].max()))
-    norm = math.sqrt(top)
-    l1 = math.fsum(np.abs(weights).tolist())
+    if eta.stacked is None:
+        norms, l1s = _gaps(table, eta.support, eta.weights, np.array([0, eta.support.size]))
+        i = 0
+    else:
+        _, supports, i = eta.stacked
+        norms, l1s = _stack_gaps(table, supports, i // _GAP_BLOCK)
+        i %= _GAP_BLOCK
+    norm, l1 = float(norms[i]), float(l1s[i])
     c1 = 1.0 - norm / l1
     return EtaGapReport(
         q=table.q,

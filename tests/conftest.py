@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modgap import spectral
 from modgap.errors import Guards
 from modgap.measures import GroupMeasure, _accumulate, _cocycle_track
 from modgap.modgroup import get_group
@@ -210,3 +211,23 @@ def breadth_mu(p) -> GroupMeasure:
     keep = _after_prefix(p, outer)
     _, lds = walk_words(p.spec, p.prefix, xs[keep], lds[keep])
     return _accumulate(t, cidx[keep], np.exp(complex(p.s) * lds))
+
+
+def eta_gap_oracle(eta):
+    """(1 - c1, norm, l1) of one per-block measure solved on its own: the
+    oracle of `spectral.eta_gap`. Its canonical form up to right translation
+    comes from `spectral._support_class`, ties broken by the (re, im) order
+    of the reordered weights, then one (k,) @ (k, pieces * d * d) product and
+    one `eigvalsh` per piece size of `spectral._class_generators`."""
+    table = eta.table
+    key, orders = spectral._support_class(table, tuple(eta.support.tolist()))
+    ws = eta.weights.astype(np.complex128)[orders]
+    keys = np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])
+    weights = ws[:, np.lexsort(keys[::-1])[0]]
+    top = 0.0
+    for d, gens in spectral._class_generators(table, key, not weights.imag.any()):
+        b = (weights @ gens).reshape(-1, d, d)
+        top = max(top, float(np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1].max()))
+    norm = math.sqrt(top)
+    l1 = math.fsum(np.abs(weights).tolist())
+    return norm / l1, norm, l1

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import measure_on, stabiliser_isometries, unsplit_blocks
+from conftest import eta_gap_oracle, measure_on, stabiliser_isometries, unsplit_blocks
 from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
@@ -560,8 +560,9 @@ def test_translation_class_matches_the_loop(spec12, a12, q, rng):
     # the same key and weights, bit for bit, with real and with complex weights;
     # on the unipotent subgroup every x gives the same support, so the
     # weights break the tie, by real parts and then imaginary ones. Every
-    # case runs cold and then warm on the cached support; the warm pass
-    # gives the unipotent support new tied weights
+    # case is one window of a single batch, which runs cold and then warm on
+    # the cached supports; the warm pass gives the unipotent support new tied
+    # weights
     spectral._support_class.cache_clear()
     t = get_group(q)
     cases = [(e.measure.support, e.measure.coeffs[e.measure.support])
@@ -571,15 +572,52 @@ def test_translation_class_matches_the_loop(spec12, a12, q, rng):
     for _ in ("cold", "warm"):
         tied = [(unipotent, rng.integers(2, size=q) + 1j * rng.integers(3, size=q))
                 for _ in range(5)]
-        for supp, w in cases + tied:
-            key, ws = spectral._translation_class(t, supp, w)
-            ref_key, ref_ws = _translation_class_loop(t, supp, w)
-            assert key == ref_key and np.array_equal(ws, ref_ws)
+        batch = cases + tied
+        bounds = np.cumsum([0] + [s.size for s, _ in batch])
+        forms = spectral._canonical_forms(t, np.concatenate([s for s, _ in batch]),
+                                          np.concatenate([w for _, w in batch]), bounds)
+        seen = []
+        for (key, real), (windows, weights) in forms.items():
+            for w, ws in zip(windows.tolist(), weights):
+                ref_key, ref_ws = _translation_class_loop(t, *batch[w])
+                assert key == ref_key and np.array_equal(ws, ref_ws)
+                assert real == (not batch[w][1].imag.any())
+                seen.append(w)
+        assert sorted(seen) == list(range(len(batch)))
         # one miss per distinct support, all of them in the cold pass
         supports = {s.tobytes() for s, _ in cases} | {unipotent.tobytes()}
         assert spectral._support_class.cache_info().misses == len(supports)
     _, orders = spectral._support_class(t, tuple(unipotent.tolist()))
     assert orders.shape == (q, q) and not orders.flags.writeable
+
+
+def _assert_agrees_with_the_oracle(rep, eta):
+    ratio, norm, l1 = eta_gap_oracle(eta)
+    assert 1 - rep.c1 == pytest.approx(ratio, rel=1e-14, abs=0)
+    assert rep.norm == pytest.approx(norm, rel=1e-14, abs=0)
+    assert rep.l1 == pytest.approx(l1, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("system, L, q", [
+    *(("zaremba12", L, q) for L in (2, 3) for q in (4, 5, 7, 8, 9, 11, 13, 16)),
+    ("schottky", 3, 5), ("schottky", 3, 8),
+])
+def test_eta_gap_agrees_with_the_one_measure_oracle(spec12, a12, schottky, system, L, q):
+    # every measure of the gap table, read from its stack's batched solve,
+    # against the same measure solved alone; the standalone rebuild of a
+    # window (a stack of one) meets the oracle too
+    spec, a, base = (spec12, a12, 0.0) if system == "zaremba12" else (schottky, 0.3, None)
+    table = get_group(q)
+    etas = list(enumerate_etas(spec, q, a, L, base=base))
+    assert len(etas) > 1
+    for k, eta in enumerate(etas):
+        rep = eta_gap(eta)
+        _assert_agrees_with_the_oracle(rep, eta)
+        if k % 7 == 0:
+            alone = build_eta(eta.context, eta.j, table)
+            assert np.array_equal(alone.support, eta.support)
+            assert np.array_equal(alone.weights, eta.weights)
+            _assert_agrees_with_the_oracle(eta_gap(alone), eta)
 
 
 @pytest.mark.parametrize("q", [5, 8])
@@ -594,6 +632,7 @@ def test_eta_gap_does_not_depend_on_cache_state(spec12, a12, q):
     for eta, c1 in zip(etas, warm):
         decouple._window_stack.cache_clear()
         spectral._support_class.cache_clear()
+        spectral._stack_gaps.cache_clear()
         assert eta_gap(build_eta(eta.context, eta.j, table)).c1 == c1
 
 
@@ -612,6 +651,56 @@ def test_eta_gap_of_a_right_translate_is_bit_identical(spec12, a12, q, rng):
     for g in rng.integers(table.order, size=5):
         moved = measure_on(table, table.products(supp, g), eta.measure.coeffs[supp])
         assert eta_gap(_holding(eta, moved)).c1 == c1
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_a_replaced_eta_does_not_read_its_stacks_gap(spec12, a12, q):
+    # an enumerated eta holds its stack; one replaced with its weights
+    # reversed is solved from those weights, as the oracle solves it, also
+    # where that moves the gap, and a replaced eta with the same support
+    # and weights reads the value of the stack's solve
+    moved = 0
+    for eta in enumerate_etas(spec12, q, a12, 3, base=0.0):
+        assert eta.stacked is not None
+        c1 = eta_gap(eta).c1
+        supp = eta.measure.support
+        reversed_ = _holding(eta, measure_on(eta.table, supp, eta.measure.coeffs[supp][::-1]))
+        assert reversed_.stacked is None
+        rep = eta_gap(reversed_)
+        _assert_agrees_with_the_oracle(rep, reversed_)
+        moved += abs(rep.c1 - c1) > 1e-9
+        assert eta_gap(_holding(eta, eta.measure)).c1 == pytest.approx(c1, rel=1e-14, abs=0)
+    assert moved > 0
+
+
+def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
+    # the shapes spectral hands to eigvalsh: reading the first measure of a
+    # stack solves one block of at most 256 windows, not the whole stack
+    # (4096 windows at L=4), and no call holds more than 2**14 entries of B
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh", record)
+    table = get_group(16)
+    for L, n_windows in ((3, 256), (4, 4096)):
+        spectral._stack_gaps.cache_clear()
+        etas = enumerate_etas(spec12, 16, a12, L, base=0.0)
+        eta = next(e for e in etas if e.j == 2)
+        assert eta.stacked[1].bounds.size - 1 == n_windows
+        shapes.clear()
+        eta_gap(eta)
+        key, _ = spectral._support_class(table, tuple(eta.support.tolist()))
+        pieces = {d: gens.shape[1] // (d * d)
+                  for d, gens in spectral._class_generators(table, key, True)}
+        solved = {d: 0 for d in pieces}
+        for n, d, _ in shapes:
+            assert n * d * d <= 2**14
+            solved[d] += n
+        assert all(solved[d] == pieces[d] * min(n_windows, 256) for d in pieces)
 
 
 def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
