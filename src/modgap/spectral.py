@@ -694,7 +694,10 @@ def _stack_gaps(table: GroupTable, supports, block: int) -> tuple[np.ndarray, np
     a window stack's supports at q (`decouple._Supports`, keyed by identity)."""
     bounds = supports.bounds[block * _GAP_BLOCK : (block + 1) * _GAP_BLOCK + 1]
     entries = slice(bounds[0], bounds[-1])
-    return _gaps(table, supports.support[entries], supports.weights[entries], bounds - bounds[0])
+    gaps = _gaps(table, supports.support[entries], supports.weights[entries], bounds - bounds[0])
+    for arr in gaps:
+        arr.setflags(write=False)
+    return gaps
 
 
 def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
