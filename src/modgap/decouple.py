@@ -299,15 +299,20 @@ def _window_supports(spec: SystemSpec, table: GroupTable, windows: _Windows) -> 
     return _Supports(keys % table.order, np.bincount(inverse, windows.betas), bounds)
 
 
+def _require_slots(offsets: np.ndarray, j: int) -> None:
+    """AdmissibilityError when a window of these row offsets has no inner slot."""
+    if not np.diff(offsets).all():
+        raise AdmissibilityError(
+            f"no admissible inner choice for block {j}; malformed subshift context"
+        )
+
+
 def _cut(windows: _Windows, supports: _Supports, lo: int, hi: int, j: int):
     """Windows lo:hi of a stack, with `_window_supports` at one modulus:
     (their block rows, the group indices and summed betas of their entries,
     and the window of each entry, counted from lo). AdmissibilityError when
     one of them has no inner slot."""
-    if not np.diff(windows.offsets[lo : hi + 1]).all():
-        raise AdmissibilityError(
-            f"no admissible inner choice for block {j}; malformed subshift context"
-        )
+    _require_slots(windows.offsets[lo : hi + 1], j)
     bounds = supports.bounds
     entries = slice(bounds[lo], bounds[hi])
     window = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
@@ -316,7 +321,7 @@ def _cut(windows: _Windows, supports: _Supports, lo: int, hi: int, j: int):
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
-              stacked=None) -> EtaMeasure:
+              cut=None) -> EtaMeasure:
     """The block-j measure: beta-weighted Diracs at the block cocycles.
 
     beta = exp(a * fsum of the block's log-derivative increments) along the
@@ -324,13 +329,15 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
     walked from `_start_points` of its innermost letter. It is cut from
     `_window_stack` at window o (block 1) or o' * S + o (block j >= 2 with
     outer word o' over the lower block's o), in `outer_words` order.
-    `enumerate_etas` passes `stacked` = (the stack, its supports at this
-    modulus, the window's place); without it only the window's rows are
-    gathered mod q, as a stack of one window. Either way the measure keeps
-    `stacked` (`EtaMeasure`).
+    `enumerate_etas` passes `cut` = ((the stack, its supports at this
+    modulus, the window's place), the window's inner slots, its betas),
+    checked and listed once per stack; without it the outer words are
+    looked up and only the window's rows are gathered mod q, as a stack of
+    one window, and checked. Either way the measure keeps the stack
+    (`EtaMeasure.stacked`).
     """
     table = get_group(ctx.q) if table is None else table
-    if stacked is None:
+    if cut is None:
         words = outer_words(ctx.spec, ctx.L, 1)
         i = words.index(ctx.outer[j - 1])
         if j >= 2:
@@ -338,17 +345,21 @@ def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
         stack = _window_stack(ctx.spec, ctx.L, ctx.a, ctx.base, ctx.base_interval, min(j, 2))
         lo, hi = stack.offsets[i : i + 2]
         windows = _Windows(stack.blocks[lo:hi], stack.betas[lo:hi], np.array([0, hi - lo]))
-        stacked = windows, _window_supports(ctx.spec, table, windows), 0
-    windows, supports, i = stacked
-    rows, support, weights, _ = _cut(windows, supports, i, i + 1, j)
+        _require_slots(windows.offsets, j)
+        inners = windows.blocks[:, ctx.L - ctx.spec.block_width :].tolist()
+        cut = ((windows, _window_supports(ctx.spec, table, windows), 0),
+               tuple(map(tuple, inners)), tuple(windows.betas.tolist()))
+    stacked, inners, betas = cut
+    _, supports, i = stacked
+    lo, hi = supports.bounds[i : i + 2]
     eta = EtaMeasure(
         context=ctx,
         j=j,
         table=table,
-        inners=tuple(map(tuple, windows.blocks[rows, ctx.L - ctx.spec.block_width :].tolist())),
-        betas=tuple(windows.betas[rows].tolist()),
-        support=support,
-        weights=weights,
+        inners=inners,
+        betas=betas,
+        support=supports.support[lo:hi],
+        weights=supports.weights[lo:hi],
     )
     object.__setattr__(eta, "stacked", stacked)  # frozen, and not an init field
     return eta
@@ -653,16 +664,23 @@ def enumerate_etas(spec, q, a, L, r_prime=2, base=None, guards: Guards = Guards(
     window (o_j, o_{j-1}). `guards` bounds the modulus and the number of
     contexts. The windows of each kind are walked as one stack, cached
     without q, so a second modulus at the same L walks no window again; their
-    cocycles at q are one gather per letter column, and each measure is cut
-    from them by `build_eta`.
+    cocycles at q are one gather per letter column. Each stack is checked
+    for empty windows and listed once, and each measure is cut from it by
+    `build_eta`, with its context built from `outer_words` without a
+    second check of the words.
     """
     table = get_group(q, guards.max_q)
     words = outer_words(spec, L, r_prime, guards.contexts)
     o, j0 = resolve_point(spec, base)
     for j in (1, 2) if r_prime > 1 else (1,):
         stack = _window_stack(spec, L, a, o, j0, j)
-        stacked = stack, _window_supports(spec, table, stack)
+        _require_slots(stack.offsets, j)
+        supports = _window_supports(spec, table, stack)
+        inners = list(map(tuple, stack.blocks[:, L - spec.block_width :].tolist()))
+        betas = stack.betas.tolist()
+        offsets = stack.offsets.tolist()
         windows = [(w,) for w in words] if j == 1 else [(w, w2) for w2 in words for w in words]
-        for i, outer in enumerate(windows):
+        for i, (outer, lo, hi) in enumerate(zip(windows, offsets, offsets[1:])):
+            cut = (stack, supports, i), tuple(inners[lo:hi]), tuple(betas[lo:hi])
             # the module global, which perfbench's tracer wraps to count every eta
-            yield build_eta(make_context(spec, q, L, j, outer, a, base), j, table, (*stacked, i))
+            yield build_eta(BlockContext(spec, q, L, outer, a, o, j0), j, table, cut)

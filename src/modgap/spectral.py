@@ -37,7 +37,8 @@ Isomorphic pieces have one norm, so only one piece per character,
 evaluated on the conjugacy classes, is solved. The measures cut from one
 window stack share their class and differ only in their weights, so up to
 256 of them are solved together, with one matmul and one batched
-eigen-solve per piece size and chunk.
+eigen-solve per piece size and chunk. Closed-form bounds on each piece's
+norm, convex in the weights, leave about one piece per window to solve.
 
 The module also hosts the verification routines built on that engine:
 the weighted-expansion lemma, the per-block flat-expansion gap, the
@@ -83,6 +84,8 @@ _SUPPORT_CACHE = 256  # supports whose least sorted form `_support_class` keeps
 _GAP_BLOCK = 256  # windows of a stack that `eta_gap` solves together
 _GAP_CACHE = 4  # solved blocks of windows that `eta_gap` keeps
 _B_ENTRIES = 2**14  # complex entries of B per batched eigen-solve in `_gaps`
+_BOUND_MARGIN = 1e-9  # relative slack of `_candidates`' rule, far above the bounds' rounding
+_SIMPLEX_FLOOR = 2.0**-10  # least width 1 - sum(lo) of `_piece_bounds`' simplex
 SUBSPACES = ("full", "mean_zero", "new_space")
 
 SWEEP_COLUMNS = [
@@ -664,26 +667,99 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     return tuple(out)
 
 
+def _top_eigenvalues(b: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of B^H B for every matrix B of the stack b, from
+    `eigvalsh` calls of at most _B_ENTRIES complex entries of b each (a
+    matrix alone if larger)."""
+    per = max(1, _B_ENTRIES // (b.shape[1] * b.shape[2]))
+    return np.concatenate([np.linalg.eigvalsh(np.conj(c.swapaxes(1, 2)) @ c)[:, -1]
+                           for c in np.split(b, range(per, len(b), per))])
+
+
+def _piece_bounds(beta: np.ndarray, mass: np.ndarray, gens: np.ndarray,
+                  d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower), each (windows, pieces): bounds on the norm
+    f_p(beta_w) = ||sum_k beta_w[k] G_kp|| of each piece p of one size d of
+    `_class_generators` (gens), for windows with real, non-negative weights
+    beta (one row each, masses mass = row sums, all positive).
+
+    f_p is convex and 1-homogeneous. Upper: the normalised weights
+    p_w = beta_w / mass_w lie in the simplex with vertices v_i = lo +
+    (1 - sum lo) e_i, lo their coordinatewise minimum, at barycentric
+    weights (p_w - lo) / (1 - sum lo) >= 0, so f_p(beta_w) <= mass_w *
+    sum_i lambda_wi f_p(v_i), from k * pieces exact norms at the vertices.
+    Where the windows nearly share one normalised weight vector, lo is
+    scaled down until 1 - sum lo >= _SIMPLEX_FLOOR, which keeps the
+    barycentric weights' rounding small. Lower: with (y_p, x_p) the top
+    singular pair of B_p at the centroid of the p_w, f_p(beta) >=
+    Re y_p^H B_p(beta) x_p = <g_p, beta>, g_pk = Re y_p^H G_kp x_p; it
+    holds for any unit x_p, y_p, so y_p is normalised explicitly."""
+    k = beta.shape[1]
+    p = beta / mass[:, None]
+    lo = p.min(axis=0)
+    if lo.sum() > 1 - _SIMPLEX_FLOOR:
+        lo *= (1 - _SIMPLEX_FLOOR) / lo.sum()
+    width = 1 - lo.sum()
+    vertices = ((lo + width * np.eye(k)) @ gens).reshape(-1, d, d)
+    at_vertex = np.sqrt(np.maximum(_top_eigenvalues(vertices), 0)).reshape(k, -1)
+    upper = mass[:, None] * ((p - lo) / width @ at_vertex)
+    b = (p.mean(axis=0) @ gens).reshape(-1, d, d)  # B_p at the centroid
+    x = np.linalg.eigh(np.conj(b.swapaxes(1, 2)) @ b)[1][:, :, -1]
+    y = (b @ x[:, :, None])[:, :, 0]
+    y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), np.finfo(float).tiny)
+    g = np.einsum("pi,kpij,pj->pk", y.conj(), gens.reshape(k, -1, d, d), x).real
+    return upper, beta @ g.T
+
+
+def _candidates(canon: np.ndarray, real: bool, sizes) -> list[np.ndarray]:
+    """Per piece size (d, gens) of `_class_generators` (sizes), keep[w, p]:
+    whether piece p can attain the norm of window w, for the windows of one
+    class (`_canonical_forms`: their weights canon, one row each, all real
+    or not).
+
+    A piece is dropped when its upper bound of `_piece_bounds`, raised by
+    the relative margin _BOUND_MARGIN, stays below the window's largest
+    lower bound over the pieces of every size: the rounding of both bounds
+    is below 1e-12 relative, so the piece's computed norm falls below the
+    window's computed maximum, and the maximum over the kept pieces is the
+    same number, bit for bit, as over every piece. Every piece is kept (a
+    block with no bound) where the weights are complex or a window's are
+    negative or all zero, or where the windows are at most k + 1, as the
+    one window of a measure solved alone."""
+    n, k = canon.shape
+    beta = canon.real
+    mass = beta.sum(axis=1)
+    if not real or n <= k + 1 or not ((beta >= 0).all() and (mass > 0).all()):
+        return [np.ones((n, gens.shape[1] // (d * d)), dtype=bool) for d, gens in sizes]
+    bounds = [_piece_bounds(beta, mass, gens, d) for d, gens in sizes]
+    best = np.max([lower.max(axis=1) for _, lower in bounds], axis=0)[:, None]
+    return [~(upper * (1 + _BOUND_MARGIN) < best) for upper, _ in bounds]
+
+
 def _gaps(table: GroupTable, support: np.ndarray, weights: np.ndarray,
           bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(norm, l1) of the mean-zero action of each window's measure, in the
-    layout of `_canonical_forms`: one class's windows at a time, one
-    (windows, k) @ (k, pieces * d * d) product, one batched B^H B and one
-    `eigvalsh` per piece size and chunk of at most _B_ENTRIES complex
-    entries of B (a piece alone if larger), and the largest top eigenvalue
-    over the pieces."""
+    layout of `_canonical_forms`: per class and piece size, the pieces that
+    can attain each window's norm (`_candidates`), then one (windows, k) @
+    (k, pieces * d * d) product per chunk of at most _B_ENTRIES complex
+    entries of B (a piece alone if larger), one batched B^H B and one
+    `eigvalsh` of the kept pieces of the chunk, and the largest top
+    eigenvalue over them. A chunk with no kept piece is skipped."""
     top = np.zeros(bounds.size - 1)
     for (key, real), (ws, canon) in _canonical_forms(table, support, weights, bounds).items():
-        for d, gens in _class_generators(table, key, real):
+        sizes = _class_generators(table, key, real)
+        for (d, gens), keep in zip(sizes, _candidates(canon, real, sizes)):
             pieces = gens.shape[1] // (d * d)
             per = max(1, _B_ENTRIES // (d * d))  # matrices per eigen-solve
-            rows, cols = max(1, per // pieces), min(pieces, per) * d * d
+            rows, cols = max(1, per // pieces), min(pieces, per)
             for lo in range(0, ws.size, rows):
-                at = ws[lo : lo + rows]
-                for c in range(0, gens.shape[1], cols):
-                    b = (canon[lo : lo + rows] @ gens[:, c : c + cols]).reshape(-1, d, d)
-                    lam = np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1]
-                    top[at] = np.maximum(top[at], lam.reshape(at.size, -1).max(axis=1))
+                for c in range(0, pieces, cols):
+                    sel = keep[lo : lo + rows, c : c + cols]
+                    if sel.any():
+                        b = canon[lo : lo + rows] @ gens[:, c * d * d : (c + cols) * d * d]
+                        at = np.broadcast_to(ws[lo : lo + rows, None], sel.shape)[sel]
+                        lam = _top_eigenvalues(b.reshape(-1, d, d)[sel.reshape(-1)])
+                        np.maximum.at(top, at, lam)
     l1 = [math.fsum(np.abs(weights[lo:hi]).tolist()) for lo, hi in zip(bounds, bounds[1:])]
     return np.sqrt(top), np.array(l1)
 
@@ -735,6 +811,20 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     is solved alone by the same kernel. The compressed generators of a
     class are cached; at q <= 16 no kept piece exceeds 24 dimensions. The
     weights are read sparse, and no dense |G| vector is built.
+
+    Only the pieces that can attain a window's norm are solved exactly
+    (`_candidates`). With real, non-negative weights, a piece's norm is
+    convex and 1-homogeneous in them: it is bounded above on the simplex
+    that holds a block's normalised weights, from its norms at the k
+    vertices, and below by the top singular pair at the centroid
+    (`_piece_bounds`). A piece is dropped when its upper bound, raised
+    by 1e-9 relative (_BOUND_MARGIN, far above the bounds' rounding),
+    stays below the window's best lower bound, so every norm is the
+    same number as from every piece. Complex or negative weights, and
+    blocks of at most k + 1 windows (a measure solved alone), keep every
+    piece. On the C07 table (k = 4) the 2304 windows of the 24 bounded
+    blocks keep one piece each; with the 32 windows of L=2, j=1, solved
+    whole, that is 2860 exact solves instead of 40,588.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block

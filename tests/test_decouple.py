@@ -447,6 +447,41 @@ def test_enumerate_etas_yields_each_distinct_measure_once(spec12_mod, a12_mod, s
     assert set(keys) == walked
 
 
+@pytest.mark.parametrize("system,L", [("zaremba", 2), ("zaremba", 3), ("schottky", 3),
+                                      ("schottky", 4)])
+def test_enumerated_etas_equal_their_standalone_builds(spec12_mod, a12_mod, schottky, system, L):
+    # enumerate_etas cuts each stack in one pass and builds each context
+    # from outer_words unchecked; a standalone build_eta looks the words up,
+    # checks its window and gathers it alone: the same measure, bit for bit
+    spec, a, base = (spec12_mod, a12_mod, 0.0) if system == "zaremba" else (schottky, 0.3, None)
+    table = get_group(5)
+    for eta in enumerate_etas(spec, 5, a, L, 2, base):
+        ctx = make_context(spec, 5, L, 2, eta.context.outer, a, base)
+        alone = build_eta(ctx, eta.j, table)
+        assert eta.context == ctx
+        assert (eta.inners, eta.betas) == (alone.inners, alone.betas)
+        for arr, ref in ((eta.support, alone.support), (eta.weights, alone.weights)):
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
+
+
+def test_a_stack_with_an_empty_window_is_rejected_before_any_eta(spec12_mod, a12_mod,
+                                                                  monkeypatch):
+    # each stack is checked once, so not even the measures before the empty
+    # window are yielded
+    stack = decouple._window_stack
+
+    def emptied(*args):
+        w = stack(*args)
+        offsets = w.offsets.copy()
+        offsets[2] = offsets[1]
+        return decouple._Windows(w.blocks, w.betas, offsets)
+
+    monkeypatch.setattr(decouple, "_window_stack", emptied)
+    etas = enumerate_etas(spec12_mod, 5, a12_mod, 3, 2, 0.0)
+    with pytest.raises(AdmissibilityError, match="no admissible inner choice for block 1"):
+        next(etas)
+
+
 def _walk_window(ctx, j, table):
     """The per-window walk with no cache, weights and cocycles in one loop:
     (inners, betas, coefficients)."""

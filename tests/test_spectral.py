@@ -674,17 +674,26 @@ def test_a_replaced_eta_does_not_read_its_stacks_gap(spec12, a12, q):
 
 
 def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
-    # the shapes spectral hands to eigvalsh: reading the first measure of a
+    # the matrices spectral hands to eigvalsh: reading the first measure of a
     # stack solves one block of at most 256 windows, not the whole stack
-    # (4096 windows at L=4), and no call holds more than 2**14 entries of B
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    # (4096 windows at L=4), and no call holds more than 2**14 entries of B.
+    # They are the k solves per piece at the vertices of `_piece_bounds` and
+    # the exact solves of the pieces `_candidates` keeps: at least one per
+    # window, and fewer than every piece of every window
+    shapes, kept = [], []
+    eigvalsh, candidates = np.linalg.eigvalsh, spectral._candidates
 
     def record(a):
         shapes.append(a.shape)
         return eigvalsh(a)
 
+    def keep(canon, real, sizes):
+        masks = candidates(canon, real, sizes)
+        kept.append((canon.shape, masks))
+        return masks
+
     monkeypatch.setattr(spectral.np.linalg, "eigvalsh", record)
+    monkeypatch.setattr(spectral, "_candidates", keep)
     table = get_group(16)
     for L, n_windows in ((3, 256), (4, 4096)):
         spectral._stack_gaps.cache_clear()
@@ -692,15 +701,147 @@ def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
         eta = next(e for e in etas if e.j == 2)
         assert eta.stacked[1].bounds.size - 1 == n_windows
         shapes.clear()
+        kept.clear()
         eta_gap(eta)
         key, _ = spectral._support_class(table, tuple(eta.support.tolist()))
-        pieces = {d: gens.shape[1] // (d * d)
-                  for d, gens in spectral._class_generators(table, key, True)}
-        solved = {d: 0 for d in pieces}
-        for n, d, _ in shapes:
-            assert n * d * d <= 2**14
-            solved[d] += n
-        assert all(solved[d] == pieces[d] * min(n_windows, 256) for d in pieces)
+        pieces = sum(gens.shape[1] // (d * d)
+                     for d, gens in spectral._class_generators(table, key, True))
+        [((n, k), masks)] = kept  # one class holds the block
+        assert n == min(n_windows, 256)
+        assert all(m * d * d <= 2**14 for m, d, _ in shapes)
+        exact = sum(int(m.sum()) for m in masks)
+        assert (sum(m.sum(axis=1) for m in masks) >= 1).all()
+        assert exact < pieces * n
+        assert sum(m for m, _, _ in shapes) == exact + k * pieces
+
+
+def _piece_norms(canon, sizes):
+    """Every piece's norm for every window, one (windows, pieces) array per size."""
+    out = []
+    for d, gens in sizes:
+        b = (canon @ gens).reshape(-1, d, d)
+        top = np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1]
+        out.append(np.sqrt(np.maximum(top, 0)).reshape(canon.shape[0], -1))
+    return out
+
+
+def _assert_bracketed(canon, sizes):
+    """lower <= exact <= upper for every piece of every window (within 1e-12
+    relative), and every piece that attains a window's norm is kept."""
+    beta = canon.real
+    exact = _piece_norms(canon, sizes)
+    for (d, gens), f in zip(sizes, exact):
+        upper, lower = spectral._piece_bounds(beta, beta.sum(axis=1), gens, d)
+        assert (lower <= f * (1 + 1e-12)).all()
+        assert (f <= upper * (1 + 1e-12)).all()
+    top = np.max([f.max(axis=1) for f in exact], axis=0)[:, None]
+    for f, keep in zip(exact, spectral._candidates(canon, True, sizes)):
+        assert keep[f == top].all()
+
+
+def test_piece_bounds_bracket_every_window_of_the_gap_table(spec12, a12, monkeypatch):
+    # every bounded block `eta_gap` meets on the C07 table, as it is handed to
+    # `_candidates`, and the same block with the vertices of its simplex added
+    # as windows (at random masses), where the upper bound is attained
+    seen = []
+    candidates = spectral._candidates
+
+    def record(canon, real, sizes):
+        seen.append((canon, real, sizes))
+        return candidates(canon, real, sizes)
+
+    monkeypatch.setattr(spectral, "_candidates", record)
+    spectral._stack_gaps.cache_clear()
+    for L in (2, 3):
+        for q in (4, 5, 7, 8, 9, 11, 13, 16):
+            for eta in enumerate_etas(spec12, q, a12, L, base=0.0):
+                eta_gap(eta)
+    rng = np.random.default_rng(26)
+    bounded = [(canon, sizes) for canon, real, sizes in seen if real and len(canon) > 5]
+    # per modulus: the 16 windows of L=2, j=2 and the 16 and 256 of L=3; the
+    # four windows of L=2, j=1 are too few to bound
+    assert [len(canon) for canon, _ in bounded] == [16] * 8 + [16, 256] * 8
+    for canon, sizes in bounded:
+        _assert_bracketed(canon, sizes)
+        p = canon.real / canon.real.sum(axis=1, keepdims=True)
+        lo = p.min(axis=0)
+        vertices = (lo + (1 - lo.sum()) * np.eye(4)) * rng.uniform(0.5, 2, (4, 1))
+        _assert_bracketed(np.concatenate([canon, vertices]), sizes)
+
+
+def test_a_piece_whose_bound_meets_the_best_lower_bound_is_kept(monkeypatch):
+    # the margin raises the upper bounds: a piece whose upper bound sits a
+    # rounding below the window's best lower bound is kept, one a millionth
+    # below it is dropped
+    upper = np.tile([1 - 1e-12, 0.5, 1 - 1e-6], (6, 1))
+    lower = np.tile([1.0, 0.2, 0.1], (6, 1))
+    monkeypatch.setattr(spectral, "_piece_bounds", lambda *args: (upper, lower))
+    [keep] = spectral._candidates(np.ones((6, 4), complex), True, ((1, np.zeros((4, 3))),))
+    assert keep.tolist() == [[True, False, False]] * 6
+
+
+def _block_agrees_with_the_oracle(eta, weights):
+    """`_gaps` of one block of windows on eta's support, one row of weights
+    each, against each window solved alone by the oracle."""
+    n = len(weights)
+    bounds = np.arange(n + 1) * eta.support.size
+    norms, l1s = spectral._gaps(eta.table, np.tile(eta.support, n),
+                                np.concatenate(weights), bounds)
+    for w, norm, l1 in zip(weights, norms, l1s):
+        ratio, ref_norm, ref_l1 = eta_gap_oracle(replace(eta, weights=w))
+        assert norm == pytest.approx(ref_norm, rel=1e-14, abs=0)
+        assert l1 == pytest.approx(ref_l1, rel=1e-14, abs=0)
+        assert norm / l1 == pytest.approx(ratio, rel=1e-14, abs=0)
+
+
+def _an_eta(spec12, a12, q=16):
+    return next(e for e in enumerate_etas(spec12, q, a12, 3, base=0.0) if e.j == 2)
+
+
+def test_a_standalone_eta_meets_the_oracle(spec12, a12):
+    # a stack of one window: its simplex collapses, so every piece is solved
+    for eta in list(enumerate_etas(spec12, 16, a12, 3, base=0.0))[::37]:
+        alone = build_eta(eta.context, eta.j, eta.table)
+        assert alone.stacked[1].bounds.size == 2
+        _assert_agrees_with_the_oracle(eta_gap(alone), alone)
+
+
+def test_a_block_of_one_normalised_weight_vector_meets_the_oracle(spec12, a12, monkeypatch):
+    # eight windows whose weights are multiples of one vector: the simplex
+    # is held open at its floor width, and the block is still bounded
+    eta = _an_eta(spec12, a12)
+    calls = []
+    piece_bounds = spectral._piece_bounds
+    monkeypatch.setattr(spectral, "_piece_bounds",
+                        lambda *args: calls.append(args) or piece_bounds(*args))
+    _block_agrees_with_the_oracle(eta, [eta.weights * c for c in (1, 2, 0.5, 3, 7, 0.1, 1, 9)])
+    assert calls
+
+
+def test_a_block_of_complex_weights_meets_the_oracle(spec12, a12, rng):
+    eta = _an_eta(spec12, a12)
+    phases = np.exp(2j * np.pi * rng.random((8, eta.weights.size)))
+    _block_agrees_with_the_oracle(eta, list(eta.weights * phases))
+
+
+def test_negative_weights_meet_the_oracle(spec12, a12, rng):
+    # a replaced eta alone, and a block of windows with some weights negated
+    eta = _an_eta(spec12, a12)
+    signs = np.where(rng.random((8, eta.weights.size)) < 0.3, -1.0, 1.0)
+    flipped = replace(eta, weights=eta.weights * signs[0])
+    assert flipped.stacked is None
+    _assert_agrees_with_the_oracle(eta_gap(flipped), flipped)
+    _block_agrees_with_the_oracle(eta, list(eta.weights * signs))
+
+
+def test_the_bounds_hold_on_reducible_pieces(spec12, a12):
+    # at q=32 some kept pieces are reducible; the bounds ask only for a
+    # convex, homogeneous norm, so the pruned solve meets the oracle
+    spectral._stack_gaps.cache_clear()
+    etas = [e for e in enumerate_etas(spec12, 32, a12, 3, base=0.0) if e.j == 2]
+    assert len(etas) == 256
+    for eta in etas[::5]:
+        _assert_agrees_with_the_oracle(eta_gap(eta), eta)
 
 
 def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
