@@ -309,15 +309,14 @@ def _require_slots(offsets: np.ndarray, j: int) -> None:
 
 def _cut(windows: _Windows, supports: _Supports, lo: int, hi: int, j: int):
     """Windows lo:hi of a stack, with `_window_supports` at one modulus:
-    (their block rows, the group indices and summed betas of their entries,
-    and the window of each entry, counted from lo). AdmissibilityError when
-    one of them has no inner slot."""
+    (the group indices and summed betas of their entries, and the window of
+    each entry, counted from lo). AdmissibilityError when one of them has
+    no inner slot."""
     _require_slots(windows.offsets[lo : hi + 1], j)
     bounds = supports.bounds
     entries = slice(bounds[lo], bounds[hi])
     window = np.repeat(np.arange(hi - lo), np.diff(bounds[lo : hi + 1]))
-    rows = slice(windows.offsets[lo], windows.offsets[hi])
-    return rows, supports.support[entries], supports.weights[entries], window
+    return supports.support[entries], supports.weights[entries], window
 
 
 def build_eta(ctx: BlockContext, j: int, table: GroupTable | None = None,
@@ -594,12 +593,12 @@ def _chain_terms(spec: SystemSpec, table: GroupTable, L: int, a: float, base, n_
         windows = _window_stack(spec, L, a, o, j0, j)
         supports = _window_supports(spec, table, windows)
         if j == 1:
-            _, support, weights, window = _cut(windows, supports, 0, n_words, j)
+            support, weights, window = _cut(windows, supports, 0, n_words, j)
             chain[window, support] = weights
         else:
             for i in range(n_words):  # the windows (o', o) of o' = i, o minor
-                _, support, weights, window = _cut(windows, supports, i * n_words,
-                                                   (i + 1) * n_words, j)
+                support, weights, window = _cut(windows, supports, i * n_words,
+                                                (i + 1) * n_words, j)
                 hs = distinct(support)
                 w = np.zeros((hs.size, n_words))
                 w[np.searchsorted(hs, support), window] = weights

@@ -794,8 +794,8 @@ def _block_agrees_with_the_oracle(eta, weights):
         assert norm / l1 == pytest.approx(ratio, rel=1e-14, abs=0)
 
 
-def _an_eta(spec12, a12, q=16):
-    return next(e for e in enumerate_etas(spec12, q, a12, 3, base=0.0) if e.j == 2)
+def _an_eta(spec12, a12):
+    return next(e for e in enumerate_etas(spec12, 16, a12, 3, base=0.0) if e.j == 2)
 
 
 def test_a_standalone_eta_meets_the_oracle(spec12, a12):
