@@ -158,8 +158,9 @@ def validate_config(raw: dict) -> RunConfig:
         )
     if not cfg.q_list or any(not isinstance(q, int) or q < 2 for q in cfg.q_list):
         raise ConfigError("q_list must hold integers >= 2", field="q_list")
-    if cfg.tol <= 0 or cfg.max_iter <= 0:
-        raise ConfigError("tol and max_iter must be positive", field="tol")
+    for name in ("tol", "max_iter", "delta_tol", "delta_n"):
+        if not getattr(cfg, name) > 0:  # NaN too
+            raise ConfigError(f"{name} must be positive", field=name)
     if cfg.measure not in _BUILDERS:
         raise ConfigError("measure must be mu, mu1, or nu", field="measure")
     if cfg.subspace not in SUBSPACES:

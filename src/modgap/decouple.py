@@ -81,8 +81,8 @@ class EtaMeasure:
     """One per-block decoupled measure: a Dirac per admissible inner choice.
 
     Held sparse: `support` holds the sorted group indices of the block
-    cocycles and `weights` the betas summed on each. The dense `measure` is
-    built on its first read.
+    cocycles and `weights` the betas summed on each: positive reals, or
+    `spectral.eta_gap` raises DomainError. `measure` is built on first read.
 
     `stacked` is (windows, supports at q, place) of the stack the measure
     was cut from, set by `build_eta` alone: `spectral.eta_gap` solves the

@@ -38,7 +38,7 @@ class AdmissibilityError(ModgapError, ValueError):
 
 
 class DomainError(ModgapError, ValueError):
-    """An evaluation point lies outside the relevant branch domain."""
+    """A point outside its branch domain, or eta weights not positive reals."""
 
 
 class NonContractingError(ModgapError, ValueError):

@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decouple import EtaMeasure
-from .errors import ConvergenceError, EstimationError, GuardExceeded, Guards
+from .errors import ConvergenceError, DomainError, EstimationError, GuardExceeded, Guards
 from .measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu, cocycle
 from .modgroup import (
     GroupTable,
@@ -491,14 +491,12 @@ def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray
     x that attain it come from `_support_class`, once per distinct support.
     Where one x attains it, the weights of every window on that support are
     reordered by one gather; where several do, each window's tie is broken
-    by the real and then imaginary parts of its reordered weights, then by
-    the least x. Empty windows are left out.
+    by its reordered weights, then by the least x. Empty windows are left
+    out. The weights are positive reals, as `_gaps` checks.
 
-    Returns {(key, real): (windows, weights)}: the windows of one class
-    whose weights are all real (or not), and their reordered complex
-    weights, one row each.
+    Returns {key: (windows, weights)}: the windows of one class and their
+    reordered weights, one row each.
     """
-    weights = weights.astype(np.complex128)
     by_support: dict[tuple[int, ...], list[int]] = {}
     for w in np.flatnonzero(np.diff(bounds)).tolist():
         by_support.setdefault(tuple(support[bounds[w] : bounds[w + 1]].tolist()), []).append(w)
@@ -509,14 +507,9 @@ def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray
         cand = weights[bounds[ws][:, None, None] + orders]  # (windows, k, ties)
         if orders.shape[1] == 1:
             canon = cand[:, :, 0]
-        else:  # rows in order of precedence: re and im of each weight
-            canon = np.array([c[:, np.lexsort(np.stack([c.real, c.imag], axis=1)
-                                              .reshape(-1, c.shape[1])[::-1])[0]]
-                              for c in cand])
-        real = ~canon.imag.any(axis=1)
-        for r, sel in ((True, real), (False, ~real)):
-            if sel.any():
-                groups.setdefault((key, r), []).append((ws[sel], canon[sel]))
+        else:  # lexsort's last key takes precedence
+            canon = np.array([c[:, np.lexsort(c[::-1])[0]] for c in cand])
+        groups.setdefault(key, []).append((ws, canon))
     return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in groups.items()}
 
 
@@ -595,9 +588,10 @@ def _character_pieces(table: GroupTable, t: int) -> list[tuple[int, np.ndarray]]
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
+def _class_generators(table: GroupTable, key: tuple[int, ...]):
     """The class elements delta(key[k]) compressed to one piece per
-    isomorphism class of the G-invariant pieces of the mean-zero blocks V_t.
+    isomorphism class, up to complex conjugation, of the G-invariant pieces
+    of the mean-zero blocks V_t, for measures of real weights.
 
     Returns one (d, gens) pair per piece size d, with gens a read-only
     (len(key), pieces * d * d) array of the flattened compressions.
@@ -613,17 +607,16 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     with characters chi and chi' on the conjugacy classes C are isomorphic
     iff sum_C |C| |chi - chi'|^2 / |G| < 1/2 (the sum is the integer
     sum_pi (m_pi - m'_pi)^2 over the irreducible pi), and isomorphic pieces
-    give unitarily equivalent compressions. With real weights (`real`) a
-    piece whose character is conj(chi) of a kept one is dropped too: its
-    compression is conj(B). For the same reason only one of the orbits of
-    t and -t is kept.
+    give unitarily equivalent compressions. The weights are real (`_gaps`
+    checks them), so a piece whose character is conj(chi) of a kept one is
+    dropped too: its compression with real weights is conj(B), of the same
+    norm. For the same reason only one of the orbits of t and -t is kept.
     """
     q = table.q
     cosets = table.cosets()
-    ts = tuple(t for t in cosets.torus_orbits() if t)  # the mean-zero orbits
-    if real:
-        squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
-        ts = tuple(t for t in ts if min(s * -t % q for s in squares) >= t)
+    squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
+    ts = tuple(t for t in cosets.torus_orbits()  # the mean-zero orbits, one of t and -t
+               if t and min(s * -t % q for s in squares) >= t)
     reps, sizes = _conjugacy_classes(table)
     weight = sizes / table.order
     gens = [table.index_of(g) for g in _GENERATORS]
@@ -653,9 +646,8 @@ def _class_generators(table: GroupTable, key: tuple[int, ...], real: bool):
     # dist[i, j] = sum_C |C| |chi_i - chi_j|^2 / |G|, or to conj(chi_j) if smaller
     chi = np.array(chars)
     norms = np.abs(chi) ** 2 @ weight
-    dist = norms[:, None] + norms - 2 * (chi * weight @ chi.conj().T).real
-    if real:
-        dist = np.minimum(dist, norms[:, None] + norms - 2 * (chi * weight @ chi.T).real)
+    dist = norms[:, None] + norms - 2 * np.maximum((chi * weight @ chi.conj().T).real,
+                                                   (chi * weight @ chi.T).real)
     by_size: dict[int, list[np.ndarray]] = {}
     for i in np.flatnonzero(~np.tril(dist < 0.5, -1).any(axis=1)):
         by_size.setdefault(comps[i].shape[1], []).append(comps[i])
@@ -680,8 +672,8 @@ def _piece_bounds(beta: np.ndarray, mass: np.ndarray, gens: np.ndarray,
                   d: int) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower), each (windows, pieces): bounds on the norm
     f_p(beta_w) = ||sum_k beta_w[k] G_kp|| of each piece p of one size d of
-    `_class_generators` (gens), for windows with real, non-negative weights
-    beta (one row each, masses mass = row sums, all positive).
+    `_class_generators` (gens), for windows with positive weights beta (one
+    row each, masses mass = row sums), the one domain `_gaps` admits.
 
     f_p is convex and 1-homogeneous. Upper: the normalised weights
     p_w = beta_w / mass_w lie in the simplex with vertices v_i = lo +
@@ -711,11 +703,10 @@ def _piece_bounds(beta: np.ndarray, mass: np.ndarray, gens: np.ndarray,
     return upper, beta @ g.T
 
 
-def _candidates(canon: np.ndarray, real: bool, sizes) -> list[np.ndarray]:
+def _candidates(canon: np.ndarray, sizes) -> list[np.ndarray]:
     """Per piece size (d, gens) of `_class_generators` (sizes), keep[w, p]:
     whether piece p can attain the norm of window w, for the windows of one
-    class (`_canonical_forms`: their weights canon, one row each, all real
-    or not).
+    class (`_canonical_forms`: their positive weights canon, one row each).
 
     A piece is dropped when its upper bound of `_piece_bounds`, raised by
     the relative margin _BOUND_MARGIN, stays below the window's largest
@@ -723,15 +714,12 @@ def _candidates(canon: np.ndarray, real: bool, sizes) -> list[np.ndarray]:
     is below 1e-12 relative, so the piece's computed norm falls below the
     window's computed maximum, and the maximum over the kept pieces is the
     same number, bit for bit, as over every piece. Every piece is kept (a
-    block with no bound) where the weights are complex or a window's are
-    negative or all zero, or where the windows are at most k + 1, as the
-    one window of a measure solved alone."""
+    block with no bound) where the windows are at most k + 1, as the one
+    window of a measure solved alone."""
     n, k = canon.shape
-    beta = canon.real
-    mass = beta.sum(axis=1)
-    if not real or n <= k + 1 or not ((beta >= 0).all() and (mass > 0).all()):
+    if n <= k + 1:
         return [np.ones((n, gens.shape[1] // (d * d)), dtype=bool) for d, gens in sizes]
-    bounds = [_piece_bounds(beta, mass, gens, d) for d, gens in sizes]
+    bounds = [_piece_bounds(canon, canon.sum(axis=1), gens, d) for d, gens in sizes]
     best = np.max([lower.max(axis=1) for _, lower in bounds], axis=0)[:, None]
     return [~(upper * (1 + _BOUND_MARGIN) < best) for upper, _ in bounds]
 
@@ -744,11 +732,17 @@ def _gaps(table: GroupTable, support: np.ndarray, weights: np.ndarray,
     (k, pieces * d * d) product per chunk of at most _B_ENTRIES complex
     entries of B (a piece alone if larger), one batched B^H B and one
     `eigvalsh` of the kept pieces of the chunk, and the largest top
-    eigenvalue over them. A chunk with no kept piece is skipped."""
+    eigenvalue over them. A chunk with no kept piece is skipped.
+
+    DomainError unless the weights have a real dtype and are all positive:
+    the per-block measures of the decoupling are, and the class build and
+    the bounds hold for them alone."""
+    if np.iscomplexobj(weights) or not (weights > 0).all():
+        raise DomainError("eta_gap needs positive real weights")
     top = np.zeros(bounds.size - 1)
-    for (key, real), (ws, canon) in _canonical_forms(table, support, weights, bounds).items():
-        sizes = _class_generators(table, key, real)
-        for (d, gens), keep in zip(sizes, _candidates(canon, real, sizes)):
+    for key, (ws, canon) in _canonical_forms(table, support, weights, bounds).items():
+        sizes = _class_generators(table, key)
+        for (d, gens), keep in zip(sizes, _candidates(canon, sizes)):
             pieces = gens.shape[1] // (d * d)
             per = max(1, _B_ENTRIES // (d * d))  # matrices per eigen-solve
             rows, cols = max(1, per // pieces), min(pieces, per)
@@ -760,7 +754,7 @@ def _gaps(table: GroupTable, support: np.ndarray, weights: np.ndarray,
                         at = np.broadcast_to(ws[lo : lo + rows, None], sel.shape)[sel]
                         lam = _top_eigenvalues(b.reshape(-1, d, d)[sel.reshape(-1)])
                         np.maximum.at(top, at, lam)
-    l1 = [math.fsum(np.abs(weights[lo:hi]).tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    l1 = [math.fsum(weights[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     return np.sqrt(top), np.array(l1)
 
 
@@ -779,11 +773,13 @@ def _stack_gaps(table: GroupTable, supports, block: int) -> tuple[np.ndarray, np
 def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     """Relative mean-zero gap 1 - norm/mass of one per-block measure.
 
-    The norm is exact up to rounding; nothing iterates, so `iters` is 0 and
-    `seed` is unused. Both stay as long as their callers read them:
-    `verify-lemmas` and perfbench's eta-gaps workload and reference script
-    pass `seed=`, and the workload records `iters`. Two facts make it exact
-    and cheap:
+    The weights must be positive reals, as every measure the decoupling
+    builds has them (beta = exp(a * fsum) > 0): DomainError otherwise, also
+    for an eta made by `dataclasses.replace`. The norm is exact up to
+    rounding; nothing iterates, so `iters` is 0 and `seed` is unused. Both
+    stay as long as their callers read them: `verify-lemmas` and perfbench's
+    eta-gaps workload and reference script pass `seed=`, and the workload
+    records `iters`. Two facts make it exact and cheap:
 
     * Right translation is unitary on the mean-zero functions: convolution
       by eta * delta(g) is convolution by eta after left translation by g.
@@ -798,8 +794,9 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
       block V_t, and the orthogonal complement of one too, so the norm is
       the largest over the invariant pieces of `_character_pieces`. On a
       piece W it is that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top
-      eigenvalue of B^H B. Isomorphic pieces give the same norm, so one
-      piece per character is solved (`_class_generators`).
+      eigenvalue of B^H B. Isomorphic pieces give the same norm, and with
+      real weights so do conjugate ones, so one piece per character up to
+      conjugation is solved (`_class_generators`).
 
     The measures of one window stack share their class and differ only in
     their weights, so they are solved together (`_gaps`): an eta cut from a
@@ -808,23 +805,22 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     and cached for _GAP_CACHE blocks (`_stack_gaps`), with one matmul and
     one batched `eigvalsh` per piece size and chunk of at most _B_ENTRIES
     entries of B. Any other eta, such as one made by `dataclasses.replace`,
-    is solved alone by the same kernel. The compressed generators of a
-    class are cached; at q <= 16 no kept piece exceeds 24 dimensions. The
-    weights are read sparse, and no dense |G| vector is built.
+    is solved alone by the same kernel. The compressed generators are
+    cached, keyed by class; at q <= 16 no kept piece exceeds 24 dimensions.
+    The weights are read sparse, and no dense |G| vector is built.
 
     Only the pieces that can attain a window's norm are solved exactly
-    (`_candidates`). With real, non-negative weights, a piece's norm is
-    convex and 1-homogeneous in them: it is bounded above on the simplex
-    that holds a block's normalised weights, from its norms at the k
-    vertices, and below by the top singular pair at the centroid
-    (`_piece_bounds`). A piece is dropped when its upper bound, raised
-    by 1e-9 relative (_BOUND_MARGIN, far above the bounds' rounding),
-    stays below the window's best lower bound, so every norm is the
-    same number as from every piece. Complex or negative weights, and
-    blocks of at most k + 1 windows (a measure solved alone), keep every
-    piece. On the C07 table (k = 4) the 2304 windows of the 24 bounded
-    blocks keep one piece each; with the 32 windows of L=2, j=1, solved
-    whole, that is 2860 exact solves instead of 40,588.
+    (`_candidates`). A piece's norm is convex and 1-homogeneous in the
+    weights: it is bounded above on the simplex that holds a block's
+    normalised weights, from its norms at the k vertices, and below by the
+    top singular pair at the centroid (`_piece_bounds`). A piece is dropped
+    when its upper bound, raised by 1e-9 relative (_BOUND_MARGIN, far above
+    the bounds' rounding), stays below the window's best lower bound, so
+    every norm is the same number as from every piece. Blocks of at most
+    k + 1 windows (a measure solved alone) keep every piece. On the C07
+    table (k = 4) the 2304 windows of the 24 bounded blocks keep one piece
+    each; with the 32 windows of L=2, j=1, solved whole, that is 2860 exact
+    solves instead of 40,588.
 
     A vanishing gap is reported, not raised; it flags a modulus whose
     inner-letter quotients stay inside a proper subgroup or a block

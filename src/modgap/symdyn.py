@@ -625,8 +625,8 @@ def estimate_delta(spec: SystemSpec, n: int, tol: float = 1e-4, x=None,
     count from the sum, about 1e-14 at n = 10), so Z_n(p)^(1/n) - 1
     evaluated has that sign too. Only the midpoints nearer are evaluated.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or not tol > 0:  # no bisection ends at width tol <= 0
+        raise ValueError(f"need n >= 1 and tol > 0 (got n={n}, tol={tol})")
     logs = orbit_log_derivs(spec, n, x, guard)
     if logs.size == 0:
         raise EstimationError("no admissible words; empty system")

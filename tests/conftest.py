@@ -216,18 +216,17 @@ def breadth_mu(p) -> GroupMeasure:
 def eta_gap_oracle(eta):
     """(1 - c1, norm, l1) of one per-block measure solved on its own: the
     oracle of `spectral.eta_gap`. Its canonical form up to right translation
-    comes from `spectral._support_class`, ties broken by the (re, im) order
-    of the reordered weights, then one (k,) @ (k, pieces * d * d) product and
+    comes from `spectral._support_class`, ties broken by the order of the
+    reordered real weights, then one (k,) @ (k, pieces * d * d) product and
     one `eigvalsh` per piece size of `spectral._class_generators`."""
     table = eta.table
     key, orders = spectral._support_class(table, tuple(eta.support.tolist()))
-    ws = eta.weights.astype(np.complex128)[orders]
-    keys = np.stack([ws.real, ws.imag], axis=1).reshape(-1, ws.shape[1])
-    weights = ws[:, np.lexsort(keys[::-1])[0]]
+    ws = eta.weights[orders]
+    weights = ws[:, np.lexsort(ws[::-1])[0]]
     top = 0.0
-    for d, gens in spectral._class_generators(table, key, not weights.imag.any()):
+    for d, gens in spectral._class_generators(table, key):
         b = (weights @ gens).reshape(-1, d, d)
         top = max(top, float(np.linalg.eigvalsh(np.conj(b.swapaxes(1, 2)) @ b)[:, -1].max()))
     norm = math.sqrt(top)
-    l1 = math.fsum(np.abs(weights).tolist())
+    l1 = math.fsum(weights.tolist())
     return norm / l1, norm, l1

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,25 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert err.startswith("config error: field 'system': digits must lie in 1..9")
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"delta_tol": 0.0}, "delta_tol"),
+    ({"delta_tol": -1.0}, "delta_tol"),
+    ({"delta_n": 0}, "delta_n"),
+    ({"max_iter": 0}, "max_iter"),
+])
+def test_a_bad_delta_or_iteration_limit_exits_2_at_once(tmp_path, raw, field):
+    # in a subprocess under a timeout: a zero bisection width once hung
+    # delta-estimate, and delta_n=0 ended in a traceback
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from modgap.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, "delta-estimate", "--config", str(cfg)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"config error: field '{field}'"), out.stderr
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -79,6 +102,13 @@ def test_config_validation_errors():
         validate_config({"guards": {"max_q": -1}})
     with pytest.raises(ConfigError):
         validate_config({"guards": {"bogus": 3}})
+    # each numeric limit names its own field
+    for raw, field in (({"tol": 0.0}, "tol"), ({"max_iter": 0}, "max_iter"),
+                       ({"delta_tol": 0.0}, "delta_tol"), ({"delta_tol": -1.0}, "delta_tol"),
+                       ({"delta_n": 0}, "delta_n")):
+        with pytest.raises(ConfigError, match=field) as e:
+            validate_config(raw)
+        assert e.value.field == field
     # systems that do not build: no digits, digit 0, a generator with no inverse, no such mode
     for system in ({"mode": "zaremba"}, {"mode": "zaremba", "digits": [0]},
                    {"mode": "schottky", "generators": [[2, 1, 1, 1]]}, {"mode": "hyperbolic"}):

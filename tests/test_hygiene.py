@@ -98,6 +98,58 @@ def test_every_definition_is_read():
     assert unread_definitions(sources, readers) == sorted(KEEP)
 
 
+# parameters that a body never reads, kept on purpose
+KEEP_PARAMETERS = {
+    "spectral.eta_gap(seed)": "perfbench's eta-gaps workload and reference script pass seed=",
+    "decouple.make_context(r_prime)": "perfbench/regen_refs.py passes it positionally",
+    **{f"cli.{cmd}(args)": "every subcommand has the one dispatch signature cmd(args)"
+       for cmd in ("cmd_delta_estimate", "cmd_decouple_verify", "cmd_opnorm",
+                   "cmd_verify_lemmas", "cmd_schottky_check")},
+}
+
+
+def unread_parameters(source: str, module: str) -> list[str]:
+    """Parameters of the functions and methods in `source`, reported as
+    `module.Class.function(name)`, that their body never reads. A parameter
+    is read by a loaded bare name anywhere in the body, nested definitions
+    included; `self` and `cls` are exempt, and defaults are not the body."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p is not None and p.arg not in ("self", "cls")]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.extend(f"{name}({p})" for p in params if p not in read)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), module)
+    return unread
+
+
+def test_scan_flags_an_unread_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    b = 2\n    return c, kw\n"
+              "class C:\n    def m(self, x, y=None):\n        def inner():\n            return x\n"
+              "        return inner\n")
+    # a store is not a read, a nested read is, and self is exempt
+    assert unread_parameters(source, "mod") == ["mod.f(a)", "mod.f(b)", "mod.f(args)",
+                                                "mod.C.m(y)"]
+    assert unread_parameters("def g(x, y=x):\n    pass\n", "mod") == ["mod.g(x)", "mod.g(y)"]
+
+
+def test_every_parameter_is_read():
+    unread = [u for p in MODULES for u in unread_parameters(p.read_text(), p.stem)]
+    assert sorted(unread) == sorted(KEEP_PARAMETERS)
+
+
 def test_a_sweep_and_a_decoupled_bound_leave_numpy_ma_unimported():
     # the plain form of np.unique imports numpy.ma on its first call (numpy
     # 2.4), 11-13 ms of every process that reaches it

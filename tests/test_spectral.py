@@ -7,7 +7,7 @@ import pytest
 from conftest import eta_gap_oracle, measure_on, stabiliser_isometries, unsplit_blocks
 from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
-from modgap.errors import ConvergenceError, EstimationError, GuardExceeded
+from modgap.errors import ConvergenceError, DomainError, EstimationError, GuardExceeded, ModgapError
 from modgap.measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
 from modgap.modgroup import NewSpaceProjector, get_group
 from modgap.spectral import (
@@ -549,39 +549,35 @@ def _translation_class_loop(table, supp, weights):
     forms = []
     for col in table.products(supp[:, None], table.inverse[supp]).T:
         order = np.argsort(col)
-        forms.append((tuple(col[order].tolist()),
-                      tuple(zip(weights.real[order].tolist(), weights.imag[order].tolist()))))
+        forms.append((tuple(col[order].tolist()), tuple(weights[order].tolist())))
     key, ws = min(forms)
-    return key, np.array([complex(*w) for w in ws])
+    return key, np.array(ws)
 
 
 @pytest.mark.parametrize("q", [8, 13])
 def test_translation_class_matches_the_loop(spec12, a12, q, rng):
-    # the same key and weights, bit for bit, with real and with complex weights;
-    # on the unipotent subgroup every x gives the same support, so the
-    # weights break the tie, by real parts and then imaginary ones. Every
-    # case is one window of a single batch, which runs cold and then warm on
-    # the cached supports; the warm pass gives the unipotent support new tied
-    # weights
+    # the same key and weights, bit for bit, with the table's weights and
+    # positive re-weightings of them; on the unipotent subgroup every x gives
+    # the same support, so the weights break the tie. Every case is one
+    # window of a single batch, which runs cold and then warm on the cached
+    # supports; the warm pass gives the unipotent support new tied weights
     spectral._support_class.cache_clear()
     t = get_group(q)
-    cases = [(e.measure.support, e.measure.coeffs[e.measure.support])
+    cases = [(e.support, e.weights)
              for L in (2, 3) for e in enumerate_etas(spec12, q, a12, L, base=0.0)]
-    cases += [(s, w * np.exp(2j * np.pi * rng.random(w.size))) for s, w in cases[:40]]
+    cases += [(s, w * rng.uniform(0.5, 2, w.size)) for s, w in cases[:40]]
     unipotent = np.sort([t.index_of([[1, b], [0, 1]]) for b in range(q)])
     for _ in ("cold", "warm"):
-        tied = [(unipotent, rng.integers(2, size=q) + 1j * rng.integers(3, size=q))
-                for _ in range(5)]
+        tied = [(unipotent, rng.integers(1, 3, size=q).astype(float)) for _ in range(5)]
         batch = cases + tied
         bounds = np.cumsum([0] + [s.size for s, _ in batch])
         forms = spectral._canonical_forms(t, np.concatenate([s for s, _ in batch]),
                                           np.concatenate([w for _, w in batch]), bounds)
         seen = []
-        for (key, real), (windows, weights) in forms.items():
+        for key, (windows, weights) in forms.items():
             for w, ws in zip(windows.tolist(), weights):
                 ref_key, ref_ws = _translation_class_loop(t, *batch[w])
                 assert key == ref_key and np.array_equal(ws, ref_ws)
-                assert real == (not batch[w][1].imag.any())
                 seen.append(w)
         assert sorted(seen) == list(range(len(batch)))
         # one miss per distinct support, all of them in the cold pass
@@ -639,7 +635,7 @@ def test_eta_gap_does_not_depend_on_cache_state(spec12, a12, q):
 def _holding(eta, m):
     """eta with its sparse support and weights replaced by those of m."""
     supp = m.support
-    return replace(eta, support=supp, weights=m.coeffs[supp])
+    return replace(eta, support=supp, weights=m.coeffs[supp].real)
 
 
 @pytest.mark.parametrize("q", [8, 16])
@@ -687,8 +683,8 @@ def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
         shapes.append(a.shape)
         return eigvalsh(a)
 
-    def keep(canon, real, sizes):
-        masks = candidates(canon, real, sizes)
+    def keep(canon, sizes):
+        masks = candidates(canon, sizes)
         kept.append((canon.shape, masks))
         return masks
 
@@ -705,7 +701,7 @@ def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
         eta_gap(eta)
         key, _ = spectral._support_class(table, tuple(eta.support.tolist()))
         pieces = sum(gens.shape[1] // (d * d)
-                     for d, gens in spectral._class_generators(table, key, True))
+                     for d, gens in spectral._class_generators(table, key))
         [((n, k), masks)] = kept  # one class holds the block
         assert n == min(n_windows, 256)
         assert all(m * d * d <= 2**14 for m, d, _ in shapes)
@@ -728,14 +724,13 @@ def _piece_norms(canon, sizes):
 def _assert_bracketed(canon, sizes):
     """lower <= exact <= upper for every piece of every window (within 1e-12
     relative), and every piece that attains a window's norm is kept."""
-    beta = canon.real
     exact = _piece_norms(canon, sizes)
     for (d, gens), f in zip(sizes, exact):
-        upper, lower = spectral._piece_bounds(beta, beta.sum(axis=1), gens, d)
+        upper, lower = spectral._piece_bounds(canon, canon.sum(axis=1), gens, d)
         assert (lower <= f * (1 + 1e-12)).all()
         assert (f <= upper * (1 + 1e-12)).all()
     top = np.max([f.max(axis=1) for f in exact], axis=0)[:, None]
-    for f, keep in zip(exact, spectral._candidates(canon, True, sizes)):
+    for f, keep in zip(exact, spectral._candidates(canon, sizes)):
         assert keep[f == top].all()
 
 
@@ -746,9 +741,9 @@ def test_piece_bounds_bracket_every_window_of_the_gap_table(spec12, a12, monkeyp
     seen = []
     candidates = spectral._candidates
 
-    def record(canon, real, sizes):
-        seen.append((canon, real, sizes))
-        return candidates(canon, real, sizes)
+    def record(canon, sizes):
+        seen.append((canon, sizes))
+        return candidates(canon, sizes)
 
     monkeypatch.setattr(spectral, "_candidates", record)
     spectral._stack_gaps.cache_clear()
@@ -757,13 +752,13 @@ def test_piece_bounds_bracket_every_window_of_the_gap_table(spec12, a12, monkeyp
             for eta in enumerate_etas(spec12, q, a12, L, base=0.0):
                 eta_gap(eta)
     rng = np.random.default_rng(26)
-    bounded = [(canon, sizes) for canon, real, sizes in seen if real and len(canon) > 5]
+    bounded = [(canon, sizes) for canon, sizes in seen if len(canon) > 5]
     # per modulus: the 16 windows of L=2, j=2 and the 16 and 256 of L=3; the
     # four windows of L=2, j=1 are too few to bound
     assert [len(canon) for canon, _ in bounded] == [16] * 8 + [16, 256] * 8
     for canon, sizes in bounded:
         _assert_bracketed(canon, sizes)
-        p = canon.real / canon.real.sum(axis=1, keepdims=True)
+        p = canon / canon.sum(axis=1, keepdims=True)
         lo = p.min(axis=0)
         vertices = (lo + (1 - lo.sum()) * np.eye(4)) * rng.uniform(0.5, 2, (4, 1))
         _assert_bracketed(np.concatenate([canon, vertices]), sizes)
@@ -776,7 +771,7 @@ def test_a_piece_whose_bound_meets_the_best_lower_bound_is_kept(monkeypatch):
     upper = np.tile([1 - 1e-12, 0.5, 1 - 1e-6], (6, 1))
     lower = np.tile([1.0, 0.2, 0.1], (6, 1))
     monkeypatch.setattr(spectral, "_piece_bounds", lambda *args: (upper, lower))
-    [keep] = spectral._candidates(np.ones((6, 4), complex), True, ((1, np.zeros((4, 3))),))
+    [keep] = spectral._candidates(np.ones((6, 4)), ((1, np.zeros((4, 3))),))
     assert keep.tolist() == [[True, False, False]] * 6
 
 
@@ -818,22 +813,6 @@ def test_a_block_of_one_normalised_weight_vector_meets_the_oracle(spec12, a12, m
     assert calls
 
 
-def test_a_block_of_complex_weights_meets_the_oracle(spec12, a12, rng):
-    eta = _an_eta(spec12, a12)
-    phases = np.exp(2j * np.pi * rng.random((8, eta.weights.size)))
-    _block_agrees_with_the_oracle(eta, list(eta.weights * phases))
-
-
-def test_negative_weights_meet_the_oracle(spec12, a12, rng):
-    # a replaced eta alone, and a block of windows with some weights negated
-    eta = _an_eta(spec12, a12)
-    signs = np.where(rng.random((8, eta.weights.size)) < 0.3, -1.0, 1.0)
-    flipped = replace(eta, weights=eta.weights * signs[0])
-    assert flipped.stacked is None
-    _assert_agrees_with_the_oracle(eta_gap(flipped), flipped)
-    _block_agrees_with_the_oracle(eta, list(eta.weights * signs))
-
-
 def test_the_bounds_hold_on_reducible_pieces(spec12, a12):
     # at q=32 some kept pieces are reducible; the bounds ask only for a
     # convex, homogeneous norm, so the pruned solve meets the oracle
@@ -844,37 +823,35 @@ def test_the_bounds_hold_on_reducible_pieces(spec12, a12):
         _assert_agrees_with_the_oracle(eta_gap(eta), eta)
 
 
-def test_eta_gap_with_complex_weights_matches_lanczos(spec12, a12, rng):
-    # with complex weights the q=8 norm is the largest bare block over every
-    # mean-zero orbit, and the Lanczos solve of the split blocks meets it
-    # within its residual. Both hold here even when partner orbits or
-    # conjugate characters are merged; the q=16 test below catches that
-    eta = build_eta(make_context(spec12, 8, 2, 2, ((1,), (0,)), a12, base=0.0), 2)
-    supp = eta.measure.support
-    phases = np.exp(2j * np.pi * rng.random(supp.size))
-    m = measure_on(eta.measure.table, supp, eta.measure.coeffs[supp] * phases)
-    rep = eta_gap(_holding(eta, m))
-    op = ConvOperator(m, "mean_zero")
-    assert rep.norm == pytest.approx(max(_block_norms(m, op.orbits())), rel=1e-12)
-    lanczos = operator_norm(op)
-    assert abs(rep.norm**2 - lanczos.norm**2) <= lanczos.residual + 1e-12 * rep.norm**2
-
-
 @pytest.mark.parametrize("q", [16, 24, 25])
 def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a12, q, rng):
-    # with complex weights neither partner orbits nor conjugate characters
-    # may be merged. The weights and their conjugates have one norm, reached
-    # on conjugate pieces, so one of the two would miss it after such a merge.
-    # |S| = 4, 8 and 2 at q = 16, 24 and 25
+    # positive re-weightings of the table's measures against the largest
+    # bare block over every mean-zero orbit: the class build keeps one of
+    # the orbits t and -t and one of each pair of conjugate characters,
+    # which loses no norm with real weights. |S| = 4, 8 and 2 at q = 16, 24
+    # and 25, beyond the moduli of test_eta_gap_is_the_largest_block_norm
     for j in (1, 2):
         eta = build_eta(make_context(spec12, q, 2, 2, ((1,), (0,)), a12, base=0.0), j)
         supp = eta.measure.support
-        phases = np.exp(2j * np.pi * rng.random(supp.size))
-        for ph in (phases, phases.conj()):
-            m = measure_on(eta.measure.table, supp, eta.measure.coeffs[supp] * ph)
+        for _ in range(2):
+            scale = rng.uniform(0.5, 2, supp.size)
+            m = measure_on(eta.measure.table, supp, eta.measure.coeffs[supp] * scale)
             rep = eta_gap(_holding(eta, m))
             ts = ConvOperator(m, "mean_zero").orbits()
             assert rep.norm == pytest.approx(max(_block_norms(m, ts)), rel=1e-12)
+
+
+def test_eta_gap_rejects_weights_outside_the_positive_reals(spec12, a12):
+    # complex (even with no imaginary part), negative and zero weights, on a
+    # replaced eta, which `eta_gap` solves from its own weights
+    eta = _an_eta(spec12, a12)
+    negative, zero = eta.weights.copy(), eta.weights.copy()
+    negative[1] *= -1
+    zero[0] = 0.0
+    for weights in (eta.weights * np.exp(1j), eta.weights.astype(complex), negative, zero):
+        with pytest.raises(DomainError, match="positive real weights"):
+            eta_gap(replace(eta, weights=weights))
+    assert issubclass(DomainError, ModgapError) and issubclass(DomainError, ValueError)
 
 
 @pytest.mark.parametrize("q, count", [(5, 9), (7, 11), (13, 17), (8, 30), (16, 76)])

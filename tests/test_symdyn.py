@@ -287,6 +287,13 @@ def test_delta_out_of_bracket_is_reported(spec12, margin, monkeypatch):
         estimate_delta(spec12, 6)
 
 
+@pytest.mark.parametrize("n, tol", [(0, 1e-4), (4, 0.0), (4, -1.0), (4, math.nan)])
+def test_delta_rejects_a_bad_word_length_or_width(spec12, n, tol):
+    # a bisection to width tol <= 0 would never end
+    with pytest.raises(ValueError, match="need"):
+        estimate_delta(spec12, n, tol)
+
+
 def test_delta_peak_below_one_and_a_half_log_arrays(spec12):
     estimate_delta(spec12, 3)
     d, peak = traced_peak(lambda: estimate_delta(spec12, 10))
