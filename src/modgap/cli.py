@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
@@ -158,6 +159,10 @@ def validate_config(raw: dict) -> RunConfig:
         )
     if not cfg.q_list or any(not isinstance(q, int) or q < 2 for q in cfg.q_list):
         raise ConfigError("q_list must hold integers >= 2", field="q_list")
+    for name in ("b", "r_log_coeff", "x", "base_point", "tol", "delta_tol"):
+        val = getattr(cfg, name)
+        if isinstance(val, float) and not math.isfinite(val):  # JSON NaN and +-Infinity
+            raise ConfigError(f"{name} must be finite", field=name)
     for name in ("tol", "max_iter", "delta_tol", "delta_n"):
         if not getattr(cfg, name) > 0:  # NaN too
             raise ConfigError(f"{name} must be positive", field=name)

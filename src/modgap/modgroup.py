@@ -187,9 +187,10 @@ class GroupTable:
         """t[k] = index(elems[i] @ elems[k]); one row of the Cayley table."""
         return self.products(i, slice(None))
 
-    def right_translation(self, i) -> np.ndarray:
+    def right_translation(self, i, of=slice(None)) -> np.ndarray:
         """t[k] = index(elems[k] @ elems[i]); for an index array i, one such
-        row per entry.
+        row per entry, and for an index array `of`, t[k] = index(elems[of[k]]
+        @ elems[i]), of the shape of `of`.
 
         Each row of elems[k] @ h is a row of elems[k] times h, so the key of
         the product is read from one table of the q^2 row images under h,
@@ -202,7 +203,8 @@ class GroupTable:
         ha, hb, hc, hd = self._columns[:, i, None].astype(np.int64)
         x, y = np.divmod(np.arange(q * q), q)  # the row (x, y), packed as x q + y
         image = (x * ha + y * hc) % q * q + (x * hb + y * hd) % q
-        return self.key_to_index[image[..., self._rows[0]] * (q * q) + image[..., self._rows[1]]]
+        rows = self._rows[:, of]
+        return self.key_to_index[image[..., rows[0]] * (q * q) + image[..., rows[1]]]
 
     # -- reduction fibers -------------------------------------------------
 

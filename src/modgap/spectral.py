@@ -27,11 +27,12 @@ only for small groups, as oracles and for eigenvalue multiplicity counts.
 The per-block gap (`eta_gap`) needs no iteration. Right translation of a
 measure is unitary on the mean-zero functions, so a measure and its right
 translates have one norm, and the per-block measures of one modulus fall
-into a few right-translation classes. Each block V_t splits once into
-G-invariant pieces, by the characters of S and then into the eigenspaces
-of a Hermitian element of its commutant. A piece keeps the |G|/(q|S|)
-coordinates of its chi-eigenspace of S, on which a group element acts as a
-monomial matrix. Left convolution preserves each piece and its complement,
+into a few right-translation classes. Each unit block V_t of each level
+l | q splits once into G-invariant pieces, by the characters of S and then
+into the eigenspaces of a Hermitian element of its commutant; together
+they hold every nontrivial irreducible of SL2(Z/q). A piece keeps the
+|G|/(q|S|) coordinates of its chi-eigenspace of S, on which a group
+element acts as a monomial matrix. Left convolution preserves each piece and its complement,
 so the largest norm over the pieces, of small dense matrices, is exact.
 Isomorphic pieces have one norm, so only one piece per character,
 evaluated on the conjugacy classes, is solved. The measures cut from one
@@ -403,18 +404,24 @@ class LemmaExpandTester:
         self.table = table
         self.elements = [int(h) for h in elements]
         self.guard = guard
-        # first, so that the dense guard is checked before any dense allocation
-        MA = self._weighted_matrix(np.ones(len(self.elements)))
-        self._P0 = dense_subspace_projector(table, "mean_zero")
-        S = self._P0 @ MA @ self._P0
-        lam = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
-        self.c0 = 1.0 - lam / len(self.elements)
+        self.c0 = 1.0 - self._mean_zero_top(np.ones(len(self.elements))) / len(self.elements)
 
     def _weighted_matrix(self, kappas) -> np.ndarray:
         """Convolution matrix of the weighted measure sum_h kappa_h delta_h."""
         coeffs = np.zeros(self.table.order)
         np.add.at(coeffs, self.elements, kappas)
         return dense_conv_matrix(GroupMeasure(self.table, coeffs), self.guard)
+
+    def _mean_zero_top(self, kappas) -> float:
+        """Top eigenvalue of the symmetric part of S = P0 M P0, with M the
+        weighted convolution matrix and P0 = I - 11^T/|G|. S is M double
+        centred: M less its column means and its row means, plus its grand
+        mean, in O(|G|^2) with no dense matrix product."""
+        M = self._weighted_matrix(kappas)
+        S = M - M.mean(axis=0)
+        S -= M.mean(axis=1)[:, None]
+        S += M.mean()
+        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
 
     def check(self, kappas) -> LemmaExpandReport:
         kappas = np.asarray(kappas, dtype=float)
@@ -425,8 +432,7 @@ class LemmaExpandTester:
         K = float(kappas.max() / kbar)
         hypothesis_ok = self.c0 > 0
         if hypothesis_ok:
-            S = self._P0 @ self._weighted_matrix(kappas) @ self._P0
-            lhs = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+            lhs = self._mean_zero_top(kappas)
             rhs = kbar * (1.0 - self.c0 + math.sqrt(max(K - 1.0, 0.0))) * J
             passed = lhs <= rhs * (1.0 + 1e-9) + 1e-12
         else:
@@ -543,6 +549,8 @@ def _conjugacy_classes(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 def _character_pieces(table: GroupTable, t: int) -> list[tuple[int, np.ndarray]]:
     """Pairs (x, v) of G-invariant pieces that split V_t: v is an orthonormal
     basis (n/|S|, d) of the piece in the coordinates of the chi_x-eigenspace of S.
+    `_new_pieces` calls it at unit t alone, where V_t holds only
+    irreducibles new at level q.
 
     The pieces are the eigenspaces of a seeded Hermitian element of the
     commutant of left translation on V_t, H = sum_k (c_k T_k + conj(c_k) T_k^H)
@@ -572,12 +580,14 @@ def _character_pieces(table: GroupTable, t: int) -> list[tuple[int, np.ndarray]]
     gs = rng.integers(table.order, size=_HECKE_TERMS)
     coef = ([1, 1j] @ rng.standard_normal((2, gs.size))) / q
     gs, coef = np.concatenate([gs, table.inverse[gs]]), np.concatenate([coef, coef.conj()])
-    idx = table.products(cosets.grid[reps][None], gs[:, None, None])  # s_r u_b g_k
-    c = where[cosets.cid[idx]]  # s_r u_b g_k = z s_r' u_(beta - gamma_z(r')) with c = z m + r'
-    beta = cosets.beta[idx] - gamma.flat[c]
-    cells = (np.arange(m)[:, None] * n + c).reshape(-1)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    phase = (coef[:, None, None] * roots[t * (beta - np.arange(q)) % q]).reshape(-1)
+    idx = table.right_translation(gs, of=cosets.grid[reps])  # s_r u_b g_k
+    # per element, s_r u_b g_k = z s_r' u_(beta - gamma_z(r')) with c = z m + r'
+    c = where[cosets.cid]
+    beta = (cosets.beta - gamma.flat[c]) % q
+    cells = (np.arange(m)[:, None] * n + c[idx]).reshape(-1)
+    # roots[beta, b] = e(t (beta - b) / q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)[t * (np.arange(q)[:, None] - np.arange(q)) % q]
+    phase = (coef[:, None, None] * roots[beta[idx], np.arange(q)]).reshape(-1)
     h = np.bincount(cells, phase.real, m * n) + 1j * np.bincount(cells, phase.imag, m * n)
     pieces = []
     for x, h_chi in enumerate(np.einsum("xz,rzs->xrs", chars, h.reshape(m, -1, m))):
@@ -587,21 +597,32 @@ def _character_pieces(table: GroupTable, t: int) -> list[tuple[int, np.ndarray]]
     return pieces
 
 
-@lru_cache(maxsize=_CLASS_CACHE)
-def _class_generators(table: GroupTable, key: tuple[int, ...]):
-    """The class elements delta(key[k]) compressed to one piece per
-    isomorphism class, up to complex conjugation, of the G-invariant pieces
-    of the mean-zero blocks V_t, for measures of real weights.
+def _folded(table: GroupTable, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, perm, beta), each (len(elements), m): g^-1 s_r = z s_perm(r) u_beta
+    for every element g at the S-orbit heads r, the data of g's folded
+    monomial f(r) -> chi(z) e(t beta / q) f(perm(r)) on a chi-eigenspace of V_t."""
+    cosets = table.cosets()
+    heads, _, gamma, _, where = cosets.stabiliser
+    idx = table.products(table.inverse[elements][:, None], cosets.section[heads])
+    z, perm = np.divmod(where[cosets.cid[idx]], heads.size)
+    return z, perm, cosets.beta[idx] - gamma[z, perm]
 
-    Returns one (d, gens) pair per piece size d, with gens a read-only
-    (len(key), pieces * d * d) array of the flattened compressions.
+
+@lru_cache(maxsize=None)
+def _new_pieces(table: GroupTable) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The G-invariant pieces (t, x, w) of the unit blocks V_t of SL2(Z/q),
+    q = table.q, one per isomorphism class up to complex conjugation, with w
+    the piece's basis in its chi_x-eigenspace (`_character_pieces`). They
+    hold exactly the irreducibles new at level q (see `_class_generators`),
+    and no class element goes into them, so they are built once per level,
+    whatever modulus q divides.
 
     Each piece W is checked invariant under the generators [[0,-1],[1,0]]
     and [[1,1],[0,1]] of SL2(Z/q), which act on its chi-eigenspace of S as
-    folded monomials of unit norm, f(r) -> chi(z) e(t b / q) f(r') with
-    g^-1 s_r = z s_r' u_b: EstimationError if a column of their image of W
-    leaves span W by more than _INVARIANCE_TOL. A piece that merges two
-    invariant pieces is harmless; one that splits one gives a wrong norm.
+    folded monomials of unit norm (`_folded`): EstimationError if a column
+    of their image of W leaves span W by more than _INVARIANCE_TOL. A piece
+    that merges two invariant pieces is harmless; one that splits one gives
+    a wrong norm.
 
     Every piece is checked, but only one per character is kept: pieces
     with characters chi and chi' on the conjugacy classes C are isomorphic
@@ -610,50 +631,73 @@ def _class_generators(table: GroupTable, key: tuple[int, ...]):
     give unitarily equivalent compressions. The weights are real (`_gaps`
     checks them), so a piece whose character is conj(chi) of a kept one is
     dropped too: its compression with real weights is conj(B), of the same
-    norm. For the same reason only one of the orbits of t and -t is kept.
+    norm. For the same reason only one of the orbits of t and -t is split.
     """
     q = table.q
-    cosets = table.cosets()
     squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
-    ts = tuple(t for t in cosets.torus_orbits()  # the mean-zero orbits, one of t and -t
-               if t and min(s * -t % q for s in squares) >= t)
+    ts = tuple(t for t in table.cosets().torus_orbits()  # the units, one of t and -t
+               if math.gcd(t, q) == 1 and min(s * -t % q for s in squares) >= t)
     reps, sizes = _conjugacy_classes(table)
     weight = sizes / table.order
-    gens = [table.index_of(g) for g in _GENERATORS]
-    k = len(key)
-    heads, _, gamma, signs, where = cosets.stabiliser
-    # g^-1 s_r = s_c u_b = z s_perm(r) u_(b - gamma_z(perm(r))) at the S-orbit heads r
-    idx = table.products(table.inverse[[*key, *gens, *reps]][:, None], cosets.section[heads])
-    z, perm = np.divmod(where[cosets.cid[idx]], heads.size)
-    beta = cosets.beta[idx] - gamma[z, perm]
-    cols = np.arange(heads.size)
-    comps, chars = [], []
+    signs = table.cosets().stabiliser[3]
+    z, perm, beta = _folded(table, [table.index_of(g) for g in _GENERATORS] + reps.tolist())
+    cols = np.arange(perm.shape[1])
+    pieces, chars = [], []
     for t in ts:
         phase = np.exp(2j * np.pi * t * beta / q)
         for x, w in _character_pieces(table, t):
-            mono = signs[x, z] * phase  # the folded monomials, (elements, m)
-            mw = mono[: k + 2, :, None] * w[perm[: k + 2]]
-            comp = w.conj().T @ mw
-            off = np.linalg.norm(mw[k:] - w @ comp[k:], axis=1).max()
+            mono = signs[x, z] * phase
+            mw = mono[:2, :, None] * w[perm[:2]]
+            off = np.linalg.norm(mw - w @ (w.conj().T @ mw), axis=1).max()
             if off > _INVARIANCE_TOL:
                 raise EstimationError(
                     f"piece of dimension {w.shape[1]} at q={q}, t={t} is not "
                     f"invariant: {off:.2e} of a generator's image leaves it"
                 )
-            comps.append(comp[:k])
+            pieces.append((t, x, np.ascontiguousarray(w)))
             # chi(g^-1) = tr(W^H M_t W) = sum_r mono(r) P[perm(r), r], P = W W^H
-            chars.append((mono[k + 2:] * (w @ w.conj().T)[perm[k + 2:], cols]).sum(axis=1))
+            chars.append((mono[2:] * (w @ w.conj().T)[perm[2:], cols]).sum(axis=1))
     # dist[i, j] = sum_C |C| |chi_i - chi_j|^2 / |G|, or to conj(chi_j) if smaller
     chi = np.array(chars)
     norms = np.abs(chi) ** 2 @ weight
     dist = norms[:, None] + norms - 2 * np.maximum((chi * weight @ chi.conj().T).real,
                                                    (chi * weight @ chi.T).real)
+    return tuple(pieces[i] for i in np.flatnonzero(~np.tril(dist < 0.5, -1).any(axis=1)))
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _class_generators(table: GroupTable, key: tuple[int, ...]):
+    """The class elements delta(key[k]) compressed to one piece per
+    isomorphism class, up to complex conjugation, of the G-invariant pieces
+    of the mean-zero functions on G = SL2(Z/q), for measures of real weights.
+
+    Returns one (d, gens) pair per piece size d, with gens a read-only
+    (len(key), pieces * d * d) array of the flattened compressions.
+
+    The pieces are those of the unit blocks of every level l | q, l > 1
+    (`_new_pieces`). A nontrivial irreducible pi factors through reduction
+    to a least level l, since the kernels K_a, K_b of reduction to a and b
+    give K_a K_b = K_gcd(a, b) by the Chinese remainder theorem; pi is new
+    at level l, so by the argument of `operator_norm` it holds a unit
+    character and occurs in a unit block of SL2(Z/l). A unit block of level
+    l holds only irreducibles new at l, so pieces of two levels are never
+    isomorphic, and eta acts on a level-l piece as its reduction mod l.
+    The key elements are reduced mod each level, looked up in its table and
+    compressed onto its kept pieces, and the pieces of every level are
+    merged by size, the lower levels first.
+    """
+    q = table.q
+    elems = table.elems[list(key)]
     by_size: dict[int, list[np.ndarray]] = {}
-    for i in np.flatnonzero(~np.tril(dist < 0.5, -1).any(axis=1)):
-        by_size.setdefault(comps[i].shape[1], []).append(comps[i])
+    for level in (get_group(div, q) for div in range(2, q + 1) if q % div == 0):
+        signs = level.cosets().stabiliser[3]
+        z, perm, beta = _folded(level, level.key_to_index[level._pack(*(elems % level.q).T)])
+        for t, x, w in _new_pieces(level):
+            mono = signs[x, z] * np.exp(2j * np.pi * t * beta / level.q)
+            by_size.setdefault(w.shape[1], []).append(w.conj().T @ (mono[:, :, None] * w[perm]))
     out = []
     for d, group in by_size.items():
-        arr = np.stack(group, axis=1).reshape(k, -1)
+        arr = np.stack(group, axis=1).reshape(len(key), -1)
         arr.setflags(write=False)
         out.append((d, arr))
     return tuple(out)
@@ -792,11 +836,15 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
       modulus at L=2 and 15-16 at L=3 and sorts each once, not once per eta.
     * Left convolution preserves every G-invariant subspace of a character
       block V_t, and the orthogonal complement of one too, so the norm is
-      the largest over the invariant pieces of `_character_pieces`. On a
-      piece W it is that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top
-      eigenvalue of B^H B. Isomorphic pieces give the same norm, and with
-      real weights so do conjugate ones, so one piece per character up to
-      conjugation is solved (`_class_generators`).
+      the largest over the invariant pieces of `_character_pieces`. Every
+      nontrivial irreducible is new at one level l | q, l > 1, and occurs
+      in a unit block of SL2(Z/l), so the mean-zero norm is the largest
+      over the levels of eta mod l on the unit blocks of level l, each
+      level split once per process (`_new_pieces`). On a piece W it is
+      that of B = sum_k beta_k W^H M_t(delta(g_k)) W, the top eigenvalue of
+      B^H B. Isomorphic pieces give the same norm, and with real weights so
+      do conjugate ones, so one piece per character up to conjugation is
+      solved (`_class_generators`).
 
     The measures of one window stack share their class and differ only in
     their weights, so they are solved together (`_gaps`): an eta cut from a
@@ -807,6 +855,8 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     entries of B. Any other eta, such as one made by `dataclasses.replace`,
     is solved alone by the same kernel. The compressed generators are
     cached, keyed by class; at q <= 16 no kept piece exceeds 24 dimensions.
+    The pieces are cached per level and hold no class element, so the
+    moduli of one process share the levels they have in common.
     The weights are read sparse, and no dense |G| vector is built.
 
     Only the pieces that can attain a window's norm are solved exactly

@@ -50,6 +50,20 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture()
+def cold_class_build():
+    """Empty the caches of `spectral`'s class build, its per-level pieces
+    (`_new_pieces`) and the solved window blocks before and after the test,
+    so a test that patches the build sees it run, and no piece it built
+    outlives it."""
+    caches = (spectral._class_generators, spectral._new_pieces, spectral._stack_gaps)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def random_sl2z(rng, n_factors=6):
     """Random SL2(Z) matrix as a product of elementary matrices (exact)."""
     m = np.eye(2, dtype=object)

@@ -50,6 +50,19 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert err.startswith("config error: field 'system': digits must lie in 1..9")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("b", "NaN"), ("r_log_coeff", "Infinity"), ("x", "NaN"), ("base_point", "-Infinity"),
+    ("tol", "Infinity"), ("delta_tol", "Infinity"),
+])
+def test_a_float_field_that_is_not_finite_exits_2(tmp_path, capsys, field, value):
+    # JSON NaN and +-Infinity parse as floats; `inf > 0` passed the positive checks
+    cfg = tmp_path / "c.json"
+    cfg.write_text(f'{{"{field}": {value}}}')
+    code, _, err = run_cli(capsys, "group-info", "--q", "5", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"config error: field '{field}': {field} must be finite")
+
+
 @pytest.mark.parametrize("raw, field", [
     ({"delta_tol": 0.0}, "delta_tol"),
     ({"delta_tol": -1.0}, "delta_tol"),

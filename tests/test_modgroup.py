@@ -126,10 +126,14 @@ def test_translations_are_cayley_rows(t5, rng):
 
 @pytest.mark.parametrize("q", [2, 6, 8, 25, 32])
 def test_right_translation_is_the_product_kernel(q, rng):
-    # the row-image lookup gives the products of the general kernel
+    # the row-image lookup gives the products of the general kernel, also
+    # on an index array of elements and for an index array of factors
     t = get_group(q)
     for i in rng.choice(t.order, min(t.order, 20), replace=False):
         assert np.array_equal(t.right_translation(int(i)), t.products(slice(None), int(i)))
+    of = rng.integers(t.order, size=(3, 5))
+    hs = rng.integers(t.order, size=4)
+    assert np.array_equal(t.right_translation(hs, of=of), t.products(of[None], hs[:, None, None]))
 
 
 def _exact_product_index(t, i, j):

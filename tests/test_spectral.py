@@ -16,6 +16,7 @@ from modgap.spectral import (
     LemmaExpandTester,
     dense_conv_matrix,
     dense_operator_norm,
+    dense_subspace_projector,
     digit_difference_quotients,
     eta_gap,
     fit_decay_exponent,
@@ -492,6 +493,29 @@ def test_lemma_expand_random_and_spike_draws(spec12, rng):
         assert rep.k_ratio > 5
 
 
+@pytest.mark.parametrize("q", [5, 7, 8])
+def test_lemma_expand_centring_is_the_dense_projection(spec12, q, rng):
+    # c0 and lhs from the double-centred matrix against P0 @ M @ P0 with the
+    # dense mean-zero projector, on draws, a spike and equal weights
+    t = get_group(q)
+    tester = LemmaExpandTester(t, letter_pair_quotients(spec12, t))
+    P0 = dense_subspace_projector(t, "mean_zero")
+
+    def dense_top(kappas):
+        S = P0 @ tester._weighted_matrix(kappas) @ P0
+        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+
+    J = len(tester.elements)
+    assert tester.c0 == pytest.approx(1 - dense_top(np.ones(J)) / J, rel=1e-12, abs=1e-12)
+    spike = np.ones(J)
+    spike[0] = 25.0
+    for kap in [*(1 + 0.2 * rng.random((5, J))), spike, np.full(J, 2.5)]:
+        rep = tester.check(kap)
+        lhs = dense_top(kap)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+        assert rep.passed and lhs <= rep.rhs * (1 + 1e-9) + 1e-12
+
+
 def test_lemma_expand_rejects_bad_coefficients(t5, spec12):
     tester = LemmaExpandTester(t5, letter_pair_quotients(spec12, t5))
     with pytest.raises(ValueError):
@@ -669,7 +693,7 @@ def test_a_replaced_eta_does_not_read_its_stacks_gap(spec12, a12, q):
     assert moved > 0
 
 
-def test_gap_solves_are_bounded(spec12, a12, monkeypatch):
+def test_gap_solves_are_bounded(spec12, a12, monkeypatch, cold_class_build):
     # the matrices spectral hands to eigvalsh: reading the first measure of a
     # stack solves one block of at most 256 windows, not the whole stack
     # (4096 windows at L=4), and no call holds more than 2**14 entries of B.
@@ -813,23 +837,30 @@ def test_a_block_of_one_normalised_weight_vector_meets_the_oracle(spec12, a12, m
     assert calls
 
 
-def test_the_bounds_hold_on_reducible_pieces(spec12, a12):
-    # at q=32 some kept pieces are reducible; the bounds ask only for a
+def test_the_bounds_hold_on_reducible_pieces(spec12, a12, monkeypatch, cold_class_build):
+    # the level split keeps no reducible piece up to q=32, so here every
+    # chi-eigenspace of a unit block is kept whole, one reducible piece, as
+    # a piece that merges invariant pieces may be; the bounds ask only for a
     # convex, homogeneous norm, so the pruned solve meets the oracle
-    spectral._stack_gaps.cache_clear()
-    etas = [e for e in enumerate_etas(spec12, 32, a12, 3, base=0.0) if e.j == 2]
+    monkeypatch.setattr(spectral, "_clusters", lambda w: [0, w.size])
+    etas = [e for e in enumerate_etas(spec12, 16, a12, 3, base=0.0) if e.j == 2]
+    key, _ = spectral._support_class(etas[0].table, tuple(etas[0].support.tolist()))
+    assert max(d for d, _ in spectral._class_generators(etas[0].table, key)) == 48
     assert len(etas) == 256
     for eta in etas[::5]:
         _assert_agrees_with_the_oracle(eta_gap(eta), eta)
 
 
-@pytest.mark.parametrize("q", [16, 24, 25])
+@pytest.mark.parametrize("q", [16, 24, 25, 12, 18, 27])
 def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a12, q, rng):
     # positive re-weightings of the table's measures against the largest
     # bare block over every mean-zero orbit: the class build keeps one of
     # the orbits t and -t and one of each pair of conjugate characters,
     # which loses no norm with real weights. |S| = 4, 8 and 2 at q = 16, 24
-    # and 25, beyond the moduli of test_eta_gap_is_the_largest_block_norm
+    # and 25, beyond the moduli of test_eta_gap_is_the_largest_block_norm.
+    # At q = 12, 18 and 27 the class build splits only the unit blocks of
+    # the levels 2, 3, 4, 6, 12, of 2, 3, 6, 9, 18 and of 3, 9, 27, and
+    # reads eta mod each level there
     for j in (1, 2):
         eta = build_eta(make_context(spec12, q, 2, 2, ((1,), (0,)), a12, base=0.0), j)
         supp = eta.measure.support
@@ -839,6 +870,59 @@ def test_eta_gap_with_complex_weights_at_q16_is_the_largest_block_norm(spec12, a
             rep = eta_gap(_holding(eta, m))
             ts = ConvOperator(m, "mean_zero").orbits()
             assert rep.norm == pytest.approx(max(_block_norms(m, ts)), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [12, 18, 27])
+def test_a_lower_level_attains_the_norm_of_a_kernel_measure(spec12, a12, q, rng):
+    # the table's measures reach their norm at level q; a measure on 12
+    # points of the kernel of reduction to a lower level l | q is its mass
+    # times delta(1) mod l, of norm its mass at level l and below, and no
+    # unit block of q comes near it, so the class build must reach l
+    eta = build_eta(make_context(spec12, q, 2, 2, ((1,), (0,)), a12, base=0.0), 1)
+    table = eta.table
+    for level in (d for d in range(2, q) if q % d == 0):
+        kernel = np.flatnonzero((table.elems % level == [1, 0, 0, 1]).all(axis=1))
+        supp = np.sort(rng.choice(kernel, min(kernel.size, 12), replace=False))
+        m = measure_on(table, supp, rng.uniform(0.5, 2, supp.size))
+        ts = ConvOperator(m, "mean_zero").orbits()
+        norms = _block_norms(m, ts)
+        assert eta_gap(_holding(eta, m)).norm == pytest.approx(max(norms), rel=1e-12)
+        assert max(norms) == pytest.approx(m.l1, rel=1e-12)
+        assert max(n for t, n in zip(ts, norms) if math.gcd(t, q) == 1) < 0.99 * m.l1
+
+
+def _unit_orbits(level):
+    """The least t of each class of units mod level under t -> +-u^2 t."""
+    units = [u for u in range(1, level) if math.gcd(u, level) == 1]
+    return {min(s * u * u * t % level for u in units for s in (1, -1)) for t in units}
+
+
+def _recording_splits(monkeypatch):
+    """The (level, t) of every `_character_pieces` call from here on."""
+    calls = []
+    pieces = spectral._character_pieces
+    monkeypatch.setattr(spectral, "_character_pieces",
+                        lambda table, t: calls.append((table.q, t)) or pieces(table, t))
+    return calls
+
+
+@pytest.mark.parametrize("q", [8, 12, 16, 18])
+def test_a_class_build_splits_only_the_unit_orbits_of_each_level(q, monkeypatch,
+                                                                 cold_class_build):
+    calls = _recording_splits(monkeypatch)
+    spectral._class_generators(get_group(q), (0, 1, 2, 3))
+    assert sorted(calls) == sorted((level, t) for level in range(2, q + 1) if q % level == 0
+                                   for t in _unit_orbits(level))
+
+
+def test_a_level_is_split_once_per_process(monkeypatch, cold_class_build):
+    # 2, 4 and 8 divide 16: after a class at q=8, one at q=16 splits level 16 alone
+    calls = _recording_splits(monkeypatch)
+    spectral._class_generators(get_group(8), (0, 1, 2, 3))
+    assert {level for level, _ in calls} == {2, 4, 8}
+    calls.clear()
+    spectral._class_generators(get_group(16), (0, 1, 2, 3))
+    assert sorted(calls) == [(16, t) for t in sorted(_unit_orbits(16))]
 
 
 def test_eta_gap_rejects_weights_outside_the_positive_reals(spec12, a12):
@@ -866,9 +950,10 @@ def test_conjugacy_classes(q, count):
         assert np.unique(table.products(table.products(g, r), table.inverse)).size == size
 
 
-def test_a_split_invariant_piece_is_caught(spec12, a12, monkeypatch):
+def test_a_split_invariant_piece_is_caught(spec12, a12, monkeypatch, cold_class_build):
     # splitting the largest eigenvalue cluster leaves a piece that the
-    # generators move out of itself
+    # generators move out of itself; the fixture empties the per-level
+    # pieces, which would otherwise survive from earlier tests
     clusters = spectral._clusters
 
     def split_largest(w):
@@ -877,7 +962,6 @@ def test_a_split_invariant_piece_is_caught(spec12, a12, monkeypatch):
         return sorted({*bounds, lo + 1})
 
     monkeypatch.setattr(spectral, "_clusters", split_largest)
-    spectral._class_generators.cache_clear()
     eta = next(enumerate_etas(spec12, 8, a12, 2, base=0.0))
     with pytest.raises(EstimationError, match="not invariant"):
         eta_gap(eta)
