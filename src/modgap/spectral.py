@@ -398,30 +398,30 @@ class LemmaExpandReport:
 
 class LemmaExpandTester:
     """Measures the unweighted gap once, then checks weighted coefficient
-    draws against the kappa_bar * (1 - C0 + sqrt(K-1)) * |J| bound."""
+    draws against the kappa_bar * (1 - C0 + sqrt(K-1)) * |J| bound.
 
-    def __init__(self, table: GroupTable, elements, guard: int = DENSE_GUARD):
-        self.table = table
+    The elements are compressed once onto the pieces of `_class_generators`,
+    which hold every nontrivial irreducible of SL2(Z/q) once, up to
+    isomorphism and complex conjugation."""
+
+    def __init__(self, table: GroupTable, elements):
         self.elements = [int(h) for h in elements]
-        self.guard = guard
+        self.sizes = _class_generators(table, tuple(self.elements))
         self.c0 = 1.0 - self._mean_zero_top(np.ones(len(self.elements))) / len(self.elements)
 
-    def _weighted_matrix(self, kappas) -> np.ndarray:
-        """Convolution matrix of the weighted measure sum_h kappa_h delta_h."""
-        coeffs = np.zeros(self.table.order)
-        np.add.at(coeffs, self.elements, kappas)
-        return dense_conv_matrix(GroupMeasure(self.table, coeffs), self.guard)
-
     def _mean_zero_top(self, kappas) -> float:
-        """Top eigenvalue of the symmetric part of S = P0 M P0, with M the
-        weighted convolution matrix and P0 = I - 11^T/|G|. S is M double
-        centred: M less its column means and its row means, plus its grand
-        mean, in O(|G|^2) with no dense matrix product."""
-        M = self._weighted_matrix(kappas)
-        S = M - M.mean(axis=0)
-        S -= M.mean(axis=1)[:, None]
-        S += M.mean()
-        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+        """Top eigenvalue of the symmetric part of P0 M P0, with M the
+        convolution by nu = sum_h kappa_h delta_h and P0 = I - 11^T/|G|.
+
+        On a piece M acts as B = kappa @ gens, so the symmetric part acts as
+        (B + B^H)/2; on the constants it is 0. The kappas are positive reals
+        (`check`), so a conjugate piece gives conj of that matrix, of the
+        same spectrum, and isomorphic pieces give the same spectrum."""
+        top = 0.0
+        for d, gens in self.sizes:
+            b = (kappas @ gens).reshape(-1, d, d)
+            top = max(top, 0.5 * float(np.linalg.eigvalsh(b + np.conj(b.swapaxes(1, 2))).max()))
+        return top
 
     def check(self, kappas) -> LemmaExpandReport:
         kappas = np.asarray(kappas, dtype=float)
@@ -467,21 +467,21 @@ class EtaGapReport:
 
 @lru_cache(maxsize=_SUPPORT_CACHE)
 def _support_class(table: GroupTable, supp: tuple[int, ...]):
-    """The weight-free part of `_canonical_forms`: (key, orders).
+    """The weight-free part of `_canonical_forms`: (key, order).
 
     Over x in supp, the support supp x^-1 is sorted; key is the least sorted
-    support, and the read-only (len(supp), ties) array orders holds, in
-    increasing x, the sorting permutation of every x that attains it. Ties
-    happen: on the unipotent subgroup every x gives the same support.
+    support, and the read-only (len(supp),) array order is the sorting
+    permutation of the least x that attains it. Several x can: on the
+    unipotent subgroup every x gives the same support.
     """
     arr = np.array(supp)
     shifted = table.products(arr[:, None], table.inverse[arr])  # [k, x] = supp_k x^-1
     order = np.argsort(shifted, axis=0)
     cols = np.take_along_axis(shifted, order, axis=0)
-    least = cols[:, np.lexsort(cols[::-1])[0]]  # lexsort's last key takes precedence
-    orders = order[:, (cols == least[:, None]).all(axis=0)]
-    orders.setflags(write=False)
-    return tuple(least.tolist()), orders
+    x = np.lexsort(cols[::-1])[0]  # stable, and its last key takes precedence: the least x
+    order = order[:, x]
+    order.setflags(write=False)
+    return tuple(cols[:, x].tolist()), order
 
 
 def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray,
@@ -491,14 +491,13 @@ def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray
     of each window w.
 
     Over x in a window's support, the support supp x^-1 is sorted and the
-    weights reordered with it; the least (sorted support, weights) pair is
-    kept, so every right translate of a measure has the same form. The
-    sorted supports do not depend on the weights, so the least one and the
-    x that attain it come from `_support_class`, once per distinct support.
-    Where one x attains it, the weights of every window on that support are
-    reordered by one gather; where several do, each window's tie is broken
-    by its reordered weights, then by the least x. Empty windows are left
-    out. The weights are positive reals, as `_gaps` checks.
+    weights reordered with it; the least sorted support is the key, and the
+    weights are reordered as for the least x that attains it. That x is a
+    right translation, which leaves the norm unchanged, so any attaining x
+    would do. The sorted supports do not depend on the weights, so the key
+    and the order come from `_support_class`, once per distinct support,
+    and the weights of every window on that support are reordered by one
+    gather. Empty windows are left out.
 
     Returns {key: (windows, weights)}: the windows of one class and their
     reordered weights, one row each.
@@ -508,14 +507,9 @@ def _canonical_forms(table: GroupTable, support: np.ndarray, weights: np.ndarray
         by_support.setdefault(tuple(support[bounds[w] : bounds[w + 1]].tolist()), []).append(w)
     groups: dict[tuple, list] = {}
     for supp, ws in by_support.items():
-        key, orders = _support_class(table, supp)
+        key, order = _support_class(table, supp)
         ws = np.array(ws)
-        cand = weights[bounds[ws][:, None, None] + orders]  # (windows, k, ties)
-        if orders.shape[1] == 1:
-            canon = cand[:, :, 0]
-        else:  # lexsort's last key takes precedence
-            canon = np.array([c[:, np.lexsort(c[::-1])[0]] for c in cand])
-        groups.setdefault(key, []).append((ws, canon))
+        groups.setdefault(key, []).append((ws, weights[bounds[ws][:, None] + order]))
     return {k: tuple(map(np.concatenate, zip(*parts))) for k, parts in groups.items()}
 
 
@@ -821,9 +815,9 @@ def eta_gap(eta: EtaMeasure, tol=1e-8, seed=7) -> EtaGapReport:
     builds has them (beta = exp(a * fsum) > 0): DomainError otherwise, also
     for an eta made by `dataclasses.replace`. The norm is exact up to
     rounding; nothing iterates, so `iters` is 0 and `seed` is unused. Both
-    stay as long as their callers read them: `verify-lemmas` and perfbench's
-    eta-gaps workload and reference script pass `seed=`, and the workload
-    records `iters`. Two facts make it exact and cheap:
+    stay as long as their callers read them: perfbench's eta-gaps workload
+    and reference script alone pass `seed=`, and the workload records
+    `iters`. Two facts make it exact and cheap:
 
     * Right translation is unitary on the mean-zero functions: convolution
       by eta * delta(g) is convolution by eta after left translation by g.

@@ -230,13 +230,12 @@ def breadth_mu(p) -> GroupMeasure:
 def eta_gap_oracle(eta):
     """(1 - c1, norm, l1) of one per-block measure solved on its own: the
     oracle of `spectral.eta_gap`. Its canonical form up to right translation
-    comes from `spectral._support_class`, ties broken by the order of the
-    reordered real weights, then one (k,) @ (k, pieces * d * d) product and
-    one `eigvalsh` per piece size of `spectral._class_generators`."""
+    comes from `spectral._support_class`, the weights reordered as for the
+    least x that attains the key, then one (k,) @ (k, pieces * d * d)
+    product and one `eigvalsh` per piece size of `spectral._class_generators`."""
     table = eta.table
-    key, orders = spectral._support_class(table, tuple(eta.support.tolist()))
-    ws = eta.weights[orders]
-    weights = ws[:, np.lexsort(ws[::-1])[0]]
+    key, order = spectral._support_class(table, tuple(eta.support.tolist()))
+    weights = eta.weights[order]
     top = 0.0
     for d, gens in spectral._class_generators(table, key):
         b = (weights @ gens).reshape(-1, d, d)

@@ -82,6 +82,14 @@ def test_a_bad_delta_or_iteration_limit_exits_2_at_once(tmp_path, raw, field):
     assert out.stderr.startswith(f"config error: field '{field}'"), out.stderr
 
 
+@pytest.mark.parametrize("command", ["opnorm", "verify-lemmas"])
+def test_a_negative_seed_exits_2(capsys, command):
+    # it once ended in numpy's traceback for a negative seed, with exit 1
+    code, _, err = run_cli(capsys, command, "--q", "5", "--seed", "-1")
+    assert code == 2
+    assert err.startswith("config error: field 'seed': seed must be >= 0"), err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -118,7 +126,9 @@ def test_config_validation_errors():
     # each numeric limit names its own field
     for raw, field in (({"tol": 0.0}, "tol"), ({"max_iter": 0}, "max_iter"),
                        ({"delta_tol": 0.0}, "delta_tol"), ({"delta_tol": -1.0}, "delta_tol"),
-                       ({"delta_n": 0}, "delta_n")):
+                       ({"delta_n": 0}, "delta_n"), ({"seed": -1}, "seed"),
+                       ({"n_draws": 0}, "n_draws"), ({"n_draws": -5}, "n_draws"),
+                       ({"r_max": 0}, "r_max"), ({"r_prime_min": 0}, "r_prime_min")):
         with pytest.raises(ConfigError, match=field) as e:
             validate_config(raw)
         assert e.value.field == field
@@ -300,6 +310,20 @@ def test_verify_lemmas_small(tmp_path, capsys):
     assert any(n.startswith("trace identity") for n in names)
 
 
+def test_verify_lemmas_draws_past_the_dense_guard(tmp_path, capsys):
+    # |SL2(Z/16)| = 3072 exceeds guards.dense_oracle = 2500
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [16], "a": 0.5322, "n_draws": 10}))
+    rpt = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
+    draws = checks["weighted expansion draws"]
+    assert (draws["status"], draws["failed"], set(draws["c0"])) == ("pass", 0, {"16"})
+    assert draws["c0"]["16"] > 0
+    assert checks["trace identity"]["status"] == "skip"
+
+
 def test_max_q_guard_reaches_the_sweep(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [5, 9], "a": 0.5322, "b": 1.0, "guards": {"max_q": 8}}))
@@ -329,12 +353,15 @@ def test_dense_oracle_guard_reaches_the_dense_checks(tmp_path, capsys):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
     assert "trace identity q=3" in checks and "trace identity q=5" not in checks
-    assert set(checks["weighted expansion draws"]["c0"]) == {"3"}
+    # the draws solve on the pieces, past the dense guard too
+    assert checks["weighted expansion draws"]["status"] == "pass"
+    assert set(checks["weighted expansion draws"]["c0"]) == {"3", "5"}
     assert set(checks["per-block gap positive"]["min_c1"]) == {"3", "5"}
 
 
 def test_a_check_that_examines_nothing_skips(tmp_path, capsys):
-    # no group within guards.dense_oracle: no expansion draw is made
+    # no group within guards.dense_oracle: the trace identity skips, and the
+    # expansion draws, which need no dense matrix, still run
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [3], "a": 0.5322, "n_draws": 10, "L": 2,
                                "R_prime": 2, "guards": {"dense_oracle": 10}}))
@@ -342,8 +369,8 @@ def test_a_check_that_examines_nothing_skips(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
     assert code == 0
     checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
-    assert checks["weighted expansion draws"] == {
-        "name": "weighted expansion draws", "status": "skip", "dense_oracle": 10}
+    draws = checks["weighted expansion draws"]
+    assert (draws["status"], draws["failed"], set(draws["c0"])) == ("pass", 0, {"3"})
     assert checks["trace identity"] == {
         "name": "trace identity", "status": "skip", "dense_oracle": 10}
     # the only non-square-free modulus lies past guards.max_q

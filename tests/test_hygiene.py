@@ -100,7 +100,7 @@ def test_every_definition_is_read():
 
 # parameters that a body never reads, kept on purpose
 KEEP_PARAMETERS = {
-    "spectral.eta_gap(seed)": "perfbench's eta-gaps workload and reference script pass seed=",
+    "spectral.eta_gap(seed)": "perfbench alone passes seed= (eta-gaps workload, reference script)",
     "decouple.make_context(r_prime)": "perfbench/regen_refs.py passes it positionally",
     **{f"cli.{cmd}(args)": "every subcommand has the one dispatch signature cmd(args)"
        for cmd in ("cmd_delta_estimate", "cmd_decouple_verify", "cmd_opnorm",

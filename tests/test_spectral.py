@@ -493,16 +493,23 @@ def test_lemma_expand_random_and_spike_draws(spec12, rng):
         assert rep.k_ratio > 5
 
 
-@pytest.mark.parametrize("q", [5, 7, 8])
+def _weighted(table, elements, kappas) -> GroupMeasure:
+    """The measure sum_h kappa_h delta_h."""
+    coeffs = np.zeros(table.order)
+    np.add.at(coeffs, elements, kappas)
+    return GroupMeasure(table, coeffs)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 8, 12])
 def test_lemma_expand_centring_is_the_dense_projection(spec12, q, rng):
-    # c0 and lhs from the double-centred matrix against P0 @ M @ P0 with the
-    # dense mean-zero projector, on draws, a spike and equal weights
+    # c0 and lhs from the pieces against P0 @ M @ P0 with the dense
+    # mean-zero projector, on draws, a spike and equal weights
     t = get_group(q)
     tester = LemmaExpandTester(t, letter_pair_quotients(spec12, t))
     P0 = dense_subspace_projector(t, "mean_zero")
 
     def dense_top(kappas):
-        S = P0 @ tester._weighted_matrix(kappas) @ P0
+        S = P0 @ dense_conv_matrix(_weighted(t, tester.elements, kappas)) @ P0
         return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
 
     J = len(tester.elements)
@@ -514,6 +521,40 @@ def test_lemma_expand_centring_is_the_dense_projection(spec12, q, rng):
         lhs = dense_top(kap)
         assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
         assert rep.passed and lhs <= rep.rhs * (1 + 1e-9) + 1e-12
+
+
+def test_lemma_expand_keeps_the_constants_zero():
+    # SL2(Z/2) is S3; on its five non-identity elements every nontrivial
+    # irreducible's symmetric part is negative definite (-1 on both), so
+    # the top on the mean-zero functions is the constants' 0 and c0 = 1
+    t = get_group(2)
+    others = [g for g in range(t.order) if g != t.identity_index]
+    tester = LemmaExpandTester(t, others)
+    assert tester.c0 == 1.0
+    P0 = dense_subspace_projector(t, "mean_zero")
+    S = P0 @ dense_conv_matrix(_weighted(t, others, np.ones(5))) @ P0
+    assert np.linalg.eigvalsh(0.5 * (S + S.T))[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [16, 25, 27, 32])
+def test_lemma_expand_meets_the_split_blocks_past_the_dense_guard(spec12, q, rng):
+    # c0 and one draw's lhs against the top eigenvalue of the split blocks
+    # of (nu + reverse nu) / 2 over the mean-zero orbits, or the constants' 0
+    t = get_group(q)
+    tester = LemmaExpandTester(t, letter_pair_quotients(spec12, t))
+
+    def split_top(kappas):
+        nu = _weighted(t, tester.elements, kappas)
+        sym = GroupMeasure(t, 0.5 * (nu.coeffs + nu.reverse().coeffs))
+        blocks = isotypic_blocks(sym, ConvOperator(sym, "mean_zero").orbits())
+        return max(0.0, float(np.linalg.eigvalsh(blocks).max()))
+
+    J = len(tester.elements)
+    assert tester.c0 == pytest.approx(1 - split_top(np.ones(J)) / J, rel=1e-12)
+    kap = 1 + 0.2 * rng.random(J)
+    rep = tester.check(kap)
+    assert rep.lhs == pytest.approx(split_top(kap), rel=1e-12)
+    assert rep.passed
 
 
 def test_lemma_expand_rejects_bad_coefficients(t5, spec12):
@@ -569,26 +610,28 @@ def test_eta_gap_is_the_largest_block_norm(spec12, a12, q):
 
 
 def _translation_class_loop(table, supp, weights):
-    """The canonical form one x at a time, as min over Python tuples."""
+    """The canonical form one x at a time: the least sorted support, as min
+    over Python tuples, and the weights of the least x that attains it."""
     forms = []
     for col in table.products(supp[:, None], table.inverse[supp]).T:
         order = np.argsort(col)
-        forms.append((tuple(col[order].tolist()), tuple(weights[order].tolist())))
-    key, ws = min(forms)
-    return key, np.array(ws)
+        forms.append((tuple(col[order].tolist()), weights[order]))
+    key = min(k for k, _ in forms)
+    return key, next(ws for k, ws in forms if k == key)
 
 
 @pytest.mark.parametrize("q", [8, 13])
 def test_translation_class_matches_the_loop(spec12, a12, q, rng):
     # the same key and weights, bit for bit, with the table's weights and
-    # positive re-weightings of them; on the unipotent subgroup every x gives
-    # the same support, so the weights break the tie. Every case is one
+    # positive re-weightings of them. On the unipotent subgroup every x gives
+    # the same support: its windows take the order of the least x, and their
+    # norm is the largest block norm whatever x is taken. Every case is one
     # window of a single batch, which runs cold and then warm on the cached
-    # supports; the warm pass gives the unipotent support new tied weights
+    # supports; the warm pass gives the unipotent support new weights
     spectral._support_class.cache_clear()
     t = get_group(q)
-    cases = [(e.support, e.weights)
-             for L in (2, 3) for e in enumerate_etas(spec12, q, a12, L, base=0.0)]
+    etas = [e for L in (2, 3) for e in enumerate_etas(spec12, q, a12, L, base=0.0)]
+    cases = [(e.support, e.weights) for e in etas]
     cases += [(s, w * rng.uniform(0.5, 2, w.size)) for s, w in cases[:40]]
     unipotent = np.sort([t.index_of([[1, b], [0, 1]]) for b in range(q)])
     for _ in ("cold", "warm"):
@@ -607,8 +650,13 @@ def test_translation_class_matches_the_loop(spec12, a12, q, rng):
         # one miss per distinct support, all of them in the cold pass
         supports = {s.tobytes() for s, _ in cases} | {unipotent.tobytes()}
         assert spectral._support_class.cache_info().misses == len(supports)
-    _, orders = spectral._support_class(t, tuple(unipotent.tolist()))
-    assert orders.shape == (q, q) and not orders.flags.writeable
+        for supp, w in tied:
+            eta = replace(etas[0], support=supp, weights=w)
+            ts = ConvOperator(eta.measure, "mean_zero").orbits()
+            assert eta_gap(eta).norm == pytest.approx(max(_block_norms(eta.measure, ts)),
+                                                      rel=1e-12)
+    _, order = spectral._support_class(t, tuple(unipotent.tolist()))
+    assert order.shape == (q,) and not order.flags.writeable
 
 
 def _assert_agrees_with_the_oracle(rep, eta):
