@@ -166,8 +166,10 @@ def outer_words(spec: SystemSpec, L: int, r_prime: int, guard: int = Guards.cont
     """The S admissible outer words of one block, lexicographic, as id tuples.
 
     GuardExceeded when the S^r_prime contexts they make exceed `guard`;
-    the only check of that limit.
+    the only check of that limit, and of r_prime >= 1 (ValueError).
     """
+    if r_prime < 1:
+        raise ValueError(f"need r_prime >= 1 (got r_prime={r_prime})")
     outer_len = _outer_length(spec, L)
     total = count_admissible(spec, outer_len) ** r_prime
     if total > guard:
@@ -400,11 +402,12 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     block's image of the base point and every window's point at once, so
     the walks of a shared suffix are made once. The lower blocks are
     lexicographic, so those that share an outer word, and so a window, are
-    contiguous; they are laid out as (member, window) points, a short
-    group repeating its first member, so each window's least and greatest
-    true log-derivative are reductions over the member axis. a (t - beta)
-    is monotone in t, so its largest modulus over a window is reached at
-    one of the two, and so is the spread.
+    contiguous. An upper block's log-derivative -2 log|C_u x + D_u| is
+    monotone on the cylinder that holds a window's members, so its least
+    and greatest value over them are at the members with the least and the
+    greatest image of the base point, and only those two are walked.
+    a (t - beta) is monotone in t, so its largest modulus over a window is
+    reached at one of the two, and so is the spread.
     """
     outer_len = _outer_length(spec, L)
     o, j0 = resolve_point(spec, base)
@@ -415,16 +418,18 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     cut = np.ones(len(blocks) + 1, dtype=bool)
     cut[1:-1] = (outer[1:] != outer[:-1]).any(axis=1)
     bounds = np.flatnonzero(cut)  # of the outer-word groups
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    member = starts + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)  # (member, window)
+    starts = bounds[:-1]
     pts_true, _ = walk_words(spec, blocks, np.full(len(blocks), o))
+    # each window's members by image, then its least and greatest
+    order = np.lexsort((pts_true, np.cumsum(cut[:-1])))
+    least, greatest = order[starts], order[bounds[1:] - 1]
     windows = outer[starts]
     pts_beta, _ = walk_words(spec, windows, _start_points(spec, o, j0, windows[:, -1]))
     # seen[k, g]: an upper block with innermost letter k may sit on window g, on
     # all its members, since they share the outer word and so its first letter
     seen = spec.follows[:, windows[:, 0]] & use[:, None]
-    n_true = member.size
-    points = np.concatenate([pts_true[member].ravel(), pts_beta])
+    n = len(windows)
+    points = np.concatenate([pts_true[least], pts_true[greatest], pts_beta])
 
     worst = 0.0
     worst_spread = 0.0
@@ -432,9 +437,8 @@ def _replacement_survey(spec: SystemSpec, a: float, base, L: int):
     for _, lds, _, _ in _expand_orbit(spec, L, points, None, Guards.max_words):
         lds = lds.reshape(-1, points.size)
         inner = words[done : done + len(lds), -1]
-        true = lds[:, :n_true].reshape(len(lds), *member.shape)
-        beta = lds[:, n_true:]
-        lo, hi = true.min(axis=1), true.max(axis=1)
+        at_least, at_greatest, beta = lds[:, :n], lds[:, n : 2 * n], lds[:, 2 * n :]
+        lo, hi = np.minimum(at_least, at_greatest), np.maximum(at_least, at_greatest)
         errs = np.maximum(np.abs(a * (lo - beta)), np.abs(a * (hi - beta)))
         # within-window spread of true weights, beta included
         spread = a * (np.maximum(hi, beta) - np.minimum(lo, beta))
@@ -549,24 +553,30 @@ def decoupled_upper_bound(
 
         S_j[o'](x) = sum_{h in H} (W @ S_{j-1})[h, x h^-1],
 
-    one (|H|, S) @ (S, |G|) product and one call of the |H| right
-    translations by h^-1 per o' and step, (R'-1) * S products in all. The
-    gather indices of a row are built when the row is used, so no more than
-    one row's |H| * |G| indices are held at once. With r_prime = 1 no
-    replacement happens and the result is the measure itself. `guards`
-    bounds the modulus and the number of contexts.
+    one (|H|, S) @ (S, |G|) product per o' and step, (R'-1) * S products
+    in all. The gather indices of a row, its |H| right translations by
+    h^-1, depend on the row alone: they are built once per row on its first
+    use, one call of `right_translation`, and held as int32 through the
+    middle steps, sum |H| * |G| of them, with S^R' at most guards.contexts
+    (so S <= 58 at R' >= 3 under the default 200,000). The last step drops
+    each after use, so at r_prime = 2 no more than one row's |H| * |G| are
+    held at once. With r_prime = 1 no replacement happens and the result is
+    the measure itself. `guards` bounds the modulus and the number of
+    contexts.
     """
     table = get_group(q, guards.max_q)
     scale = fitted.per_block_cost(L) ** (r_prime - 1)
     n_words = len(outer_words(spec, L, r_prime, guards.contexts))
     chain, rows, spread = _chain_terms(spec, table, L, a, base, n_words, r_prime)
+    gathers = [None] * len(rows)  # each row's, from its first use to the last step
     for _ in range(r_prime - 2):
         step = np.empty_like(chain)
-        for i, row in enumerate(_chain_step(table, rows, chain)):
+        for i, row in enumerate(_chain_step(table, rows, chain, gathers, keep=True)):
             step[i] = row
         chain = step
     # the last step is summed over o' as it goes, in row order: S_R' is never held
-    total = sum(_chain_step(table, rows, chain)) if r_prime > 1 else chain.sum(axis=0)
+    total = (sum(_chain_step(table, rows, chain, gathers, keep=False)) if r_prime > 1
+             else chain.sum(axis=0))
     bound = GroupMeasure(table, total * scale)
     report = BoundReport(
         L=L,
@@ -607,14 +617,25 @@ def _chain_terms(spec: SystemSpec, table: GroupTable, L: int, a: float, base, n_
     return chain, rows, spread
 
 
-def _chain_step(table: GroupTable, rows, chain: np.ndarray):
+def _chain_step(table: GroupTable, rows, chain: np.ndarray, gathers: list, keep: bool):
     """S_j[o'] = sum_{h in H} (W @ S_{j-1})[h, x h^-1], one o' row at a time,
-    from the (H, W) of each row and S_{j-1} = chain."""
-    for hs, w in rows:
-        # entry (k, x) is the flat index of (k, x h_k^-1) in W @ S_{j-1}
-        gather = table.right_translation(table.inverse[hs])
-        gather = gather + table.order * np.arange(hs.size)[:, None]
+    from the (H, W) of each row and S_{j-1} = chain.
+
+    gathers[i] is row i's gather index, or None until its first use builds
+    it; it stays in `gathers` for the next step when `keep`, else it is
+    dropped once its row is made."""
+    for i, (hs, w) in enumerate(rows):
+        gather = gathers[i] if gathers[i] is not None else _row_gather(table, hs)
+        gathers[i] = gather if keep else None
         yield np.take(w @ chain, gather).sum(axis=0)
+
+
+def _row_gather(table: GroupTable, hs: np.ndarray) -> np.ndarray:
+    """Entry (k, x) is the flat index of (k, x h_k^-1) in a (|H|, |G|)
+    product, int32 as `right_translation` gives: a float64 product of 2^31
+    entries would take 16 GiB."""
+    offsets = np.arange(hs.size, dtype=np.int32) * np.int32(table.order)
+    return table.right_translation(table.inverse[hs]) + offsets[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from modgap import decouple, symdyn
 from modgap.decouple import (
@@ -22,7 +24,7 @@ from modgap.decouple import (
 )
 from modgap.errors import AdmissibilityError, DomainError
 from modgap.measures import MeasureParams, _cocycle_track, build_mu1
-from modgap.modgroup import get_group
+from modgap.modgroup import GroupTable, get_group
 from modgap.symdyn import (
     _admissible_id_matrix,
     _window_point,
@@ -210,6 +212,22 @@ def test_a_block_with_no_outer_letter_is_rejected(spec12_mod, a12_mod, schottky,
         SHORT_BLOCK_CALLS[call](spec, a, base, L)
 
 
+R_PRIME_CALLS = {
+    "decoupled_upper_bound": lambda spec, a, r: decoupled_upper_bound(
+        spec, 5, a, 2, r, FittedDecoupling(spec, a, 0.0, 2.0, (), 0.0, 0.5, 1.25), 0.0),
+    "enumerate_etas": lambda spec, a, r: next(enumerate_etas(spec, 5, a, 2, r, 0.0)),
+    "enumerate_contexts": lambda spec, a, r: enumerate_contexts(spec, 2, r),
+}
+
+
+@pytest.mark.parametrize("call", sorted(R_PRIME_CALLS))
+@pytest.mark.parametrize("r_prime", [0, -1])
+def test_fewer_than_one_block_is_rejected(spec12_mod, a12_mod, call, r_prime):
+    # r_prime = -1 once gave a bound of 0.25 contexts, and r_prime = 0 one of 1
+    with pytest.raises(ValueError, match=rf"need r_prime >= 1 \(got r_prime={r_prime}\)"):
+        R_PRIME_CALLS[call](spec12_mod, a12_mod, r_prime)
+
+
 def _walk_block(spec, block, pts):
     ld = np.zeros_like(pts)
     for k in reversed(block):
@@ -302,6 +320,36 @@ def test_replacement_survey_matches_the_per_block_loop(monkeypatch, system, base
     assert not isinstance(ref, str)
 
 
+@pytest.mark.parametrize("system,base,L", [("zaremba12", 0.0, 3), ("zaremba12", 0.0, 4),
+                                           ("zaremba123", 0.0, 3)]
+                         + [("schottky", base, L) for base in (2.45, None) for L in (4, 5)])
+def test_an_upper_block_is_extreme_on_a_window_at_its_extreme_images(system, base, L):
+    # the survey walks only each window's members of least and greatest image:
+    # an upper block's log-derivative is monotone on the cylinder that holds
+    # them, so its extremes over all members are its values at those two
+    spec = SURVEY_SYSTEMS[system]()
+    o, j0 = resolve_point(spec, base)
+    blocks = [tuple(int(v) for v in r) for r in _admissible_id_matrix(spec, L)]
+    if j0 is not None:
+        blocks = [b for b in blocks if spec.allowed(b[-1], j0)]
+    images = np.array([_walk_block(spec, b, np.array([o]))[1][0] for b in blocks])
+    windows = {}
+    for i, b in enumerate(blocks):
+        windows.setdefault(b[: L - spec.block_width], []).append(i)
+    checked = 0
+    for upper in blocks:
+        ld, _ = _walk_block(spec, upper, images)
+        for members in windows.values():
+            if not spec.allowed(upper[-1], blocks[members[0]][0]):
+                continue
+            at = ld[members]
+            least, greatest = (members[k] for k in (images[members].argmin(),
+                                                    images[members].argmax()))
+            assert (at.min(), at.max()) == tuple(sorted((ld[least], ld[greatest])))
+            checked += 1
+    assert checked > len(windows)
+
+
 def test_flatness_decays_geometrically(spec12_mod, a12_mod):
     ks = {L: flatness_ratio(spec12_mod, a12_mod, L, base=0.0) for L in (2, 3, 4, 5)}
     excess = [ks[L] - 1 for L in (2, 3, 4, 5)]
@@ -391,6 +439,74 @@ def test_chain_sums_blocks_that_share_a_cocycle(schottky, q, L, r_prime):
     etas = [e for row in _window_rows(schottky, q, 0.3, L, None) for e in row]
     assert any(e.measure.n_support < len(e.inners) for e in etas)
     _assert_chain_matches(schottky, q, 0.3, L, r_prime, _schottky_fit(schottky), None)
+
+
+@pytest.mark.parametrize("q,L", [(8, 2), (5, 3)])
+def test_a_chain_translates_each_row_once_whatever_its_length(monkeypatch, spec12_mod, a12_mod,
+                                                              fitted, q, L):
+    # a row's gather indices depend on the row alone, so a longer chain
+    # reuses them instead of translating again: one call per o' row
+    decoupled_upper_bound(spec12_mod, q, a12_mod, L, 2, fitted, base=0.0)  # warm caches
+    calls = []
+    translate = GroupTable.right_translation
+    monkeypatch.setattr(GroupTable, "right_translation",
+                        lambda self, *args, **kw: calls.append(1) or translate(self, *args, **kw))
+    counts = []
+    for r_prime in (3, 4):
+        calls.clear()
+        decoupled_upper_bound(spec12_mod, q, a12_mod, L, r_prime, fitted, base=0.0)
+        counts.append(len(calls))
+    assert counts == [len(outer_words(spec12_mod, L, 1))] * 2
+
+
+def _row_sizes(spec, q, a, L, r_prime):
+    """(S, sum of |H| over the o' rows, the largest |H|) of one chain."""
+    S = len(outer_words(spec, L, 1))
+    _, rows, _ = decouple._chain_terms(spec, get_group(q), L, a, 0.0, S, r_prime)
+    return S, sum(hs.size for hs, _ in rows), max(hs.size for hs, _ in rows)
+
+
+def test_a_long_chain_peaks_at_its_held_gathers(spec12_mod, a12_mod, fitted):
+    # R' = 4 holds every row's int32 gather through the middle steps, beside
+    # S_{j-1}, S_j and one row's (|H|, |G|) temporaries
+    q, L, r_prime = 16, 3, 4
+    S, sum_h, max_h = _row_sizes(spec12_mod, q, a12_mod, L, r_prime)
+    order = get_group(q).order
+    decoupled_upper_bound(spec12_mod, q, a12_mod, L, r_prime, fitted, base=0.0)  # warm caches
+    _, peak = traced_peak(lambda: decoupled_upper_bound(spec12_mod, q, a12_mod, L, r_prime,
+                                                        fitted, base=0.0))
+    held = 4 * sum_h * order
+    assert held <= peak <= held + 2 * 8 * S * order + 4 * 8 * max_h * order
+
+
+@pytest.mark.parametrize("r_prime", [2, 3])
+def test_row_gathers_are_held_through_the_middle_steps_only(monkeypatch, spec12_mod, a12_mod,
+                                                            fitted, r_prime):
+    # when a row's gather is built, every earlier row's is still held after a
+    # middle step; in the last step only the one row before it is, as its
+    # product is summed
+    alive, built = [], []
+    build = decouple._row_gather
+
+    def tracked(table, hs):
+        alive.append(sum(ref() is not None for ref in built))
+        gather = build(table, hs)
+        built.append(weakref.ref(gather))
+        return gather
+
+    monkeypatch.setattr(decouple, "_row_gather", tracked)
+    decoupled_upper_bound(spec12_mod, 5, a12_mod, 3, r_prime, fitted, base=0.0)
+    S = len(outer_words(spec12_mod, 3, 1))
+    assert alive == (list(range(S)) if r_prime > 2 else [0] + [1] * (S - 1))
+
+
+def test_a_two_block_chain_peaks_no_higher_than_a_gather_per_step(spec12_mod, a12_mod, fitted):
+    # the traced peak of L=5, R'=2 at q=16 when each step built every row's
+    # gather afresh: 23.3 MiB (numpy 2.4, x86_64)
+    decoupled_upper_bound(spec12_mod, 16, a12_mod, 5, 2, fitted, base=0.0)  # warm caches
+    _, peak = traced_peak(lambda: decoupled_upper_bound(spec12_mod, 16, a12_mod, 5, 2, fitted,
+                                                        base=0.0))
+    assert peak <= 23.3 * 2**20
 
 
 @pytest.mark.parametrize("L,r_prime,q", [(2, 2, 3), (2, 2, 5), (3, 2, 4), (2, 3, 5)])

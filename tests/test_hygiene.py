@@ -155,13 +155,17 @@ def test_a_sweep_and_a_decoupled_bound_leave_numpy_ma_unimported():
     # 2.4), 11-13 ms of every process that reaches it
     code = "\n".join([
         "import sys",
-        "from modgap.decouple import decoupled_upper_bound, fit_decoupling_constant",
+        "from modgap.decouple import decoupled_upper_bound, fit_decoupling_constant, "
+        "flatness_ratio",
         "from modgap.spectral import main_sweep",
         "from modgap.symdyn import zaremba_system",
         "spec = zaremba_system([1, 2])",
         "main_sweep(spec, [8], 0.5322, b=1.0, L=2, c_log=2.2, r_prime_min=2)",
         "fitted = fit_decoupling_constant(spec, 0.5322, base=0.0)",
         "decoupled_upper_bound(spec, 8, 0.5322, 3, 2, fitted, base=0.0)",
+        # the survey's members by image, and the gathers held through a middle step
+        "flatness_ratio(spec, 0.5322, 4, base=0.0)",
+        "decoupled_upper_bound(spec, 8, 0.5322, 2, 3, fitted, base=0.0)",
         "print('numpy.ma' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
