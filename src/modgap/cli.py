@@ -350,7 +350,8 @@ def cmd_opnorm(cfg: RunConfig, args) -> tuple[bool, dict]:
     )
     print(
         f"q={q} {cfg.subspace} dim={rep.subspace_dim}: norm={rep.norm:.9g} "
-        f"l1={rep.l1:.9g} gap={rep.rel_gap:.6f} iters={rep.iters} block={rep.block}"
+        f"l1={rep.l1:.9g} gap={rep.rel_gap:.6f} iters={rep.iters} solved={rep.solved} "
+        f"block={rep.block}"
     )
     checks = [_check("opnorm", rep.converged, **dataclasses.asdict(rep))]
     return rep.converged, _report(cfg, checks)
@@ -464,7 +465,8 @@ def cmd_sweep_q(cfg: RunConfig, args) -> tuple[bool, dict]:
                all(r.ratio < 1.0 for r in swept) if swept else None, **gap_details),
     ]
     max_block = {str(r.q): r.max_block for r in rows if not r.skipped_reason}
-    constants = {"alpha": alpha, "csv": out, "max_block": max_block}
+    solved = {str(r.q): r.solved for r in rows if not r.skipped_reason}
+    constants = {"alpha": alpha, "csv": out, "max_block": max_block, "solved": solved}
     return _passed(checks), _report(cfg, checks, constants, t0)
 
 

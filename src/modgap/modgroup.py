@@ -14,9 +14,10 @@ multiplication permutes those cosets, up to a unipotent factor
 `GroupTable.products` is the one product kernel: every product of two
 table elements (single products, left translations, the coset action and,
 in `measures`, convolution) is an index lookup of its vectorised entries.
-Right translation by one element, the dense block builder's hot path,
-reads the same keys from the q^2 row images of that element
-(`GroupTable.right_translation`).
+Right translation by one element reads the same keys from the q^2 row
+images of that element (`GroupTable.right_translation`); the dense block
+builder's hot path reads them at the packed rows of its coset grid, packed
+once per build (`GroupTable.row_products`).
 
 Enumeration scans the q^3 entry tuples (b, c, d) once per top-left entry
 a and fills the q^4 int32 key table slice by slice; no q^4 array but that
@@ -194,17 +195,43 @@ class GroupTable:
 
         Each row of elems[k] @ h is a row of elems[k] times h, so the key of
         the product is read from one table of the q^2 row images under h,
-        at the two packed rows of elems[k]: the same products as
-        `products(slice(None), i)`, with two lookups in a q^2 table in place
-        of its entry arithmetic over |G| (about 3x fewer ns per element at
-        q = 13 to 49, x86_64). The block builder makes one per column.
+        at the two packed rows of elems[k] (`row_products`): the same
+        products as `products(slice(None), i)`, with two lookups in a q^2
+        table in place of its entry arithmetic over |G| (about 3x fewer ns
+        per element at q = 13 to 49, x86_64).
+        """
+        return self.row_products(i, self.packed_rows(of))
+
+    def packed_rows(self, of=slice(None)) -> np.ndarray:
+        """The packed rows a q + b and c q + d of elems[of], an array (2, ...)."""
+        return self._rows[:, of]
+
+    def row_products(self, i, rows) -> np.ndarray:
+        """Indices of g @ elems[i] for the elements g of packed rows
+        (rows[0], rows[1]) (`packed_rows`), of the shape of rows[0]; for an
+        index array i, one such array per entry. A caller that multiplies
+        the same elements g by many elements i packs their rows once.
+
+        The keys are int32, below q^4, and gathered with `np.take`, which
+        reads int32 indices without the conversion that fancy indexing
+        makes on every call.
         """
         q = self.q
-        ha, hb, hc, hd = self._columns[:, i, None].astype(np.int64)
-        x, y = np.divmod(np.arange(q * q), q)  # the row (x, y), packed as x q + y
+        x, y = self._row_grid
+        ha, hb, hc, hd = self._columns[:, i, None]
         image = (x * ha + y * hc) % q * q + (x * hb + y * hd) % q
-        rows = self._rows[:, of]
-        return self.key_to_index[image[..., rows[0]] * (q * q) + image[..., rows[1]]]
+        keys = np.take(image, rows[0], axis=-1)
+        keys *= q * q
+        keys += np.take(image, rows[1], axis=-1)
+        return self.key_to_index.take(keys)
+
+    @cached_property
+    def _row_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries (x, y) of every packed row x q + y, int32."""
+        grid = np.divmod(np.arange(self.q * self.q, dtype=np.int32), np.int32(self.q))
+        for arr in grid:
+            arr.setflags(write=False)
+        return grid
 
     # -- reduction fibers -------------------------------------------------
 

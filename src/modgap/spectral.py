@@ -19,7 +19,8 @@ largest of all (proof in `operator_norm`). The central elements u I with
 u^2 = 1 mod q, the torus stabiliser S, commute with every M_t and move the
 cosets freely, so each M_t splits into |S| dense blocks of size
 |G|/(q|S|) (`UnipotentCosets.stabiliser`), built from mu in |G|^2/(q|S|)
-steps (`isotypic_blocks`) whatever its support, and solved one by one.
+steps (`isotypic_blocks`) whatever its support. The blocks whose Frobenius
+norm can reach the largest norm found so far are solved one by one.
 
 Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
 only for small groups, as oracles and for eigenvalue multiplicity counts.
@@ -152,6 +153,7 @@ class GapReport:
     seconds: float
     converged: bool
     block: int
+    solved: int  # split blocks that Lanczos ran on
 
 
 def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
@@ -165,9 +167,12 @@ def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
     B_chi[r, r'] = sum_z chi(z) e(t gamma_z(r) / q) M_t[perm_z(r), r'] over
     the S-orbit representatives r, r'. Returns an array (len(ts), |S|, m, m);
     the singular values of M_t are those of its |S| blocks together. Only the
-    m representative columns r' of M_t are built, one right translation
-    each, then a DFT along beta, so the cost is |G| * m for all ts together
-    and reverse(mu) * mu is never formed.
+    m representative columns r' of M_t are built, then a DFT along beta, so
+    the cost is |G| * m for all ts together and reverse(mu) * mu is never
+    formed. Column r' reads mu at s_i u_beta s_r'^-1 over the coset grid
+    (i, beta): the grid's packed rows are taken once, and each column needs
+    only the q^2 row images of s_r'^-1 and one key per grid entry
+    (`GroupTable.row_products`).
     """
     table = measure.table
     cosets = table.cosets()
@@ -177,17 +182,20 @@ def isotypic_blocks(measure: GroupMeasure, ts) -> np.ndarray:
     dft = np.exp(-2j * np.pi * np.outer(ts, np.arange(q)) / q)
     twist = np.exp(2j * np.pi * (ts[:, None, None] * gamma % q) / q)  # (t, z, r)
     blocks = np.empty((ts.size, len(chars), reps.size, reps.size), dtype=np.complex128)
-    for j, r in enumerate(reps):
-        rows = table.right_translation(int(table.inverse[cosets.section[r]]))[cosets.grid]
-        col = (dft @ measure.coeffs[rows].T)[:, perm] * twist  # e(t gamma_z(r) / q) M_t[perm_z(r), r']
-        blocks[..., j] = chars @ col
+    grid_rows = table.packed_rows(cosets.grid).astype(np.int32)  # below q^2
+    for j, h in enumerate(table.inverse[cosets.section[reps]]):
+        # mu(s_i u_beta s_r'^-1) at grid[i, beta], then e(t gamma_z(r) / q) M_t[perm_z(r), r'];
+        # one expression, so no column's arrays outlive it
+        blocks[..., j] = chars @ (
+            (dft @ measure.coeffs.take(table.row_products(h, grid_rows)).T)[:, perm] * twist)
     return blocks
 
 
-def _lanczos(apply, dim, rng, tol, max_iter):
+def _lanczos(apply, v0, tol, max_iter):
     """Top eigenvalue of a Hermitian positive semi-definite K, given as
-    `apply` on vectors of length `dim`, by Lanczos with full reorthogonalisation
-    (Golub & Van Loan, Matrix Computations, sec. 10.1).
+    `apply` on vectors of the length of the start vector `v0`, by Lanczos
+    with full reorthogonalisation (Golub & Van Loan, Matrix Computations,
+    sec. 10.1).
 
     Step k makes one apply, subtracts alpha_k v_k + beta_{k-1} v_{k-1} and
     makes one Gram-Schmidt pass against the whole basis, which grows with
@@ -200,11 +208,11 @@ def _lanczos(apply, dim, rng, tol, max_iter):
     and residual the explicit ||K y - lam y||, from one more apply;
     converged is False when max_iter < dim steps did not meet the stop.
     """
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    dim = v0.size
     limit = min(dim, max_iter)
     # room for four Ritz checks; grows by doubling below, never past `limit` rows
     basis = np.empty((min(limit, 4 * _RITZ_EVERY), dim), dtype=np.complex128)
-    basis[0] = v / np.linalg.norm(v)
+    basis[0] = v0 / np.linalg.norm(v0)
     alpha, beta = [], []
     for k in range(1, limit + 1):
         v, V = basis[k - 1], basis[:k]
@@ -276,13 +284,23 @@ def operator_norm(
     lies within `residual` of an eigenvalue of K.
     The blocks are split by the torus stabiliser S (`isotypic_blocks`):
     ||M_t|| is the largest norm of its |S| blocks B_chi, and each B_chi is
-    solved on its own. `iters` sums their Lanczos steps, and `block` is the
-    smallest t with a block within 100 * tol of the maximum, with its
-    `residual`. A block whose trace ||B_chi||_F^2 is at most
-    dim * eps * ||mu||_1^2, with dim = n/|S| its dimension (numpy's
-    matrix_rank tolerance, with ||mu||_1^2 bounding the block's norm), is
-    reported as exactly 0. Raises ConvergenceError carrying the best
-    estimate if any block reaches max_iter steps, short of its dimension,
+    solved on its own. `block` is the smallest t with a block within
+    100 * tol of the maximum, with its `residual`. A block whose trace
+    ||B_chi||_F^2 is at most dim * eps * ||mu||_1^2, with dim = n/|S| its
+    dimension (numpy's matrix_rank tolerance, with ||mu||_1^2 bounding the
+    block's norm), is reported as exactly 0.
+
+    Only the blocks that can attain the norm are solved. The trace bounds
+    the block's norm, ||B_chi||^2 <= ||B_chi||_F^2, so the blocks are solved
+    in descending trace, and the rest are skipped once a trace, raised by
+    _BOUND_MARGIN, is below (1 - 100 * tol) times the best Rayleigh quotient
+    so far: a skipped block is neither the maximum nor within the window
+    that names `block`. Each block's start vector is drawn in block order
+    before any solve, so a block that is solved starts where it would if
+    every block were, and the norm, `block` and `residual` are those of
+    solving them all. `solved` counts the blocks solved and `iters` sums
+    their Lanczos steps. Raises ConvergenceError carrying the best estimate
+    if a solved block reaches max_iter steps, short of its dimension,
     without meeting the stop.
     """
     t0 = time.perf_counter()
@@ -293,28 +311,37 @@ def operator_norm(
     table = op.table
     ts = op.orbits()
     blocks = isotypic_blocks(op.measure, ts)
+    split = blocks.reshape(-1, *blocks.shape[2:])
+    orbit = np.repeat(ts, blocks.shape[1])
     floor = blocks.shape[-1] * np.finfo(float).eps * op.measure.l1**2
+    frob = [np.vdot(m, m).real for m in split]
+    # start vectors in block order, whichever blocks are solved
     rng = np.random.default_rng(seed)
-    results = []  # (lam, residual, t)
+    starts = {k: rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+              for k, m in enumerate(split) if frob[k] > floor}
+    results = {k: (0.0, 0.0) for k, f in enumerate(frob) if f <= floor}  # (lam, residual)
     converged = True
-    total_iters = 0
-    for t, split in zip(ts, blocks):
-        for m in split:
-            if np.vdot(m, m).real <= floor:
-                results.append((0.0, 0.0, t))
-                continue
-            # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
-            lam, residual, steps, done = _lanczos(
-                lambda v, m=m: np.conj(np.conj(m @ v) @ m), m.shape[1], rng, tol, max_iter)
-            total_iters += steps
-            converged = converged and done
-            results.append((lam, residual, t))
-    top = max(r[0] for r in results)
+    total_iters = solved = 0
+    best = 0.0
+    for k in sorted(starts, key=lambda k: -frob[k]):
+        # ||B||_F^2 >= ||B||^2: this block and every later one stay below the
+        # window of the maximum that names `block`
+        if frob[k] * (1 + _BOUND_MARGIN) < (1.0 - 100.0 * tol) * best:
+            break
+        # M^H M v, as conj(conj(M v) M) to spare a copy of M^H
+        lam, residual, steps, done = _lanczos(
+            lambda v, m=split[k]: np.conj(np.conj(m @ v) @ m), starts[k], tol, max_iter)
+        total_iters += steps
+        solved += 1
+        converged = converged and done
+        best = max(best, lam)
+        results[k] = (lam, residual)
     # blocks of different torus orbits can tie exactly (t = 1, 7 at q = 8):
     # name the smallest t within the solver's resolution of the maximum
-    _, residual, block = min((r for r in results if r[0] >= (1.0 - 100.0 * tol) * top),
-                             key=lambda r: r[2])
-    norm_est = math.sqrt(top)
+    block, k = min((int(orbit[k]), k) for k, (lam, _) in results.items()
+                   if lam >= (1.0 - 100.0 * tol) * best)
+    residual = results[k][1]
+    norm_est = math.sqrt(best)
     l1 = op.measure.l1
     report = GapReport(
         q=table.q,
@@ -328,6 +355,7 @@ def operator_norm(
         seconds=time.perf_counter() - t0,
         converged=converged,
         block=block,
+        solved=solved,
     )
     if not converged:
         raise ConvergenceError(
@@ -1058,18 +1086,14 @@ def zariski_check(table: GroupTable, generator_indices) -> tuple[bool, int]:
         return False, 0
     visited = np.zeros(table.order, dtype=bool)
     visited[table.identity_index] = True
-    frontier = np.array([table.identity_index], dtype=np.int64)
+    frontier = np.array([table.identity_index], dtype=np.intp)
     rts = table.right_translation(gens)
     while frontier.size:
-        nxt = []
-        for rt in rts:
-            cand = rt[frontier]
-            fresh = cand[~visited[cand]]
-            if fresh.size:
-                fresh = distinct(fresh)
-                visited[fresh] = True
-                nxt.append(fresh)
-        frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
+        # one gather for every generator; the closure is a set, so the
+        # level's order does not matter
+        cand = np.take(rts, frontier, axis=1)
+        frontier = distinct(cand[~np.take(visited, cand)]).astype(np.intp)
+        visited[frontier] = True
     size = int(visited.sum())
     return size == table.order, size
 
@@ -1108,6 +1132,7 @@ class SweepRow:
     iters: int | None = None
     seconds: float | None = None
     max_block: int | None = None  # report only; not a CSV column
+    solved: int | None = None  # report only; not a CSV column
 
     def csv_values(self) -> list[str]:
         def fmt(v, spec="%.12g"):
@@ -1183,6 +1208,7 @@ def _sweep_one(spec, q, a, b, L, c_log, r_prime_min, tol, max_iter, seed, guards
         iters=rep.iters,
         seconds=time.perf_counter() - t0,
         max_block=rep.block,
+        solved=rep.solved,
     )
 
 

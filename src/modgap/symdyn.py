@@ -559,7 +559,7 @@ def _walk_prefix(spec: SystemSpec, prefix, xs, lds, outer, idx, track):
     if idx is not None:
         i = idx[sel]
         for k in reversed(prefix):
-            i = track[1][k][i]
+            i = np.take(track[1][k], i)
     return x, ld, np.full(x.size, prefix[0], dtype=spec.id_dtype), i
 
 

@@ -127,6 +127,25 @@ def unsplit_blocks(measure, ts) -> np.ndarray:
     return blocks
 
 
+def split_blocks_oracle(measure, ts) -> np.ndarray:
+    """The split blocks of `spectral.isotypic_blocks`, one right translation
+    per representative column r' regathered on the coset grid: an array
+    (len(ts), |S|, m, m)."""
+    table = measure.table
+    cosets = table.cosets()
+    reps, perm, gamma, chars, _ = cosets.stabiliser
+    q = table.q
+    ts = np.asarray(ts, dtype=np.int64)
+    dft = np.exp(-2j * np.pi * np.outer(ts, np.arange(q)) / q)
+    twist = np.exp(2j * np.pi * (ts[:, None, None] * gamma % q) / q)
+    blocks = np.empty((ts.size, len(chars), reps.size, reps.size), dtype=np.complex128)
+    for j, r in enumerate(reps):
+        rows = table.right_translation(int(table.inverse[cosets.section[r]]))[cosets.grid]
+        col = (dft @ measure.coeffs[rows].T)[:, perm] * twist
+        blocks[..., j] = chars @ col
+    return blocks
+
+
 def stabiliser_isometries(cosets, t) -> np.ndarray:
     """The isometries E_chi onto the chi-eigenspaces of the torus stabiliser S
     in V_t, one per character, an array (|S|, n, n/|S|):

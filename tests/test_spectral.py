@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import eta_gap_oracle, measure_on, stabiliser_isometries, unsplit_blocks
+from conftest import (
+    eta_gap_oracle,
+    measure_on,
+    split_blocks_oracle,
+    stabiliser_isometries,
+    traced_peak,
+    unsplit_blocks,
+)
 from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, DomainError, EstimationError, GuardExceeded, ModgapError
@@ -308,11 +315,120 @@ def test_lanczos_brackets_every_block(spec12, a12, q):
     blocks = isotypic_blocks(mu, ts)
     for m in blocks.reshape(-1, *blocks.shape[2:]):
         exact = float(np.linalg.svd(m, compute_uv=False)[0]) ** 2
+        v0 = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
         lam, residual, steps, converged = _lanczos(
-            lambda v, m=m: m.conj().T @ (m @ v), m.shape[1], rng, 1e-8, 5000)
+            lambda v, m=m: m.conj().T @ (m @ v), v0, 1e-8, 5000)
         assert converged and steps <= m.shape[1]
         assert lam <= exact * (1 + 1e-12)
         assert exact - lam <= residual + 1e-12 * exact
+
+
+def _solve_every_block(mu, ts, tol=1e-8, seed=7):
+    """`operator_norm` without the skip: every split block above the zero
+    floor solved, with the start vectors drawn in block order. Returns
+    (norm, block, residual, iters, (lam or None per block), top)."""
+    split = isotypic_blocks(mu, ts)
+    orbit = np.repeat(ts, split.shape[1])
+    split = split.reshape(-1, *split.shape[2:])
+    floor = split.shape[-1] * np.finfo(float).eps * mu.l1**2
+    rng = np.random.default_rng(seed)
+    results, lams, iters = [], [], 0
+    for t, m in zip(orbit, split):
+        if np.vdot(m, m).real <= floor:
+            results.append((0.0, 0.0, t))
+            lams.append(None)
+            continue
+        v0 = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+        lam, residual, steps, done = _lanczos(
+            lambda v, m=m: np.conj(np.conj(m @ v) @ m), v0, tol, 5000)
+        assert done
+        iters += steps
+        results.append((lam, residual, t))
+        lams.append(lam)
+    top = max(r[0] for r in results)
+    _, residual, block = min((r for r in results if r[0] >= (1.0 - 100.0 * tol) * top),
+                             key=lambda r: r[2])
+    return math.sqrt(top), int(block), residual, iters, lams, top
+
+
+@pytest.fixture(scope="module")
+def sweep_rows(spec12, a12):
+    rows, _ = main_sweep(spec12, range(2, 33), a12, b=1.0)
+    return {r.q: r for r in rows}
+
+
+@pytest.mark.parametrize("q", range(2, 33))
+def test_skipped_blocks_keep_every_bit(spec12, a12, sweep_rows, q):
+    # the sweep solves only the blocks whose Frobenius bound reaches the best
+    # Rayleigh quotient so far; its norm, block and residual are those of
+    # solving every block from the same start vectors
+    mu = _sweep_mu(spec12, a12, q)
+    op = ConvOperator(mu, "new_space")
+    norm, block, residual, iters, lams, _ = _solve_every_block(mu, op.orbits())
+    row = sweep_rows[q]
+    assert not row.skipped_reason
+    assert (row.opnorm_eq, row.max_block) == (norm, block)
+    rep = operator_norm(op)
+    assert (rep.norm, rep.block, rep.residual) == (norm, block, residual)
+    assert (row.iters, row.solved) == (rep.iters, rep.solved)
+    assert rep.iters <= iters and rep.solved <= sum(lam is not None for lam in lams)
+
+
+@pytest.mark.parametrize("q", [8, 12, 16, 24])
+def test_skipped_blocks_cannot_attain_the_norm(spec12, a12, q, monkeypatch):
+    # each block skipped has its exact top eigenvalue below the window of the
+    # maximum, and at these moduli the skip saves Lanczos steps
+    mu = _sweep_mu(spec12, a12, q)
+    op = ConvOperator(mu, "new_space")
+    _, _, _, iters, lams, top = _solve_every_block(mu, op.orbits())
+    starts = []
+
+    def recording(apply, v0, tol, max_iter):
+        starts.append(v0)
+        return _lanczos(apply, v0, tol, max_iter)
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    rep = operator_norm(op)
+    assert rep.iters < iters and rep.solved == len(starts)
+    # the solved blocks, named by their start vectors, drawn as the oracle draws them
+    rng = np.random.default_rng(7)
+    split = isotypic_blocks(mu, op.orbits())
+    split = split.reshape(-1, *split.shape[2:])
+    skipped = []
+    for lam, m in zip(lams, split):
+        if lam is None:
+            continue
+        v0 = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+        if not any(np.array_equal(v0, s) for s in starts):
+            skipped.append(m)
+    assert len(skipped) == sum(lam is not None for lam in lams) - rep.solved > 0
+    for m in skipped:
+        exact = float(np.linalg.svd(m, compute_uv=False)[0]) ** 2
+        assert exact < (1.0 - 100.0 * 1e-8) * top
+
+
+@pytest.mark.parametrize("q", [8, 13, 16, 19, 32])
+def test_block_build_matches_the_per_column_translations(spec12, a12, q, rng):
+    # the build packs the coset grid's rows once per call; each column's
+    # blocks are bit-equal to one right translation regathered on the grid
+    table = get_group(q)
+    for mu in (_sweep_mu(spec12, a12, q), _random_measure(table, table.order // 3, rng)):
+        ts = ConvOperator(mu, "new_space").orbits()
+        assert np.array_equal(isotypic_blocks(mu, ts), split_blocks_oracle(mu, ts))
+        if q <= 16:
+            ts = ConvOperator(mu, "full").orbits()
+            assert np.array_equal(isotypic_blocks(mu, ts), split_blocks_oracle(mu, ts))
+
+
+@pytest.mark.parametrize("q", [8, 13, 16, 19, 32])
+def test_block_build_holds_one_column_beside_the_blocks(spec12, a12, q):
+    # past the blocks themselves, the build holds O(|G|) bytes: the packed
+    # grid rows and one column's gathers, whatever the number of columns
+    mu = _sweep_mu(spec12, a12, q)
+    ts = ConvOperator(mu, "new_space").orbits()
+    isotypic_blocks(mu, ts)  # the coset tables are built once per group
+    blocks, peak = traced_peak(lambda: isotypic_blocks(mu, ts))
+    assert peak <= blocks.nbytes + 64 * mu.table.order
 
 
 def test_support_rule_picks_the_representation(rng):
