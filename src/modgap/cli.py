@@ -52,7 +52,6 @@ _CONFIG_FIELDS = {
     "q_list": list,
     "a": (float, int, str),
     "b": (float, int),
-    "M": int,
     "prefix": list,
     "L": int,
     "R_prime": int,
@@ -79,7 +78,6 @@ class RunConfig:
     q_list: list
     a: object = "auto"
     b: float = 1.0
-    M: int = 0
     prefix: list = dataclasses.field(default_factory=list)
     L: int = 2
     R_prime: int = 2
@@ -148,15 +146,6 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"L must be >= 2 (got {cfg.L})", field="L")
     if cfg.R_prime < 1:
         raise ConfigError("R_prime must be >= 1", field="R_prime")
-    if cfg.M < 0:
-        raise ConfigError("M must be >= 0", field="M")
-    if cfg.M == 0 and cfg.prefix:
-        cfg.M = len(cfg.prefix)
-    elif cfg.M != len(cfg.prefix):
-        raise ConfigError(
-            "M disagrees with the prefix length (give the prefix letter ids)",
-            field="M",
-        )
     if not cfg.q_list or any(not isinstance(q, int) or q < 2 for q in cfg.q_list):
         raise ConfigError("q_list must hold integers >= 2", field="q_list")
     for name in ("b", "r_log_coeff", "x", "base_point", "tol", "delta_tol"):
@@ -395,19 +384,15 @@ def cmd_verify_lemmas(cfg: RunConfig, args) -> tuple[bool, dict]:
                min_c1=worst_c1)
     )
 
-    # trace identity on small groups
-    dense = cfg.guards.dense_oracle
-    small_q = [q for q in cfg.q_list if group_order(q) <= dense]
-    for q in small_q:
+    # trace identity and top multiplicity, on the split blocks
+    for q in cfg.q_list:
         p = measure_params(cfg, spec, q, cfg.L * cfg.R_prime, a)
-        tr = trace_identity_check(build_mu1(p), nu=build_nu(p), guard=dense)
+        tr = trace_identity_check(build_mu1(p), nu=build_nu(p))
         checks.append(
             _check(f"trace identity q={q}", tr.trace_rel_err <= 1e-8,
                    rel_err=tr.trace_rel_err, multiplicity=tr.multiplicity,
                    cprime=tr.cprime)
         )
-    if not small_q:
-        checks.append(_check("trace identity", None, dense_oracle=dense))
 
     # autocorrelation threshold
     min_rs = {}

@@ -8,25 +8,22 @@ class ModgapError(Exception):
 
 
 class GuardExceeded(ModgapError):
-    """A resource guard (modulus range, word count, dense size) was hit."""
+    """A resource guard (modulus, word count, contexts) or the dense-oracle limit was hit."""
 
 
 @dataclass(frozen=True)
 class Guards:
-    """The four resource limits, each checked by one function.
+    """The three resource limits, each checked by one function.
 
     max_q bounds the modulus (`modgroup.get_group`), max_words the
-    admissible words of one expansion (`symdyn.check_word_count`), contexts
-    the outer-word tuples of decoupling (`decouple.outer_words`) and
-    dense_oracle the group order of a dense Cayley matrix
-    (`spectral.dense_conv_matrix`). These are the only defaults; the config's
-    `guards` object overrides them.
+    admissible words of one expansion (`symdyn.check_word_count`) and
+    contexts the outer-word tuples of decoupling (`decouple.outer_words`).
+    These are the only defaults; the config's `guards` object overrides them.
     """
 
     max_q: int = 32
     max_words: int = 5_000_000
     contexts: int = 200_000
-    dense_oracle: int = 2500
 
 
 class InvalidElement(ModgapError, ValueError):

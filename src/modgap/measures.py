@@ -133,6 +133,15 @@ class GroupMeasure:
         """Coefficient at g becomes the conjugate of the one at g^-1."""
         return GroupMeasure(self.table, np.conj(self.coeffs[self.table.inverse]))
 
+    def reduced(self, level: GroupTable) -> "GroupMeasure":
+        """The image of mu under reduction to SL2(Z/l), l = level.q a divisor
+        of q: each support point's mass moves to its reduction mod l, all
+        looked up at once (`GroupTable.indices_of`)."""
+        if self.table.q % level.q:
+            raise ModulusMismatch(f"{level.q} does not divide {self.table.q}")
+        supp = self.support
+        return _accumulate(level, level.indices_of(self.table.elems[supp]), self.coeffs[supp])
+
     def scaled(self, factor) -> "GroupMeasure":
         return GroupMeasure(self.table, self.coeffs * factor)
 

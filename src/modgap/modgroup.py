@@ -161,6 +161,16 @@ class GroupTable:
             raise InvalidElement(f"not an element of SL2(Z/{self.q}): {(a, b, c, d)}")
         return idx
 
+    def indices_of(self, mats) -> np.ndarray:
+        """Indices of the integer matrices mats[..., :] = (a, b, c, d), each
+        entry reduced mod q, of the shape of mats[..., 0]: `index_of` for an
+        array, so an element of a level above q is read at its reduction.
+        InvalidElement if one is not in SL2(Z/q)."""
+        idx = self.key_to_index[self._pack(*np.moveaxis(np.asarray(mats) % self.q, -1, 0))]
+        if (idx < 0).any():
+            raise InvalidElement(f"not all elements of SL2(Z/{self.q})")
+        return idx
+
     def matrix(self, i: int) -> ModMatrix:
         a, b, c, d = (int(v) for v in self.elems[i])
         return ModMatrix(a, b, c, d, self.q)
@@ -317,14 +327,22 @@ class UnipotentCosets:
         congruence kernels are normal), so the blocks of one orbit have the
         same restricted norm. An orbit keeps gcd(t, q) fixed.
         """
-        q = self.q
-        squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
         reps, seen = [], set()
-        for t in range(q):
+        for t in range(self.q):
             if t not in seen:
                 reps.append(t)
-                seen.update(s * t % q for s in squares)
+                seen.update(self.torus_orbit(t))
         return tuple(reps)
+
+    def torus_orbit(self, t: int) -> frozenset[int]:
+        """The orbit {u^2 t mod q : u a unit} of the character t."""
+        return frozenset(s * t % self.q for s in self._squares)
+
+    @cached_property
+    def _squares(self) -> frozenset[int]:
+        """The unit squares u^2 mod q."""
+        q = self.q
+        return frozenset(u * u % q for u in range(1, q) if math.gcd(u, q) == 1)
 
     @cached_property
     def stabiliser(self) -> tuple[np.ndarray, ...]:

@@ -23,7 +23,7 @@ steps (`isotypic_blocks`) whatever its support. The blocks whose Frobenius
 norm can reach the largest norm found so far are solved one by one.
 
 Nothing of length |G| is iterated. Dense |G| x |G| matrices are built
-only for small groups, as oracles and for eigenvalue multiplicity counts.
+only as oracles, for small groups.
 
 The per-block gap (`eta_gap`) needs no iteration. Right translation of a
 measure is unitary on the mean-zero functions, so a measure and its right
@@ -67,13 +67,14 @@ from .modgroup import (
     GroupTable,
     NewSpaceProjector,
     distinct,
+    factorize,
     get_group,
     group_order,
     new_space_dimension,
 )
 from .symdyn import SystemSpec, word
 
-DENSE_GUARD = Guards.dense_oracle
+DENSE_GUARD = 2500  # group order up to which the dense oracles build |G| x |G| matrices
 _RITZ_EVERY = 4  # Lanczos steps between eigen-solves of the tridiagonal T
 _HECKE_TERMS = 32  # random Hecke operators in the commutant element that splits each V_t
 # relative eigenvalue gap between two pieces of V_t; across a smaller gap the
@@ -372,11 +373,12 @@ def operator_norm(
 def dense_conv_matrix(measure: GroupMeasure, guard: int = DENSE_GUARD) -> np.ndarray:
     """Dense matrix of phi -> mu * phi; M[x, y] = mu(x y^-1), so each
     support point g fills the cells (g y, y). GuardExceeded above `guard`
-    group elements; the only check of the dense-oracle limit."""
+    group elements; the only check of the dense-oracle limit, which no
+    config sets: the oracles serve the tests and perfbench's references."""
     t = measure.table
     n = t.order
     if n > guard:
-        raise GuardExceeded(f"group order {n} exceeds guards.dense_oracle={guard}")
+        raise GuardExceeded(f"group order {n} exceeds the dense-oracle limit {guard}")
     real = bool(np.all(measure.coeffs.imag == 0.0))
     coeffs = measure.coeffs.real if real else measure.coeffs
     M = np.zeros((n, n), dtype=coeffs.dtype)
@@ -656,12 +658,12 @@ def _new_pieces(table: GroupTable) -> tuple[tuple[int, int, np.ndarray], ...]:
     norm. For the same reason only one of the orbits of t and -t is split.
     """
     q = table.q
-    squares = {u * u % q for u in range(1, q) if math.gcd(u, q) == 1}
-    ts = tuple(t for t in table.cosets().torus_orbits()  # the units, one of t and -t
-               if math.gcd(t, q) == 1 and min(s * -t % q for s in squares) >= t)
+    cosets = table.cosets()
+    ts = tuple(t for t in cosets.torus_orbits()  # the units, one of t and -t
+               if math.gcd(t, q) == 1 and min(cosets.torus_orbit(-t % q)) >= t)
     reps, sizes = _conjugacy_classes(table)
     weight = sizes / table.order
-    signs = table.cosets().stabiliser[3]
+    signs = cosets.stabiliser[3]
     z, perm, beta = _folded(table, [table.index_of(g) for g in _GENERATORS] + reps.tolist())
     cols = np.arange(perm.shape[1])
     pieces, chars = [], []
@@ -713,7 +715,7 @@ def _class_generators(table: GroupTable, key: tuple[int, ...]):
     by_size: dict[int, list[np.ndarray]] = {}
     for level in (get_group(div, q) for div in range(2, q + 1) if q % div == 0):
         signs = level.cosets().stabiliser[3]
-        z, perm, beta = _folded(level, level.key_to_index[level._pack(*(elems % level.q).T)])
+        z, perm, beta = _folded(level, level.indices_of(elems))
         for t, x, w in _new_pieces(level):
             mono = signs[x, z] * np.exp(2j * np.pi * t * beta / level.q)
             by_size.setdefault(w.shape[1], []).append(w.conj().T @ (mono[:, :, None] * w[perm]))
@@ -977,41 +979,87 @@ class TraceReport:
     cprime: float | None
 
 
-def trace_identity_check(
-    measure: GroupMeasure, nu: GroupMeasure | None = None, guard: int = DENSE_GUARD
-) -> TraceReport:
-    """Verify tr[(A*A)^2] = |G| ||reverse(mu)*mu||_2^2 and count the top
-    eigenvalue's multiplicity on the new subspace.
+def _orbit_spectra(measure: GroupMeasure):
+    """(t, |orbit(t)|, lam) for every torus orbit t of the measure's group,
+    lam an array (|S|, m) of the eigenvalues of K = reverse(mu) * mu on V_t:
+    K acts there as M_t^H M_t, whose eigenvalues are those of B^H B over the
+    split blocks B of `isotypic_blocks`.
 
-    The left side is the trace of the squared dense operator matrix (an
-    independent route through the full Cayley action); the right side is
-    the squared 2-norm of the autocorrelation measure. When nu is given,
-    the norm bound C' [|G| ||reverse(nu)*nu||_2^2 / q]^(1/4) is evaluated
-    and the fitted C' reported.
+    The orbits are built |S| at a time, so each column's gather of mu serves
+    |S| orbits. The units make |S| orbits (the units mod their squares are
+    S's size), so no batch holds more blocks than `operator_norm` holds on
+    E_q."""
+    cosets = measure.table.cosets()
+    ts = cosets.torus_orbits()
+    size = len(cosets.stabiliser[3])
+    for lo in range(0, len(ts), size):
+        b = isotypic_blocks(measure, ts[lo:lo + size])
+        for t, lam in zip(ts[lo:lo + size], np.linalg.eigvalsh(np.conj(b.swapaxes(-1, -2)) @ b)):
+            yield t, len(cosets.torus_orbit(t)), lam
+
+
+def _top_count(spectra, thresh: float) -> int:
+    """The eigenvalues of `_orbit_spectra` at least thresh, with multiplicity."""
+    return sum(size * int((lam >= thresh).sum()) for _, size, lam in spectra)
+
+
+def trace_identity_check(measure: GroupMeasure, nu: GroupMeasure | None = None) -> TraceReport:
+    """Verify tr(K^2) = |G| ||kappa||_2^2 for K, convolution by
+    kappa = reverse(mu) * mu, and count the top eigenvalue's multiplicity on
+    the new subspace E_q, both from the split blocks of `isotypic_blocks`
+    (`_orbit_spectra`); no |G| x |G| matrix is formed.
+
+    * The left side is sum_t |orbit(t)| sum lam^2 over the torus orbits t,
+      since the V_t of one orbit share their spectrum (`torus_orbits`). The
+      right side holds because tr(K^2) = sum_{x, y} |kappa(x y^-1)|^2.
+    * The top eigenvalue on E_q is the largest over the unit t (see
+      `operator_norm`); eigenvalues within max(1e-12, 1e-6 |top|) of it
+      count as top.
+    * The multiplicity comes by levels. L^2(SL2(Z/q)) is the orthogonal sum
+      of the pullbacks of E_l over l | q, and K acts on the pullback of E_l
+      as the K of mu mod l. So F_l, the count of top eigenvalues of mu mod l
+      on all of L^2(SL2(Z/l)), is the sum of the counts on E_l' over l' | l,
+      and by Moebius inversion the count on E_q is
+      sum_{d | rad q} moebius(d) F_{q/d}. F_l is counted on the blocks of
+      mu mod l (`GroupMeasure.reduced`), and F_1 = [|sum mu|^2 >= thresh].
+      EstimationError if the count is below 1: top is an eigenvalue on E_q.
+
+    When nu is given, the norm bound C' [|G| ||reverse(nu)*nu||_2^2 / q]^(1/4)
+    is evaluated and the fitted C' reported.
     """
-    t = measure.table
+    table = measure.table
+    q = table.q
     kappa = measure.reverse().convolve(measure)
-    M = dense_conv_matrix(kappa, guard)
-    lhs = float(np.real(np.einsum("ij,ji->", M, M)))
-    rhs = t.order * kappa.l2**2
+    rhs = table.order * kappa.l2**2
+    spectra = list(_orbit_spectra(measure))
+    lhs = sum(size * float((lam**2).sum()) for _, size, lam in spectra)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-    P = dense_subspace_projector(t, "new_space")
-    S = P @ M @ P
-    S = 0.5 * (S + (S.T.conj() if np.iscomplexobj(S) else S.T))
-    eigs = np.linalg.eigvalsh(S)
-    top = float(eigs[-1])
+    top = max(float(lam.max()) for t, _, lam in spectra if math.gcd(t, q) == 1)
     thresh = top - max(1e-12, 1e-6 * abs(top))  # eigenvalues this close count as top
-    mult = int((eigs >= thresh).sum())
+
+    moebius = [(1, 1)]  # (d, moebius(d)) over the divisors d of rad q
+    for p, _ in factorize(q):
+        moebius += [(d * p, -sign) for d, sign in moebius]
+    mult = 0
+    for d, sign in moebius:
+        if d == 1:
+            count = _top_count(spectra, thresh)
+        elif d == q:  # level 1: K acts on the constants as |sum mu|^2
+            count = int(abs(measure.coeffs.sum()) ** 2 >= thresh)
+        else:
+            count = _top_count(_orbit_spectra(measure.reduced(get_group(q // d, q))), thresh)
+        mult += sign * count
+    if mult < 1:
+        raise EstimationError(f"top eigenvalue {top:.6g} on E_{q} counted {mult} times")
     norm_new = math.sqrt(max(top, 0.0))
 
     cprime = None
     if nu is not None:
         w = nu.reverse().convolve(nu)
-        denom = (t.order * w.l2**2 / t.q) ** 0.25
+        denom = (table.order * w.l2**2 / q) ** 0.25
         cprime = norm_new / denom if denom > 0 else float("inf")
     return TraceReport(
-        q=t.q,
+        q=q,
         trace_lhs=lhs,
         trace_rhs=rhs,
         trace_rel_err=rel,

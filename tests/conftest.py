@@ -262,3 +262,20 @@ def eta_gap_oracle(eta):
     norm = math.sqrt(top)
     l1 = math.fsum(weights.tolist())
     return norm / l1, norm, l1
+
+
+def dense_trace_oracle(measure):
+    """(tr K^2, top, multiplicity) for K, convolution by
+    kappa = reverse(mu) * mu, from dense |G| x |G| matrices: the oracle of
+    `spectral.trace_identity_check`. The trace is that of the squared Cayley
+    matrix of kappa; top and its multiplicity are read from the eigenvalues
+    of P K P, P the dense projector onto E_q, with the same threshold."""
+    kappa = measure.reverse().convolve(measure)
+    M = spectral.dense_conv_matrix(kappa)
+    lhs = float(np.real(np.einsum("ij,ji->", M, M)))
+    P = spectral.dense_subspace_projector(measure.table, "new_space")
+    S = P @ M @ P
+    eigs = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    top = float(eigs[-1])
+    thresh = top - max(1e-12, 1e-6 * abs(top))
+    return lhs, top, int((eigs >= thresh).sum())

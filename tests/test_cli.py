@@ -48,6 +48,11 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "delta-estimate", "--digits", "0")
     assert code == 2
     assert err.startswith("config error: field 'system': digits must lie in 1..9")
+    # the outer word's length is the prefix's; no field repeats it
+    cfg.write_text(json.dumps({"M": 0}))
+    code, _, err = run_cli(capsys, "group-info", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error: field 'M': unknown field 'M'")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -311,7 +316,8 @@ def test_verify_lemmas_small(tmp_path, capsys):
 
 
 def test_verify_lemmas_draws_past_the_dense_guard(tmp_path, capsys):
-    # |SL2(Z/16)| = 3072 exceeds guards.dense_oracle = 2500
+    # |SL2(Z/16)| = 3072 exceeds the dense oracles' 2500: the draws and the
+    # trace identity both run on blocks
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [16], "a": 0.5322, "n_draws": 10}))
     rpt = tmp_path / "r.json"
@@ -321,7 +327,22 @@ def test_verify_lemmas_draws_past_the_dense_guard(tmp_path, capsys):
     draws = checks["weighted expansion draws"]
     assert (draws["status"], draws["failed"], set(draws["c0"])) == ("pass", 0, {"16"})
     assert draws["c0"]["16"] > 0
-    assert checks["trace identity"]["status"] == "skip"
+    trace = checks["trace identity q=16"]
+    assert (trace["status"], trace["multiplicity"]) == ("pass", 6)
+    assert trace["rel_err"] <= 1e-12
+
+
+def test_every_modulus_gets_a_trace_identity_check(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"q_list": [3, 6, 16, 2], "a": 0.5322, "n_draws": 10, "L": 2,
+                               "R_prime": 2}))
+    rpt = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
+    assert code == 0
+    traces = [c for c in json.loads(rpt.read_text())["checks"]
+              if c["name"].startswith("trace identity")]
+    assert [c["name"] for c in traces] == [f"trace identity q={q}" for q in (3, 6, 16, 2)]
+    assert all(c["status"] == "pass" and c["multiplicity"] >= 1 for c in traces)
 
 
 def test_max_q_guard_reaches_the_sweep(tmp_path, capsys):
@@ -344,38 +365,21 @@ def test_contexts_guard_reaches_the_decoupled_bound(tmp_path, capsys):
     assert "guards.contexts=1" in err
 
 
-def test_dense_oracle_guard_reaches_the_dense_checks(tmp_path, capsys):
+def test_the_dense_oracle_guard_is_gone(tmp_path, capsys):
+    # no check reads a dense-oracle limit, so a config that sets one is unknown
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"q_list": [3, 5], "a": 0.5322, "n_draws": 10, "L": 2,
-                               "R_prime": 2, "guards": {"dense_oracle": 100}}))
-    rpt = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
-    assert code == 0
-    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
-    assert "trace identity q=3" in checks and "trace identity q=5" not in checks
-    # the draws solve on the pieces, past the dense guard too
-    assert checks["weighted expansion draws"]["status"] == "pass"
-    assert set(checks["weighted expansion draws"]["c0"]) == {"3", "5"}
-    assert set(checks["per-block gap positive"]["min_c1"]) == {"3", "5"}
+    cfg.write_text(json.dumps({"q_list": [3], "a": 0.5322, "guards": {"dense_oracle": 2500}}))
+    code, _, err = run_cli(capsys, "verify-lemmas", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error: field 'guards': unknown guard guards.dense_oracle")
 
 
 def test_a_check_that_examines_nothing_skips(tmp_path, capsys):
-    # no group within guards.dense_oracle: the trace identity skips, and the
-    # expansion draws, which need no dense matrix, still run
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"q_list": [3], "a": 0.5322, "n_draws": 10, "L": 2,
-                               "R_prime": 2, "guards": {"dense_oracle": 10}}))
-    rpt = tmp_path / "r.json"
-    code, _, _ = run_cli(capsys, "verify-lemmas", "--config", str(cfg), "--report", str(rpt))
-    assert code == 0
-    checks = {c["name"]: c for c in json.loads(rpt.read_text())["checks"]}
-    draws = checks["weighted expansion draws"]
-    assert (draws["status"], draws["failed"], set(draws["c0"])) == ("pass", 0, {"3"})
-    assert checks["trace identity"] == {
-        "name": "trace identity", "status": "skip", "dense_oracle": 10}
     # the only non-square-free modulus lies past guards.max_q
+    cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"q_list": [5, 7, 9], "a": 0.5322, "b": 1.0,
                                "guards": {"max_q": 8}}))
+    rpt = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "sweep-q", "--config", str(cfg),
                          "--out", str(tmp_path / "s.csv"), "--report", str(rpt))
     assert code == 0

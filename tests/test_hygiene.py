@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -173,3 +174,25 @@ def test_a_sweep_and_a_decoupled_bound_leave_numpy_ma_unimported():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_default_verify_lemmas_builds_no_dense_matrix(monkeypatch, tmp_path, capsys):
+    from modgap import spectral
+    from modgap.cli import main
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a |G| x |G| matrix was built")
+
+    monkeypatch.setattr(spectral, "dense_conv_matrix", dense)
+    monkeypatch.setattr(spectral, "dense_subspace_projector", dense)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"a": 0.5322}')
+    rpt = tmp_path / "r.json"
+    assert main(["verify-lemmas", "--config", str(cfg), "--report", str(rpt)]) == 0
+    capsys.readouterr()
+    checks = json.loads(rpt.read_text())["checks"]
+    assert all(c["status"] == "pass" for c in checks)
+    # every default modulus, 16 past the dense oracles' 2500 included
+    assert {c["name"]: c["multiplicity"] for c in checks if "multiplicity" in c} == {
+        f"trace identity q={q}": m
+        for q, m in zip((4, 5, 7, 8, 9, 11, 13, 16), (3, 3, 16, 4, 8, 12, 7, 6))}

@@ -250,6 +250,17 @@ def test_modulus_mismatch(t5):
         measure_on(t5, [0], [1.0]).convolve(other)
 
 
+def test_reduction_moves_each_mass_to_its_level(rng):
+    t12, t4 = get_group(12), get_group(4)
+    m = measure_on(t12, rng.choice(t12.order, 40, replace=False), rng.random(40) + 1j)
+    want = np.zeros(t4.order, dtype=complex)
+    for g in m.support:
+        want[t4.index_of(tuple(int(v) % 4 for v in t12.elems[g]))] += m.coeffs[g]
+    assert np.allclose(m.reduced(t4).coeffs, want, rtol=0, atol=1e-14)
+    with pytest.raises(ModulusMismatch):
+        m.reduced(get_group(5))
+
+
 def test_reverse_involution_and_dirac(t5, rng):
     m = sparse_measure(t5, rng)
     assert np.allclose(m.reverse().reverse().coeffs, m.coeffs, atol=1e-12)

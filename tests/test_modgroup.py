@@ -114,6 +114,17 @@ def test_index_and_inverse_tables(t5, rng):
         assert t5.index_of(t5.matrix(i)) == i
 
 
+def test_indices_of_reads_each_matrix_at_its_reduction(rng):
+    # the elements of SL2(Z/12), read at level 4 and shifted by multiples of 4
+    t12, t4 = get_group(12), get_group(4)
+    mats = t12.elems + 4 * rng.integers(-3, 4, size=t12.elems.shape)
+    want = [t4.index_of(tuple(int(v) % 4 for v in m)) for m in t12.elems]
+    assert np.array_equal(t4.indices_of(mats), want)
+    assert t4.indices_of(mats.reshape(-1, 8, 4)).shape == (t12.order // 8, 8)
+    with pytest.raises(InvalidElement):
+        t4.indices_of([[1, 0, 0, 1], [1, 1, 1, 1]])  # det 0
+
+
 def test_translations_are_cayley_rows(t5, rng):
     for _ in range(10):
         i = int(rng.integers(t5.order))

@@ -1,10 +1,12 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    dense_trace_oracle,
     eta_gap_oracle,
     measure_on,
     split_blocks_oracle,
@@ -16,7 +18,7 @@ from modgap import decouple, spectral
 from modgap.decouple import enumerate_etas, make_context, build_eta
 from modgap.errors import ConvergenceError, DomainError, EstimationError, GuardExceeded, ModgapError
 from modgap.measures import GroupMeasure, MeasureParams, build_mu, build_mu1, build_nu
-from modgap.modgroup import NewSpaceProjector, get_group
+from modgap.modgroup import NewSpaceProjector, get_group, new_space_dimension
 from modgap.spectral import (
     _lanczos,
     ConvOperator,
@@ -1169,12 +1171,51 @@ def test_mu1_decay_validates_lengths(spec12, a12):
         mu1_decay(p, [2, 3], 2)
 
 
-def test_trace_identity_dirac(t5):
-    d = measure_on(t5, [17], [1.0])
-    rep = trace_identity_check(d)
-    # reverse(d)*d is the identity Dirac: both sides equal |G|
-    assert rep.trace_lhs == pytest.approx(t5.order)
-    assert rep.trace_rhs == pytest.approx(t5.order)
+@pytest.mark.parametrize("q", range(2, 14))
+def test_trace_identity_matches_the_dense_oracle(spec12, a12, q):
+    for r_len in (2, 4, 6):
+        mu = build_mu1(MeasureParams(spec=spec12, q=q, s=a12, r_len=r_len))
+        lhs, top, mult = dense_trace_oracle(mu)
+        rep = trace_identity_check(mu)
+        assert rep.trace_lhs == pytest.approx(lhs, rel=1e-12)
+        assert rep.trace_rel_err <= 1e-12
+        assert abs(rep.top_eigenvalue - top) <= 1e-12 * mu.l1**2
+        assert rep.multiplicity == mult
+
+
+def test_trace_identity_of_a_complex_measure_matches_the_dense_oracle(spec12, a12):
+    # complex coefficients: K is Hermitian, not real, and |sum mu| < l1
+    for q in (6, 8, 9):
+        mu = build_mu(MeasureParams(spec=spec12, q=q, s=complex(a12, 1.0), r_len=4))
+        lhs, top, mult = dense_trace_oracle(mu)
+        rep = trace_identity_check(mu)
+        assert rep.trace_lhs == pytest.approx(lhs, rel=1e-12)
+        assert abs(rep.top_eigenvalue - top) <= 1e-12 * mu.l1**2
+        assert rep.multiplicity == mult
+
+
+def test_trace_identity_dirac():
+    # reverse(d)*d is the identity Dirac: both sides equal |G|, and K = I
+    # counts every dimension of E_q as top (119 at q=5)
+    for q in (5, 8, 12):
+        t = get_group(q)
+        rep = trace_identity_check(measure_on(t, [17], [1.0]))
+        assert rep.trace_lhs == pytest.approx(t.order, rel=1e-14)
+        assert rep.trace_rhs == pytest.approx(t.order, rel=1e-14)
+        assert rep.multiplicity == new_space_dimension(q)
+
+
+def test_trace_identity_past_the_dense_limit(spec12, a12):
+    mus = [build_mu1(MeasureParams(spec=spec12, q=q, s=a12, r_len=4)) for q in (16, 25, 27, 32)]
+    seconds = []
+    for _ in range(2):  # the better of two passes, against a busy box
+        t0 = time.perf_counter()
+        reps = [trace_identity_check(mu) for mu in mus]
+        seconds.append(time.perf_counter() - t0)
+    assert min(seconds) < 2.0
+    assert all(mu.table.order > spectral.DENSE_GUARD for mu in mus)
+    assert all(rep.trace_rel_err <= 1e-12 for rep in reps)
+    assert [rep.multiplicity for rep in reps] == [6, 24, 24, 12]
 
 
 def test_trace_identity_and_multiplicity(spec12, a12):
@@ -1184,6 +1225,14 @@ def test_trace_identity_and_multiplicity(spec12, a12):
         assert rep.trace_rel_err < 1e-8
         assert rep.multiplicity >= need
         assert rep.cprime is not None and rep.cprime > 0
+
+
+def test_a_top_eigenvalue_counted_below_once_raises(monkeypatch):
+    # a count that drops the top eigenvalue of E_q is an error, not a 0;
+    # at q=4 every level's count goes through `_top_count`
+    monkeypatch.setattr(spectral, "_top_count", lambda spectra, thresh: 0)
+    with pytest.raises(EstimationError, match="on E_4 counted 0 times"):
+        trace_identity_check(measure_on(get_group(4), [5], [1.0]))
 
 
 def test_autocorrelation_psi_norm(spec12, a12):
